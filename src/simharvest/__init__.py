@@ -50,7 +50,6 @@ from .records import (
 from .service import DuplicatePair, OaiProvider, ProviderConfig, duplicate_report
 from .similarity import (
     CollectionStats,
-    SimilarityPair,
     VectorSpaceModel,
     WeightedVector,
     collection_stats,

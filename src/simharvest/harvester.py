@@ -24,7 +24,7 @@ from .exceptions import (
     ResumableHarvestError,
     TokenLoopError,
 )
-from .oai_xml import VERBS, parse_response
+from .oai_xml import VERB_ARGUMENTS, parse_response
 from .records import MetadataRecord, is_valid_datestamp
 
 log = logging.getLogger(__name__)
@@ -33,22 +33,6 @@ USER_AGENT = "simharvest/0.1 (OAI-PMH aggregator)"
 MAX_ATTEMPTS = 5
 BACKOFF_CAP = 60.0
 _TOKEN_REPEAT_LIMIT = 3
-
-#: verb -> (required argument names, optional argument names)
-_VERB_ARGUMENTS = {
-    "Identify": ((), ()),
-    "ListMetadataFormats": ((), ("identifier",)),
-    "ListSets": ((), ("resumptionToken",)),
-    "ListIdentifiers": (
-        ("metadataPrefix",),
-        ("from", "until", "set", "resumptionToken"),
-    ),
-    "ListRecords": (
-        ("metadataPrefix",),
-        ("from", "until", "set", "resumptionToken"),
-    ),
-    "GetRecord": (("identifier", "metadataPrefix"), ()),
-}
 
 
 def build_request_url(base_url: str, verb: str, arguments: dict | None = None) -> str:
@@ -59,10 +43,10 @@ def build_request_url(base_url: str, verb: str, arguments: dict | None = None) -
     everything unsafe is percent-encoded.
     """
     arguments = dict(arguments or {})
-    if verb not in VERBS:
+    if verb not in VERB_ARGUMENTS:
         raise RequestArgumentError(f"unknown verb {verb!r}")
-    required, optional = _VERB_ARGUMENTS[verb]
-    allowed = set(required) | set(optional)
+    required, optional = VERB_ARGUMENTS[verb]
+    allowed = {*required, *optional}
     for name in arguments:
         if name not in allowed:
             raise RequestArgumentError(f"{verb} does not accept argument {name!r}")

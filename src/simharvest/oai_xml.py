@@ -47,14 +47,21 @@ OAI_DC_SCHEMA_LOCATION = (
 )
 DEFAULT_SIMILARITY_SCHEMA_URL = "/schema/similarity.xsd"
 
-VERBS = (
-    "Identify",
-    "ListMetadataFormats",
-    "ListSets",
-    "ListIdentifiers",
-    "ListRecords",
-    "GetRecord",
-)
+#: verb -> (required argument names, optional argument names), besides verb
+VERB_ARGUMENTS = {
+    "Identify": ((), ()),
+    "ListMetadataFormats": ((), ("identifier",)),
+    "ListSets": ((), ("resumptionToken",)),
+    "ListIdentifiers": (
+        ("metadataPrefix",),
+        ("from", "until", "set", "resumptionToken"),
+    ),
+    "ListRecords": (
+        ("metadataPrefix",),
+        ("from", "until", "set", "resumptionToken"),
+    ),
+    "GetRecord": (("identifier", "metadataPrefix"), ()),
+}
 
 #: Request arguments the protocol defines, besides verb.
 REQUEST_ARGUMENTS = (
@@ -208,6 +215,13 @@ def _similarity_element(about: SimilarityAbout, schema_url: str) -> ET.Element:
             {"identifier": match.identifier, "score": format_score(match.score)},
         )
     return element
+
+
+def serialize_similarity(about: SimilarityAbout, schema_url: str) -> bytes:
+    """Stand-alone similarity container document, as the /similar route sends it."""
+    element = _similarity_element(about, schema_url)
+    ET.indent(element)
+    return ET.tostring(element, encoding="utf-8", xml_declaration=True)
 
 
 def _record_element(
@@ -523,7 +537,7 @@ def parse_response(data: bytes | str, expected_verb: str) -> ParsedResponse:
     Protocol errors inside the body are returned, not raised; the caller
     decides how to react. Nothing absent is ever invented.
     """
-    if expected_verb not in VERBS:
+    if expected_verb not in VERB_ARGUMENTS:
         raise RecordValidationError(f"unknown verb {expected_verb!r}")
     root = _fromstring(data)
     if root.tag != _q("OAI-PMH"):
@@ -541,7 +555,7 @@ def parse_response(data: bytes | str, expected_verb: str) -> ParsedResponse:
         return parsed
     payload = None
     for child in root:
-        if _local(child.tag) in VERBS:
+        if _local(child.tag) in VERB_ARGUMENTS:
             payload = child
             break
     if payload is None:

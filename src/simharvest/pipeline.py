@@ -2,13 +2,17 @@
 
 compute_store is the sole writer of the weights tree, the pair file, the
 top-match directory, and the compute metadata. It always rebuilds them from
-the term-frequency tree, then clears the staleness marker, so a successful
-run leaves the store fresh by construction. Output is deterministic: rerun
+the term-frequency tree, which must have been indexed at the current epoch,
+then clears the staleness marker, so a successful run leaves the store fresh
+by construction. Output is deterministic: rerun
 on an unchanged store, it reproduces similarities.txt byte for byte.
 """
 
 from __future__ import annotations
 
+import heapq
+import os
+import shutil
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,7 +20,7 @@ from typing import Sequence
 from .exceptions import NotFoundError, StalenessError
 from .oai_xml import format_score
 from .records import SimilarityMatch, utc_now_string
-from .similarity import TopKAccumulator, VectorSpaceModel
+from .similarity import VectorSpaceModel
 from .store import RecordStore
 from .textpipe import DEFAULT_FIELDS, load_stopwords, record_to_tf
 
@@ -45,8 +49,10 @@ def index_store(
     fields: Sequence[str] = DEFAULT_FIELDS,
     stopwords_path: str | None = None,
 ) -> IndexReport:
-    """Extract, tokenize, and count every stored record into the tf tree."""
+    """Extract, tokenize, and count every stored record into the tf tree,
+    then record the store epoch that the tree reflects."""
     stopwords = load_stopwords(stopwords_path)
+    epoch = store.epoch()
     terms: set[str] = set()
     count = 0
     for identifier in store.list_identifiers():
@@ -55,6 +61,7 @@ def index_store(
         store.put_tf(vector)
         terms.update(vector.counts)
         count += 1
+    store.layout.indexed_epoch_path.write_text(str(epoch), encoding="ascii")
     return IndexReport(count, len(terms))
 
 
@@ -68,7 +75,8 @@ def compute_store(
 
     Writes the weights tree, similarities.txt (pairs at or above score_floor,
     four-decimal scores), one ranked top-k file per document, and the compute
-    metadata; finally clears the staleness marker.
+    metadata; finally clears the staleness marker. Raises StalenessError when
+    records changed after the last index.
     """
     started = utc_now_string()
     t0 = time.perf_counter()
@@ -76,32 +84,46 @@ def compute_store(
     if not identifiers:
         raise NotFoundError("store holds no records; harvest before computing")
     corpus = [store.get_tf(identifier) for identifier in identifiers]
+    try:
+        indexed = store.layout.indexed_epoch_path.read_text(encoding="ascii")
+    except FileNotFoundError:
+        indexed = None
+    if indexed != str(store.epoch()):
+        raise StalenessError(
+            "term frequencies are stale: records changed after the last index; "
+            "run index"
+        )
     model = VectorSpaceModel(score_floor=score_floor).fit(corpus)
     store.mark_stale()  # the weights tree is invalid while being rewritten
     for identifier in model.identifiers_:
         store.put_weights(model.vectors_[identifier])
 
-    accumulators = {identifier: TopKAccumulator(k) for identifier in identifiers}
-    pairs_written = 0
     tmp_path = store.layout.similarities_path.with_suffix(".txt.tmp")
-    with tmp_path.open("w", encoding="utf-8", newline="\n") as handle:
-        for pair in model.similarity_pairs(jobs=jobs):
-            if pair.score >= score_floor:
-                handle.write(
-                    f"{pair.id_a}\t{pair.id_b}\t{format_score(pair.score)}\n"
-                )
-                pairs_written += 1
-            accumulators[pair.id_a].offer(pair.id_b, pair.score)
-            accumulators[pair.id_b].offer(pair.id_a, pair.score)
-    tmp_path.replace(store.layout.similarities_path)
+    blocks = model.similarity_pairs(str(tmp_path), k, jobs=jobs)
+    best: list[list[tuple[float, int]]] = [[] for _ in identifiers]
+    pairs_written = 0
+    try:
+        with tmp_path.open("wb") as handle:
+            for part, written, heaps in blocks:
+                with open(part, "rb") as source:
+                    shutil.copyfileobj(source, handle)
+                os.unlink(part)
+                pairs_written += written
+                for index, heap in heaps.items():
+                    best[index] = heapq.nlargest(k, best[index] + heap)
+        tmp_path.replace(store.layout.similarities_path)
+    finally:
+        blocks.close()  # a failed run waits here for the blocks still scoring
+        for leftover in tmp_path.parent.glob(tmp_path.name + "*"):
+            leftover.unlink()
 
     store.layout.top_dir.mkdir(parents=True, exist_ok=True)
     for stale_file in store.layout.top_dir.iterdir():
         stale_file.unlink()
-    for identifier in identifiers:
+    for identifier, ranked in zip(model.identifiers_, best):
         lines = [
-            f"{match.identifier}\t{format_score(match.score)}\n"
-            for match in accumulators[identifier].ranked()
+            f"{model.identifiers_[-negated]}\t{format_score(score)}\n"
+            for score, negated in ranked
         ]
         store.top_path(identifier).write_text("".join(lines), encoding="utf-8")
 

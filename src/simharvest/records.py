@@ -10,7 +10,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .exceptions import RecordValidationError
 
@@ -237,6 +237,3 @@ def dc_values(record: MetadataRecord, names: Iterable[str]) -> list[str]:
     wanted = frozenset(names)
     return [value for name, value in record.dc_fields if name in wanted]
 
-
-def sorted_identifiers(records: Sequence[MetadataRecord]) -> list[str]:
-    return sorted(record.identifier for record in records)

@@ -25,9 +25,8 @@ from .exceptions import NotFoundError, SimHarvestError, StalenessError
 from .oai_xml import (
     DEFAULT_SIMILARITY_SCHEMA_URL,
     OAI_DC_NS,
-    VERBS,
+    VERB_ARGUMENTS,
     ResumptionToken,
-    _similarity_element,
     build_similarity_about,
     serialize_error,
     serialize_get_record,
@@ -36,6 +35,7 @@ from .oai_xml import (
     serialize_list_metadata_formats,
     serialize_list_records,
     serialize_list_sets,
+    serialize_similarity,
 )
 from .pipeline import check_results_fresh, iter_similarity_lines, load_top_matches
 from .records import OaiError, is_valid_datestamp
@@ -43,21 +43,6 @@ from .store import RecordStore
 
 XML_CONTENT_TYPE = "text/xml; charset=utf-8"
 DC_SCHEMA_URL = "http://www.openarchives.org/OAI/2.0/oai_dc.xsd"
-
-_ARG_SETS = {
-    "Identify": (frozenset(), frozenset()),
-    "ListMetadataFormats": (frozenset(), frozenset({"identifier"})),
-    "ListSets": (frozenset(), frozenset({"resumptionToken"})),
-    "ListIdentifiers": (
-        frozenset({"metadataPrefix"}),
-        frozenset({"from", "until", "set", "resumptionToken"}),
-    ),
-    "ListRecords": (
-        frozenset({"metadataPrefix"}),
-        frozenset({"from", "until", "set", "resumptionToken"}),
-    ),
-    "GetRecord": (frozenset({"identifier", "metadataPrefix"}), frozenset()),
-}
 
 
 @dataclass(frozen=True)
@@ -137,12 +122,12 @@ class OaiProvider:
                 errors.append(OaiError("badArgument", f"argument {name} repeated"))
             flat[name] = values[0]
         verb = flat.get("verb")
-        if verb not in VERBS:
+        if verb not in VERB_ARGUMENTS:
             return self._error_response(
                 flat, [OaiError("badVerb", f"unknown or missing verb {verb!r}")]
             )
-        required, optional = _ARG_SETS[verb]
-        allowed = required | optional | {"verb"}
+        required, optional = VERB_ARGUMENTS[verb]
+        allowed = {"verb", *required, *optional}
         for name in flat:
             if name not in allowed:
                 errors.append(
@@ -285,10 +270,13 @@ class OaiProvider:
         page = identifiers[offset : offset + self.config.page_size]
         records = [self.store.get_record(identifier) for identifier in page]
         next_offset = offset + len(page)
+        more = next_offset < len(identifiers)
         token = None
-        if next_offset < len(identifiers):
+        # OAI-PMH 2.0 section 3.5: the last page of a multi-page list carries
+        # an empty token
+        if more or offset > 0:
             token = ResumptionToken(
-                text=self._encode_token(next_offset, filters),
+                text=self._encode_token(next_offset, filters) if more else "",
                 complete_list_size=len(identifiers),
                 cursor=offset,
             )
@@ -361,9 +349,7 @@ class OaiProvider:
         about = build_similarity_about(
             identifier, matches, k, computed_at=meta.get("computed_at")
         )
-        element = _similarity_element(about, self.config.schema_url)
-        ET.indent(element)
-        body = ET.tostring(element, encoding="utf-8", xml_declaration=True)
+        body = serialize_similarity(about, self.config.schema_url)
         return "200 OK", XML_CONTENT_TYPE, body
 
 

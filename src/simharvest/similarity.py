@@ -2,9 +2,10 @@
 
 The engine is pure Python over sparse term->weight mappings. Determinism
 rules: corpora are processed in ascending identifier order, term iteration
-always follows sorted term order, and the pair stream is the upper triangle
-in (id_a, id_b) order, so results (including float accumulation order) are
-identical run to run and independent of the worker count.
+always follows sorted term order, and pairs are scored in row blocks of the
+upper triangle in (id_a, id_b) order, so results (including float
+accumulation order) are identical run to run and independent of the worker
+count.
 
 idf values are computed on the fly from collection statistics and are never
 persisted anywhere.
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exceptions import NotFittedError, NotFoundError, RecordValidationError
+from .oai_xml import format_score
 from .records import SimilarityMatch
 from .textpipe import TermFrequencyVector
 
@@ -68,21 +70,6 @@ class WeightedVector:
             raise RecordValidationError("norm must be non-negative")
         if bool(self.weights) != (self.norm > 0.0):
             raise RecordValidationError("empty vectors have norm 0 and vice versa")
-
-
-@dataclass(frozen=True)
-class SimilarityPair:
-    """Cosine score for one unordered document pair, stored with id_a < id_b."""
-
-    id_a: str
-    id_b: str
-    score: float
-
-    def __post_init__(self):
-        if not self.id_a < self.id_b:
-            raise RecordValidationError("pair identifiers must satisfy id_a < id_b")
-        if not (0.0 <= self.score <= 1.0):
-            raise RecordValidationError(f"score {self.score!r} outside [0, 1]")
 
 
 def collection_stats(corpus: Iterable[TermFrequencyVector]) -> CollectionStats:
@@ -151,15 +138,11 @@ def pair_count(n_docs: int) -> int:
     return n_docs * (n_docs - 1) // 2
 
 
-def iter_identifier_pairs(identifiers: Sequence[str]) -> Iterator[tuple[str, str]]:
-    """Upper-triangle identifier pairs in deterministic ascending order."""
-    ordered = sorted(identifiers)
-    for i, id_a in enumerate(ordered):
-        for id_b in ordered[i + 1 :]:
-            yield id_a, id_b
+# --- block scoring ----------------------------------------------------------
 
-
-# --- parallel pair scoring ------------------------------------------------
+#: (path of the block's pair-file part, lines written to it,
+#:  {row index: min-heap of (score, -other row index)} for non-empty heaps)
+BlockScores = tuple[str, int, dict[int, list[tuple[float, int]]]]
 
 _worker_vectors: list[WeightedVector] = []
 
@@ -169,16 +152,54 @@ def _init_worker(vectors: list[WeightedVector]) -> None:
     _worker_vectors = vectors
 
 
-def _score_rows(bounds: tuple[int, int]) -> list[float]:
-    start, stop = bounds
-    vectors = _worker_vectors
+def _keep_best(heap: list, k: int, entry: tuple) -> None:
+    """Offer entry to a min-heap that holds the k largest entries offered."""
+    if len(heap) < k:
+        heapq.heappush(heap, entry)
+    elif k and entry > heap[0]:
+        heapq.heapreplace(heap, entry)
+
+
+def _score_block(
+    vectors: Sequence[WeightedVector],
+    start: int,
+    stop: int,
+    part: str,
+    score_floor: float,
+    k: int,
+) -> BlockScores:
+    """Score rows start..stop-1 of the identifier-sorted vectors against every
+    later row.
+
+    Each pair scoring at least score_floor becomes one "id_a<TAB>id_b<TAB>score"
+    line of the part file, in upper-triangle order. Every pair, floored or not,
+    is offered to both documents' bounded heaps keyed (score, -row index):
+    rows are in identifier order, so the larger key ranks the smaller
+    identifier first among equal scores.
+    """
     n = len(vectors)
-    out: list[float] = []
-    for i in range(start, stop):
-        a = vectors[i]
-        for j in range(i + 1, n):
-            out.append(cosine_similarity(a, vectors[j]))
-    return out
+    heaps: list[list[tuple[float, int]]] = [[] for _ in range(n)]
+    lines = 0
+    with open(part, "w", encoding="utf-8", newline="\n") as handle:
+        write = handle.write
+        for i in range(start, stop):
+            a = vectors[i]
+            id_a = a.identifier
+            heap_a = heaps[i]
+            for j in range(i + 1, n):
+                b = vectors[j]
+                score = cosine_similarity(a, b)
+                if score >= score_floor:
+                    write(f"{id_a}\t{b.identifier}\t{format_score(score)}\n")
+                    lines += 1
+                if k:
+                    _keep_best(heap_a, k, (score, -j))
+                    _keep_best(heaps[j], k, (score, -i))
+    return part, lines, {index: heap for index, heap in enumerate(heaps) if heap}
+
+
+def _score_pool_block(task: tuple) -> BlockScores:
+    return _score_block(_worker_vectors, *task)
 
 
 def _row_blocks(n: int, jobs: int) -> list[tuple[int, int]]:
@@ -199,85 +220,6 @@ def _row_blocks(n: int, jobs: int) -> list[tuple[int, int]]:
     if start < n:
         blocks.append((start, n))
     return blocks
-
-
-def iter_similarity_pairs(
-    vectors: Sequence[WeightedVector], jobs: int | None = None
-) -> Iterator[SimilarityPair]:
-    """Score every unordered pair, yielding the upper triangle in id order.
-
-    With jobs > 1 the triangle is partitioned into row blocks scored by worker
-    processes and merged back in order, so the stream is byte-for-byte the
-    same as the serial one.
-    """
-    ordered = sorted(vectors, key=lambda v: v.identifier)
-    n = len(ordered)
-    if jobs is None or jobs <= 1 or n < 64:
-        for i in range(n):
-            a = ordered[i]
-            for j in range(i + 1, n):
-                b = ordered[j]
-                yield SimilarityPair(a.identifier, b.identifier, cosine_similarity(a, b))
-        return
-    blocks = _row_blocks(n, jobs)
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(list(ordered),)
-    ) as pool:
-        for (start, stop), scores in zip(blocks, pool.map(_score_rows, blocks)):
-            k = 0
-            for i in range(start, stop):
-                a = ordered[i]
-                for j in range(i + 1, n):
-                    yield SimilarityPair(
-                        a.identifier, ordered[j].identifier, scores[k]
-                    )
-                    k += 1
-
-
-# --- ranking ----------------------------------------------------------------
-
-
-class _ReversedStr(str):
-    """String that sorts in reverse, for (score asc, id desc) heap ordering."""
-
-    def __lt__(self, other):  # type: ignore[override]
-        return str.__gt__(self, other)
-
-    def __gt__(self, other):  # type: ignore[override]
-        return str.__lt__(self, other)
-
-
-class TopKAccumulator:
-    """Keeps the k best (score desc, identifier asc) matches seen so far."""
-
-    def __init__(self, k: int):
-        if k < 0:
-            raise RecordValidationError("k must be non-negative")
-        self.k = k
-        self._heap: list[tuple[float, _ReversedStr]] = []
-
-    def offer(self, identifier: str, score: float) -> None:
-        if self.k == 0:
-            return
-        entry = (score, _ReversedStr(identifier))
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, entry)
-        elif entry > self._heap[0]:
-            heapq.heapreplace(self._heap, entry)
-
-    def ranked(self) -> list[SimilarityMatch]:
-        ordered = sorted(self._heap, reverse=True)
-        return [SimilarityMatch(str(identifier), score) for score, identifier in ordered]
-
-
-def rank_matches(
-    candidates: Iterable[SimilarityMatch], k: int
-) -> list[SimilarityMatch]:
-    """Sort matches score-descending (ties: identifier ascending), keep k."""
-    if k < 0:
-        raise RecordValidationError("k must be non-negative")
-    ordered = sorted(candidates, key=lambda m: (-m.score, m.identifier))
-    return ordered[:k]
 
 
 # --- estimator --------------------------------------------------------------
@@ -319,17 +261,6 @@ class VectorSpaceModel:
     def __init__(self, score_floor: float = 0.0):
         self.score_floor = score_floor
 
-    # estimator plumbing (duck-compatible with sklearn.base.clone)
-    def get_params(self, deep: bool = True) -> dict:
-        return {"score_floor": self.score_floor}
-
-    def set_params(self, **params) -> "VectorSpaceModel":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise RecordValidationError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
     def fit(self, X: Iterable, y=None) -> "VectorSpaceModel":
         corpus = check_tf_corpus(X)
         if not corpus:
@@ -365,16 +296,49 @@ class VectorSpaceModel:
             subject = self.vectors_[identifier]
         except KeyError:
             raise NotFoundError(f"unknown identifier {identifier!r}") from None
-        accumulator = TopKAccumulator(k)
-        for other_id, other in self.vectors_.items():
+        if k < 0:
+            raise RecordValidationError("k must be non-negative")
+        heap: list[tuple[float, int]] = []
+        for index, other_id in enumerate(self.identifiers_):
             if other_id != identifier:
-                accumulator.offer(other_id, cosine_similarity(subject, other))
-        return accumulator.ranked()
+                score = cosine_similarity(subject, self.vectors_[other_id])
+                _keep_best(heap, k, (score, -index))
+        return [
+            SimilarityMatch(self.identifiers_[-negated], score)
+            for score, negated in sorted(heap, reverse=True)
+        ]
 
-    def similarity_pairs(self, jobs: int | None = None) -> Iterator[SimilarityPair]:
-        """All n(n-1)/2 pair scores for the fitted corpus, in id order."""
+    def similarity_pairs(
+        self, part_prefix: str, k: int, jobs: int | None = None
+    ) -> Iterator[BlockScores]:
+        """Score all n(n-1)/2 pairs of the fitted corpus, one row block at a time.
+
+        Block b writes its pair lines (score >= score_floor) to
+        "{part_prefix}.{b}" and yields (part path, lines written, partial
+        top-k heaps by row index of identifiers_); blocks come in row order,
+        so their parts concatenated in that order hold the upper triangle in
+        (id_a, id_b) order. With jobs > 1 and at least 64 documents the
+        blocks are scored by worker processes; the output is the same.
+        """
         self._check_fitted()
-        return iter_similarity_pairs(list(self.vectors_.values()), jobs=jobs)
+        if k < 0:
+            raise RecordValidationError("k must be non-negative")
+        vectors = [self.vectors_[identifier] for identifier in self.identifiers_]
+        parallel = jobs is not None and jobs > 1 and len(vectors) >= 64
+        tasks = [
+            (start, stop, f"{part_prefix}.{number}", self.score_floor, k)
+            for number, (start, stop) in enumerate(
+                _row_blocks(len(vectors), jobs if parallel else 1)
+            )
+        ]
+        if not parallel:
+            for task in tasks:
+                yield _score_block(vectors, *task)
+            return
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(vectors,)
+        ) as pool:
+            yield from pool.map(_score_pool_block, tasks)
 
     def pair_count(self) -> int:
         self._check_fitted()
@@ -415,18 +379,3 @@ def format_duration(seconds: float) -> str:
             parts.append(f"{value} {name}{'' if value == 1 else 's'}")
     return "-".join(parts)
 
-
-def parse_duration(text: str) -> int:
-    """Inverse of format_duration: total whole seconds of a rendered duration."""
-    sizes = {
-        "year": _SECONDS_PER_YEAR,
-        "day": 86400,
-        "hour": 3600,
-        "minute": 60,
-        "second": 1,
-    }
-    total = 0
-    for part in text.split("-"):
-        number, unit = part.strip().split(" ", 1)
-        total += int(number) * sizes[unit.rstrip("s")]
-    return total

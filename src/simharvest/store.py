@@ -12,8 +12,10 @@ Layout under one root directory:
 Identifier-to-path mapping percent-encodes each segment, so it is reversible
 and two identifiers can never share a file. Mutating any record bumps the
 corpus epoch and drops a staleness marker inside weights_metadata/; weight
-reads are refused until a recompute clears it. idf values are never written
-anywhere: they exist only in memory while computing.
+reads are refused until a recompute clears it. index records the epoch it
+indexed in tf_metadata/.indexed_epoch, and compute refuses a tf tree whose
+epoch is not the current one. idf values are never written anywhere: they
+exist only in memory while computing.
 """
 
 from __future__ import annotations
@@ -103,6 +105,10 @@ class StoreLayout:
     @property
     def tf_dir(self) -> Path:
         return self.root / "tf_metadata"
+
+    @property
+    def indexed_epoch_path(self) -> Path:
+        return self.tf_dir / ".indexed_epoch"
 
     @property
     def weights_dir(self) -> Path:

@@ -3,9 +3,8 @@
 No XSD engine is involved: these functions codify the wire-format rules as
 code (element order, required children and attributes, datestamp lexicals,
 error-code vocabulary, the similarity container's score/order rules) and
-report every violation found. They are used by the test suite to vet every
-response the package emits, and are available to callers who want to vet
-upstream repositories.
+report every violation found. The test suite uses them to vet every
+response the package emits.
 """
 
 from __future__ import annotations
@@ -13,16 +12,16 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 
-from .exceptions import ConformanceError
-from .oai_xml import (
+from simharvest.exceptions import ConformanceError
+from simharvest.oai_xml import (
     DC_NS,
     OAI_DC_NS,
     OAI_NS,
     SIMILARITY_NS,
-    VERBS,
+    VERB_ARGUMENTS,
     XSI_NS,
 )
-from .records import DC_ELEMENTS, OAI_ERROR_CODES, is_valid_datestamp
+from simharvest.records import DC_ELEMENTS, OAI_ERROR_CODES, is_valid_datestamp
 
 _SCORE_RE = re.compile(r"^[01]\.[0-9]{4}$")
 _UTC_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
@@ -123,7 +122,7 @@ def _check_root(root: ET.Element, problems: _Problems) -> None:
             problems.add(
                 "request", "badVerb/badArgument responses must not echo attributes"
             )
-    elif len(rest) != 1 or _local(rest[0].tag) not in VERBS:
+    elif len(rest) != 1 or _local(rest[0].tag) not in VERB_ARGUMENTS:
         problems.add("root", "payload must be exactly one verb element")
     else:
         expected_verb = _local(rest[0].tag)
@@ -144,7 +143,7 @@ def _check_request(
         if name not in _REQUEST_ATTRS:
             problems.add("request", f"illegal attribute {name!r}")
     verb = request.get("verb")
-    if verb is not None and verb not in VERBS:
+    if verb is not None and verb not in VERB_ARGUMENTS:
         problems.add("request", f"illegal verb {verb!r}")
     if expected_verb is not None and verb is not None and verb != expected_verb:
         problems.add(

@@ -2,7 +2,8 @@
 
 The oracle recomputes tf-idf/cosine with numpy over dense matrices, sharing
 no code with the engine under test, so agreement between the two is a real
-cross-check rather than a tautology.
+cross-check rather than a tautology. parse_duration reads the rendered
+runtime projections back into seconds.
 """
 
 from __future__ import annotations
@@ -139,3 +140,19 @@ def oracle_top_k(corpus, identifier: str, k: int) -> list[tuple[str, float]]:
     ]
     candidates.sort(key=lambda item: (-item[1], item[0]))
     return candidates[:k]
+
+
+def parse_duration(text: str) -> int:
+    """Inverse of format_duration: total whole seconds of a rendered duration."""
+    sizes = {
+        "year": 365 * 86400,
+        "day": 86400,
+        "hour": 3600,
+        "minute": 60,
+        "second": 1,
+    }
+    total = 0
+    for part in text.split("-"):
+        number, unit = part.strip().split(" ", 1)
+        total += int(number) * sizes[unit.rstrip("s")]
+    return total

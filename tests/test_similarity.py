@@ -1,7 +1,9 @@
 """Weighting, cosine scoring, ranking, and the runtime estimator."""
 
+import heapq
 import math
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,14 @@ from simharvest.exceptions import (
     RecordValidationError,
 )
 from simharvest.records import SimilarityMatch
+from oracle import parse_duration
+from simharvest.oai_xml import format_score
 from simharvest.similarity import (
     DEFAULT_PER_PAIR_SECONDS,
     CollectionStats,
-    SimilarityPair,
-    TopKAccumulator,
     VectorSpaceModel,
     WeightedVector,
+    _keep_best,
     _row_blocks,
     check_tf_corpus,
     collection_stats,
@@ -29,11 +32,7 @@ from simharvest.similarity import (
     estimate_runtime,
     format_duration,
     idf,
-    iter_identifier_pairs,
-    iter_similarity_pairs,
     pair_count,
-    parse_duration,
-    rank_matches,
     weight_vector,
 )
 from simharvest.textpipe import TermFrequencyVector
@@ -44,6 +43,27 @@ corpora = st.lists(
     max_size=8,
     unique_by=lambda tf: tf.identifier,
 )
+
+
+def score_blocks(model, directory, k, jobs=None):
+    """Run every row block of a fitted model.
+
+    Returns the pair-file lines in block order, each pair's raw score as
+    offered to the heaps (complete when k >= n - 1), and each row's merged
+    top-k entries, best first.
+    """
+    lines, scores, merged = [], {}, {}
+    ids = model.identifiers_
+    for part, written, heaps in model.similarity_pairs(f"{directory}/pairs", k, jobs=jobs):
+        with open(part, encoding="utf-8") as handle:
+            text = handle.read().splitlines()
+        assert len(text) == written
+        lines += text
+        for row, heap in heaps.items():
+            merged[row] = heapq.nlargest(k, merged.get(row, []) + heap)
+            for score, negated in heap:
+                scores[tuple(sorted((ids[row], ids[-negated])))] = score
+    return lines, scores, merged
 
 
 class TestCollectionStats:
@@ -186,28 +206,38 @@ class TestPairs:
         assert pair_count(2) == 1
         assert pair_count(100) == 4950
 
-    def test_identifier_pairs_ordered(self):
-        pairs = list(iter_identifier_pairs(["oai:c", "oai:a", "oai:b"]))
+    def test_identifier_pairs_ordered(self, tmp_path):
+        model = VectorSpaceModel().fit(
+            [
+                TermFrequencyVector(identifier, {"aa": 1})
+                for identifier in ("oai:c", "oai:a", "oai:b")
+            ]
+        )
+        lines, _, _ = score_blocks(model, tmp_path, k=2)
+        pairs = [tuple(line.split("\t")[:2]) for line in lines]
         assert pairs == [("oai:a", "oai:b"), ("oai:a", "oai:c"), ("oai:b", "oai:c")]
         assert len(pairs) == pair_count(3)
 
-    def test_pair_stream_matches_oracle(self, rng):
+    def test_pair_stream_matches_oracle(self, rng, tmp_path):
         corpus = oracle.random_corpus(rng, 30)
         expected = oracle.oracle_pairs(corpus)
-        got = list(iter_similarity_pairs(
-            [weight_vector(tf, collection_stats(corpus)) for tf in corpus]
-        ))
-        assert len(got) == len(expected) == pair_count(30)
-        for pair, (id_a, id_b, score) in zip(got, expected):
-            assert (pair.id_a, pair.id_b) == (id_a, id_b)
-            assert pair.score == pytest.approx(score, abs=1e-9)
+        lines, scores, _ = score_blocks(VectorSpaceModel().fit(corpus), tmp_path, k=30)
+        assert len(lines) == len(scores) == len(expected) == pair_count(30)
+        for line, (id_a, id_b, score) in zip(lines, expected):
+            got_a, got_b, rendered = line.split("\t")
+            assert (got_a, got_b) == (id_a, id_b)
+            assert rendered == format_score(scores[id_a, id_b])
+            assert scores[id_a, id_b] == pytest.approx(score, abs=1e-9)
 
-    def test_parallel_stream_identical_to_serial(self, rng):
+    def test_parallel_stream_identical_to_serial(self, rng, tmp_path):
         corpus = oracle.random_corpus(rng, 80)
-        vectors = [weight_vector(tf, collection_stats(corpus)) for tf in corpus]
-        serial = list(iter_similarity_pairs(vectors, jobs=1))
-        parallel = list(iter_similarity_pairs(vectors, jobs=3))
-        assert serial == parallel  # identical floats, not merely close
+        model = VectorSpaceModel().fit(corpus)
+        (tmp_path / "serial").mkdir()
+        (tmp_path / "parallel").mkdir()
+        serial_lines, _, serial_top = score_blocks(model, tmp_path / "serial", k=5, jobs=1)
+        lines, _, top = score_blocks(model, tmp_path / "parallel", k=5, jobs=3)
+        assert lines == serial_lines
+        assert top == serial_top  # identical floats, not merely close
 
     def test_row_blocks_partition_rows(self):
         for n, jobs in ((100, 3), (64, 2), (65, 7), (5, 2)):
@@ -216,24 +246,24 @@ class TestPairs:
             for (_, stop), (start, _) in zip(blocks, blocks[1:]):
                 assert stop == start
 
-    def test_pair_ordering_invariant(self):
-        with pytest.raises(RecordValidationError):
-            SimilarityPair("oai:b", "oai:a", 0.5)
-        with pytest.raises(RecordValidationError):
-            SimilarityPair("oai:a", "oai:a", 0.5)
-        with pytest.raises(RecordValidationError):
-            SimilarityPair("oai:a", "oai:b", 1.5)
-
 
 class TestRanking:
-    def test_rank_matches_orders_and_truncates(self):
-        matches = [
-            SimilarityMatch("oai:x:c", 0.5),
-            SimilarityMatch("oai:x:a", 0.9),
-            SimilarityMatch("oai:x:b", 0.9),
-            SimilarityMatch("oai:x:d", 0.1),
+    @staticmethod
+    def best_first(items, k):
+        """Offer (identifier, score) items to one bounded heap, keyed as the
+        engine keys them; return the kept identifiers and scores, best first."""
+        ids = sorted(identifier for identifier, _ in items)
+        heap = []
+        for identifier, score in items:
+            _keep_best(heap, k, (score, -ids.index(identifier)))
+        return [
+            SimilarityMatch(ids[-negated], score)
+            for score, negated in sorted(heap, reverse=True)
         ]
-        ranked = rank_matches(matches, 3)
+
+    def test_rank_matches_orders_and_truncates(self):
+        items = [("oai:x:c", 0.5), ("oai:x:a", 0.9), ("oai:x:b", 0.9), ("oai:x:d", 0.1)]
+        ranked = self.best_first(items, 3)
         assert [m.identifier for m in ranked] == ["oai:x:a", "oai:x:b", "oai:x:c"]
 
     @given(
@@ -251,13 +281,11 @@ class TestRanking:
         st.integers(min_value=0, max_value=12),
     )
     def test_accumulator_agrees_with_full_sort(self, items, k):
-        accumulator = TopKAccumulator(k)
-        for identifier, score in items:
-            accumulator.offer(identifier, score)
-        expected = rank_matches(
-            (SimilarityMatch(identifier, score) for identifier, score in items), k
-        )
-        assert accumulator.ranked() == expected
+        expected = sorted(
+            (SimilarityMatch(identifier, score) for identifier, score in items),
+            key=lambda m: (-m.score, m.identifier),
+        )[:k]
+        assert self.best_first(items, k) == expected
 
 
 class TestVectorSpaceModel:
@@ -302,23 +330,7 @@ class TestVectorSpaceModel:
         with pytest.raises(NotFittedError):
             model.transform(conftest.small_corpus())
         with pytest.raises(NotFittedError):
-            list(model.similarity_pairs())
-
-    def test_get_set_params_round_trip(self):
-        model = VectorSpaceModel(score_floor=0.25)
-        assert model.get_params() == {"score_floor": 0.25}
-        clone = type(model)(**model.get_params())
-        assert clone.get_params() == model.get_params()
-        model.set_params(score_floor=0.5)
-        assert model.score_floor == 0.5
-        with pytest.raises(RecordValidationError):
-            model.set_params(bogus=1)
-
-    def test_sklearn_clone_compatible(self):
-        sklearn_base = pytest.importorskip("sklearn.base")
-        model = VectorSpaceModel(score_floor=0.3)
-        clone = sklearn_base.clone(model)
-        assert clone.get_params() == {"score_floor": 0.3}
+            list(model.similarity_pairs("unused", k=1))
 
     def test_fit_validates(self):
         with pytest.raises(RecordValidationError):
@@ -360,11 +372,13 @@ class TestVectorSpaceModel:
             )
             for tf in corpus
         ]
-        base_pairs = list(VectorSpaceModel().fit(corpus).similarity_pairs())
-        scaled_pairs = list(VectorSpaceModel().fit(scaled).similarity_pairs())
-        for a, b in zip(base_pairs, scaled_pairs):
-            assert (a.id_a, a.id_b) == (b.id_a, b.id_b)
-            assert a.score == pytest.approx(b.score, abs=1e-12)
+        with tempfile.TemporaryDirectory() as directory:
+            k = len(corpus)
+            _, base, _ = score_blocks(VectorSpaceModel().fit(corpus), directory, k)
+            _, scaled, _ = score_blocks(VectorSpaceModel().fit(scaled), directory, k)
+        assert base.keys() == scaled.keys()
+        for pair, score in base.items():
+            assert score == pytest.approx(scaled[pair], abs=1e-12)
 
 
 class TestRuntimeProjection:
