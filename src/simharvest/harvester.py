@@ -24,7 +24,7 @@ from .exceptions import (
     ResumableHarvestError,
     TokenLoopError,
 )
-from .oai_xml import VERB_ARGUMENTS, parse_response
+from .oai_xml import argument_problems, parse_response
 from .records import MetadataRecord, is_valid_datestamp
 
 log = logging.getLogger(__name__)
@@ -42,26 +42,10 @@ def build_request_url(base_url: str, verb: str, arguments: dict | None = None) -
     argument besides the verb. ':' and '/' stay raw (legal in query values);
     everything unsafe is percent-encoded.
     """
-    arguments = dict(arguments or {})
-    if verb not in VERB_ARGUMENTS:
-        raise RequestArgumentError(f"unknown verb {verb!r}")
-    required, optional = VERB_ARGUMENTS[verb]
-    allowed = {*required, *optional}
-    for name in arguments:
-        if name not in allowed:
-            raise RequestArgumentError(f"{verb} does not accept argument {name!r}")
-    if "resumptionToken" in arguments:
-        if len(arguments) != 1:
-            raise RequestArgumentError(
-                "resumptionToken must be the only argument besides verb"
-            )
-    else:
-        for name in required:
-            if name not in arguments:
-                raise RequestArgumentError(f"{verb} requires argument {name!r}")
-    for name in ("from", "until"):
-        if name in arguments and not is_valid_datestamp(arguments[name]):
-            raise RequestArgumentError(f"bad {name} datestamp {arguments[name]!r}")
+    arguments = arguments or {}
+    problems = argument_problems(verb, arguments)
+    if problems:
+        raise RequestArgumentError(problems[0])
     order = ("metadataPrefix", "identifier", "from", "until", "set", "resumptionToken")
     query = urllib.parse.urlencode(
         [("verb", verb)]

@@ -73,6 +73,32 @@ REQUEST_ARGUMENTS = (
     "resumptionToken",
 )
 
+
+def argument_problems(verb: str, arguments: Mapping[str, str]) -> list[str]:
+    """Every way one request's arguments (besides verb) break the protocol,
+    in checking order; empty for a legal request. The provider answers each
+    with badArgument, the harvester refuses to send the request."""
+    if verb not in VERB_ARGUMENTS:
+        return [f"unknown verb {verb!r}"]
+    required, optional = VERB_ARGUMENTS[verb]
+    problems = [
+        f"{verb} does not accept {name}"
+        for name in arguments
+        if name not in required and name not in optional
+    ]
+    if "resumptionToken" in optional and "resumptionToken" in arguments:
+        if len(arguments) > 1:
+            problems.append("resumptionToken must be the only argument besides verb")
+    else:
+        problems += [
+            f"{verb} requires {name}" for name in required if name not in arguments
+        ]
+    for name in ("from", "until"):
+        if name in arguments and not is_valid_datestamp(arguments[name]):
+            problems.append(f"bad {name} datestamp {arguments[name]!r}")
+    return problems
+
+
 _SCORE_RE = re.compile(r"^[01]\.\d{4}$")
 
 

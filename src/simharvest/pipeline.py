@@ -1,11 +1,13 @@
 """Corpus pipeline: index records into term vectors, compute all similarities.
 
+index_store and compute_store each remove their commit record
+(tf_metadata/.indexed_epoch, compute_meta.txt) before they write anything
+and write it last, stamped with the epoch read when they started, so a run
+that fails, dies or races a record change leaves its output stale.
 compute_store is the sole writer of the weights tree, the pair file, the
-top-match directory, and the compute metadata. It always rebuilds them from
-the term-frequency tree, which must have been indexed at the current epoch,
-then clears the staleness marker, so a successful run leaves the store fresh
-by construction. Output is deterministic: rerun
-on an unchanged store, it reproduces similarities.txt byte for byte.
+top-match directory and the compute metadata; check_results_fresh is the one
+judge of their freshness. Output is deterministic: rerun on an unchanged
+store, it reproduces similarities.txt byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .exceptions import NotFoundError, StalenessError
 from .oai_xml import format_score
 from .records import SimilarityMatch, utc_now_string
 from .similarity import VectorSpaceModel
-from .store import RecordStore
+from .store import RecordStore, write_atomic
 from .textpipe import DEFAULT_FIELDS, load_stopwords, record_to_tf
 
 
@@ -53,6 +55,7 @@ def index_store(
     then record the store epoch that the tree reflects."""
     stopwords = load_stopwords(stopwords_path)
     epoch = store.epoch()
+    store.layout.indexed_epoch_path.unlink(missing_ok=True)
     terms: set[str] = set()
     count = 0
     for identifier in store.list_identifiers():
@@ -61,7 +64,7 @@ def index_store(
         store.put_tf(vector)
         terms.update(vector.counts)
         count += 1
-    store.layout.indexed_epoch_path.write_text(str(epoch), encoding="ascii")
+    write_atomic(store.layout.indexed_epoch_path, str(epoch).encode("ascii"))
     return IndexReport(count, len(terms))
 
 
@@ -75,11 +78,12 @@ def compute_store(
 
     Writes the weights tree, similarities.txt (pairs at or above score_floor,
     four-decimal scores), one ranked top-k file per document, and the compute
-    metadata; finally clears the staleness marker. Raises StalenessError when
-    records changed after the last index.
+    metadata last, stamped with the epoch read at the start. Raises
+    StalenessError when records changed after the last index.
     """
     started = utc_now_string()
     t0 = time.perf_counter()
+    epoch = store.epoch()
     identifiers = store.list_identifiers()
     if not identifiers:
         raise NotFoundError("store holds no records; harvest before computing")
@@ -88,13 +92,14 @@ def compute_store(
         indexed = store.layout.indexed_epoch_path.read_text(encoding="ascii")
     except FileNotFoundError:
         indexed = None
-    if indexed != str(store.epoch()):
+    if indexed != str(epoch):
         raise StalenessError(
             "term frequencies are stale: records changed after the last index; "
             "run index"
         )
     model = VectorSpaceModel(score_floor=score_floor).fit(corpus)
-    store.mark_stale()  # the weights tree is invalid while being rewritten
+    # withdraw the old results before any of them is overwritten
+    store.layout.compute_meta_path.unlink(missing_ok=True)
     for identifier in model.identifiers_:
         store.put_weights(model.vectors_[identifier])
 
@@ -138,10 +143,9 @@ def compute_store(
         k=k,
         score_floor=score_floor,
         computed_at=started,
-        epoch=store.epoch(),
+        epoch=epoch,
     )
     _write_compute_meta(store, report)
-    store.clear_stale()
     return report
 
 
@@ -157,7 +161,7 @@ def _write_compute_meta(store: RecordStore, report: ComputeReport) -> None:
         f"k = {report.k}\n",
         f"score_floor = {report.score_floor!r}\n",
     ]
-    store.layout.compute_meta_path.write_text("".join(lines), encoding="utf-8")
+    write_atomic(store.layout.compute_meta_path, "".join(lines).encode("utf-8"))
 
 
 def read_compute_meta(store: RecordStore) -> dict[str, str]:
@@ -176,9 +180,10 @@ def read_compute_meta(store: RecordStore) -> dict[str, str]:
 
 def check_results_fresh(store: RecordStore) -> dict[str, str]:
     """Meta of the last compute run, or StalenessError if it no longer covers
-    the current corpus."""
+    the current corpus: results are fresh exactly when compute_meta.txt
+    exists and its epoch is the store's."""
     meta = read_compute_meta(store)
-    if store.is_stale() or int(meta.get("epoch", "-1")) != store.epoch():
+    if int(meta.get("epoch", "-1")) != store.epoch():
         raise StalenessError(
             "similarity results are stale: the collection changed; run compute"
         )

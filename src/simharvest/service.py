@@ -27,6 +27,7 @@ from .oai_xml import (
     OAI_DC_NS,
     VERB_ARGUMENTS,
     ResumptionToken,
+    argument_problems,
     build_similarity_about,
     serialize_error,
     serialize_get_record,
@@ -38,7 +39,7 @@ from .oai_xml import (
     serialize_similarity,
 )
 from .pipeline import check_results_fresh, iter_similarity_lines, load_top_matches
-from .records import OaiError, is_valid_datestamp
+from .records import OaiError
 from .store import RecordStore
 
 XML_CONTENT_TYPE = "text/xml; charset=utf-8"
@@ -126,30 +127,11 @@ class OaiProvider:
             return self._error_response(
                 flat, [OaiError("badVerb", f"unknown or missing verb {verb!r}")]
             )
-        required, optional = VERB_ARGUMENTS[verb]
-        allowed = {"verb", *required, *optional}
-        for name in flat:
-            if name not in allowed:
-                errors.append(
-                    OaiError("badArgument", f"{verb} does not accept {name}")
-                )
-        if "resumptionToken" in flat and verb in ("ListIdentifiers", "ListRecords"):
-            if set(flat) - {"verb", "resumptionToken"}:
-                errors.append(
-                    OaiError(
-                        "badArgument",
-                        "resumptionToken must be the only argument besides verb",
-                    )
-                )
-        else:
-            for name in required:
-                if name not in flat:
-                    errors.append(OaiError("badArgument", f"{verb} requires {name}"))
-        for name in ("from", "until"):
-            if name in flat and not is_valid_datestamp(flat[name]):
-                errors.append(
-                    OaiError("badArgument", f"bad {name} datestamp {flat[name]!r}")
-                )
+        arguments = {name: value for name, value in flat.items() if name != "verb"}
+        errors += [
+            OaiError("badArgument", problem)
+            for problem in argument_problems(verb, arguments)
+        ]
         if errors:
             return self._error_response(flat, errors)
         prefix = flat.get("metadataPrefix")

@@ -10,28 +10,25 @@ Layout under one root directory:
     compute_meta.txt                     bookkeeping for the last compute run
 
 Identifier-to-path mapping percent-encodes each segment, so it is reversible
-and two identifiers can never share a file. Mutating any record bumps the
-corpus epoch and drops a staleness marker inside weights_metadata/; weight
-reads are refused until a recompute clears it. index records the epoch it
-indexed in tf_metadata/.indexed_epoch, and compute refuses a tf tree whose
-epoch is not the current one. idf values are never written anywhere: they
-exist only in memory while computing.
+and two identifiers can never share a file. Every record change bumps the
+corpus epoch in .epoch before the record file is written. A derived tree is
+current exactly when its commit record carries that epoch:
+tf_metadata/.indexed_epoch for the tf tree, compute_meta.txt for the
+weights, pair and top-match outputs (see pipeline). .epoch, the records and
+both commit records are replaced atomically through write_atomic. idf values
+are never written anywhere: they exist only in memory while computing.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from typing import Iterator
 from urllib.parse import quote, unquote
 
-from .exceptions import (
-    NotFoundError,
-    PathCollisionError,
-    StalenessError,
-    StorageError,
-)
+from .exceptions import NotFoundError, PathCollisionError, StorageError
 from .oai_xml import parse_record_fragment, serialize_record_fragment
 from .records import MetadataRecord, is_valid_datestamp
 from .similarity import WeightedVector
@@ -48,6 +45,10 @@ _OAI_ID_RE = re.compile(r"^oai:([^:]+):(.+)$", re.DOTALL)
 def _encode_segment(text: str) -> str:
     # quote() keeps only [A-Za-z0-9_.~-]; everything else (including '/',
     # ':', '%') becomes %XX, so decoding is exact and the map is injective.
+    # A segment of dots alone would name the directory itself or its parent,
+    # so its dots are encoded too; quote() never yields %2E otherwise.
+    if text.strip(".") == "":
+        return "%2E" * len(text)
     return quote(text, safe="")
 
 
@@ -85,6 +86,14 @@ def encode_flat(identifier: str) -> str:
 
 def decode_flat(name: str) -> str:
     return _decode_segment(name)
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Replace path's content in one step: readers and a process that dies
+    mid-write see the old file or the new one, never a torn one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -127,10 +136,6 @@ class StoreLayout:
         return self.root / "compute_meta.txt"
 
     @property
-    def stale_marker(self) -> Path:
-        return self.weights_dir / ".stale"
-
-    @property
     def epoch_path(self) -> Path:
         return self.root / ".epoch"
 
@@ -152,7 +157,7 @@ class RecordStore:
     def root(self) -> Path:
         return self.layout.root
 
-    # -- epoch and staleness ---------------------------------------------
+    # -- epoch -------------------------------------------------------------
 
     def epoch(self) -> int:
         try:
@@ -161,19 +166,7 @@ class RecordStore:
             return 0
 
     def _bump_epoch(self) -> None:
-        self.layout.epoch_path.write_text(str(self.epoch() + 1), encoding="ascii")
-
-    def is_stale(self) -> bool:
-        return self.layout.stale_marker.exists()
-
-    def mark_stale(self) -> None:
-        self.layout.stale_marker.touch()
-
-    def clear_stale(self) -> None:
-        try:
-            self.layout.stale_marker.unlink()
-        except FileNotFoundError:
-            pass
+        write_atomic(self.layout.epoch_path, str(self.epoch() + 1).encode("ascii"))
 
     # -- records -----------------------------------------------------------
 
@@ -185,8 +178,9 @@ class RecordStore:
         return self.record_path(identifier).is_file()
 
     def put_record(self, record: MetadataRecord) -> PutResult:
-        """Write one record; identical content is a no-op, changes mark the
-        weights tree stale and bump the corpus epoch."""
+        """Write one record; identical content is a no-op. A change bumps the
+        corpus epoch first, so a write that never lands still leaves every
+        derived tree stale."""
         path = self.record_path(record.identifier)
         payload = serialize_record_fragment(record)
         previous = None
@@ -203,10 +197,9 @@ class RecordStore:
             status = "replaced"
         else:
             status = "created"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(payload)
         self._bump_epoch()
-        self.mark_stale()
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(path, payload)
         return PutResult(path, status, previous)
 
     def get_record(self, identifier: str) -> MetadataRecord:
@@ -323,26 +316,6 @@ class RecordStore:
         lines += [f"{term}\t{weight!r}\n" for term, weight in vector.weights.items()]
         path.write_text("".join(lines), encoding="utf-8")
         return path
-
-    def get_weights(self, identifier: str) -> WeightedVector:
-        if self.is_stale():
-            raise StalenessError(
-                "weights are stale: the collection changed after the last compute"
-            )
-        path = self.weights_path(identifier)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise NotFoundError(f"no weights for {identifier!r}; run compute") from None
-        lines = text.splitlines()
-        if not lines:
-            raise StorageError(f"weights file {path} is empty")
-        norm = float(lines[0])
-        weights: dict[str, float] = {}
-        for line in lines[1:]:
-            term, _, weight = line.partition("\t")
-            weights[term] = float(weight)
-        return WeightedVector(identifier, weights, norm)
 
     # -- top matches and pair file ---------------------------------------------
 

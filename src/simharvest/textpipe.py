@@ -101,10 +101,6 @@ class TermFrequencyVector:
             normalized[term] = count
         object.__setattr__(self, "counts", normalized)
 
-    @property
-    def total_terms(self) -> int:
-        return sum(self.counts.values())
-
 
 def term_frequencies(identifier: str, terms: Iterable[str]) -> TermFrequencyVector:
     """Count term multiplicities in a token stream."""

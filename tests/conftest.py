@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from simharvest.records import DC_ELEMENTS, MetadataRecord
+from simharvest.similarity import WeightedVector
 from simharvest.store import RecordStore
 from simharvest.textpipe import TermFrequencyVector
 
@@ -151,3 +152,13 @@ def small_corpus() -> list[TermFrequencyVector]:
         TermFrequencyVector("oai:a.example:2", {"tire": 1, "runway": 4}),
         TermFrequencyVector("oai:b.example:3", {"wind": 2, "tunnel": 2, "tire": 1}),
     ]
+
+
+def read_weights(store: RecordStore, identifier: str) -> WeightedVector:
+    """Parse one .w file of the weights tree: the norm, then term<TAB>weight."""
+    lines = store.weights_path(identifier).read_text(encoding="utf-8").splitlines()
+    weights = {}
+    for line in lines[1:]:
+        term, _, weight = line.partition("\t")
+        weights[term] = float(weight)
+    return WeightedVector(identifier, weights, float(lines[0]))

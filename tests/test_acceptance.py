@@ -30,7 +30,12 @@ from simharvest.oai_xml import (
     serialize_get_record,
     serialize_list_records,
 )
-from simharvest.pipeline import compute_store, index_store, load_top_matches
+from simharvest.pipeline import (
+    check_results_fresh,
+    compute_store,
+    index_store,
+    load_top_matches,
+)
 from simharvest.records import (
     OAI_ERROR_CODES,
     MetadataRecord,
@@ -356,7 +361,8 @@ def test_criterion_7_storage_invariants_and_staleness(tmp_path, capsys):
                 dc_fields=(("title", "late arrival"),),
             )
         )
-        assert store.is_stale()
+        with pytest.raises(StalenessError):
+            check_results_fresh(store)
         with pytest.raises(StalenessError):
             load_top_matches(store, subject)
         _, _, body = wsgi_call(provider, query=urlencode(args))

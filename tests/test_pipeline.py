@@ -1,9 +1,11 @@
 """Pipeline tests: indexing, computing, persistence, and staleness handling."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+import conftest
 import oracle
 from simharvest import similarity
 from simharvest.exceptions import NotFoundError, StalenessError
@@ -142,7 +144,7 @@ class TestComputeStore:
             [store.get_tf(identifier) for identifier in identifiers]
         )
         for identifier in identifiers:
-            stored = store.get_weights(identifier)
+            stored = conftest.read_weights(store, identifier)
             assert stored == model.vectors_[identifier]  # repr round trip is exact
 
     def test_top_files_match_engine_ranking(self, computed):
@@ -258,6 +260,8 @@ class TestComputeStore:
     def test_failed_block_leaves_no_parts(self, store, monkeypatch, jobs):
         populate(store, 80, seed=81)
         index_store(store)
+        compute_store(store, k=3, jobs=jobs)
+        check_results_fresh(store)
         real = similarity._score_block
 
         def failing(vectors, start, stop, part, score_floor, k):
@@ -271,6 +275,7 @@ class TestComputeStore:
         with pytest.raises(RuntimeError, match="injected"):
             compute_store(store, k=3, jobs=jobs)
         assert list(store.root.glob("similarities.txt.tmp*")) == []
+        # the recompute failed at an unchanged epoch: the old results go too
         with pytest.raises(StalenessError):
             check_results_fresh(store)
 
@@ -369,7 +374,6 @@ class TestStalenessLifecycle:
                 dc_fields=(("title", "late arrival"),),
             )
         )
-        assert store.is_stale()
         with pytest.raises(StalenessError, match="run compute"):
             check_results_fresh(store)
         with pytest.raises(StalenessError):
@@ -379,7 +383,7 @@ class TestStalenessLifecycle:
 
         index_store(store)
         compute_store(store, k=2)
-        assert not store.is_stale()
+        check_results_fresh(store)
         assert load_top_matches(store, "oai:p.example:late") != []
 
     def test_identical_reput_does_not_invalidate(self, tmp_path):
@@ -413,7 +417,7 @@ class TestStalenessLifecycle:
         check_results_fresh(store)
 
     def test_epoch_mismatch_detected_without_marker(self, tmp_path):
-        # even if the marker is lost, the epoch pinned in the meta protects us
+        # the epoch pinned in the meta alone tells the results are stale
         store = RecordStore(tmp_path / "store")
         populate(store, 4, seed=61)
         index_store(store)
@@ -425,6 +429,116 @@ class TestStalenessLifecycle:
                 dc_fields=(("title", "late arrival"),),
             )
         )
-        store.clear_stale()
         with pytest.raises(StalenessError, match="collection changed"):
             check_results_fresh(store)
+
+    def test_record_changed_during_compute_leaves_results_stale(
+        self, tmp_path, monkeypatch
+    ):
+        store = RecordStore(tmp_path / "store")
+        records = oracle.synthetic_records(random.Random(93), 3)
+        for record in records:
+            store.put_record(record)
+        index_store(store)
+        epoch = store.epoch()
+        real = RecordStore.put_weights
+        changed = MetadataRecord(
+            records[1].identifier,
+            records[1].datestamp,
+            dc_fields=(("title", "entirely different words"),),
+        )
+
+        def put_weights_then_change_a_record(self, vector):
+            if self.epoch() == epoch:
+                self.put_record(changed)
+            return real(self, vector)
+
+        monkeypatch.setattr(RecordStore, "put_weights", put_weights_then_change_a_record)
+        compute_store(store, k=2)
+        assert store.epoch() == epoch + 1
+        assert read_compute_meta(store)["epoch"] == str(epoch)
+        with pytest.raises(StalenessError):
+            check_results_fresh(store)
+        with pytest.raises(StalenessError):
+            load_top_matches(store, records[0].identifier)
+
+    def test_put_record_interrupted_at_each_write(self, tmp_path, monkeypatch):
+        records = oracle.synthetic_records(random.Random(95), 3)
+        old = records[1]
+        new = MetadataRecord(
+            old.identifier, old.datestamp, dc_fields=(("title", "new words"),)
+        )
+        failed_writes = 0
+        while True:
+            store = RecordStore(tmp_path / f"store{failed_writes}")
+            for record in records:
+                store.put_record(record)
+            index_store(store)
+            compute_store(store, k=2)
+            with monkeypatch.context() as patch:
+                failing = _FailNthWrite(patch, failed_writes + 1)
+                try:
+                    store.put_record(new)
+                except OSError:
+                    pass
+            if failing.calls <= failed_writes:
+                break  # the put made fewer writes than the one failed here
+            failed_writes += 1
+            assert failing.failed
+            try:
+                check_results_fresh(store)
+            except StalenessError:
+                pass
+            else:
+                assert store.get_record(old.identifier) == old
+            assert store.put_record(new).status == "replaced"
+            assert store.get_record(old.identifier) == new
+            with pytest.raises(StalenessError):
+                check_results_fresh(store)
+        assert failed_writes >= 2  # the epoch and the record file
+
+    def test_interrupted_reindex_refuses_compute(self, tmp_path, monkeypatch):
+        store = RecordStore(tmp_path / "store")
+        populate(store, 5, seed=97)
+        index_store(store)
+        compute_store(store, k=2)
+        real = RecordStore.put_tf
+        calls = []
+
+        def put_tf_then_die(self, vector):
+            calls.append(vector.identifier)
+            if len(calls) == 3:
+                raise RuntimeError("injected index failure")
+            return real(self, vector)
+
+        monkeypatch.setattr(RecordStore, "put_tf", put_tf_then_die)
+        with pytest.raises(RuntimeError, match="injected"):
+            index_store(store)
+        monkeypatch.undo()
+        with pytest.raises(StalenessError, match="run index"):
+            compute_store(store, k=2)
+        index_store(store)
+        compute_store(store, k=2)
+        check_results_fresh(store)
+
+
+class _FailNthWrite:
+    """Make the nth file write through pathlib raise, as if the process died
+    there; count every write."""
+
+    def __init__(self, monkeypatch, n):
+        self.n = n
+        self.calls = 0
+        self.failed = False
+        for name in ("write_bytes", "write_text", "touch"):
+            monkeypatch.setattr(Path, name, self._wrap(getattr(Path, name)))
+
+    def _wrap(self, real):
+        def write(path, *args, **kwargs):
+            self.calls += 1
+            if self.calls == self.n:
+                self.failed = True
+                raise OSError(f"injected failure of write {self.n} ({path.name})")
+            return real(path, *args, **kwargs)
+
+        return write

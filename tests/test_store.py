@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path, PurePosixPath
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
@@ -14,6 +14,12 @@ from simharvest.exceptions import (
     PathCollisionError,
     StalenessError,
     StorageError,
+)
+from simharvest.pipeline import (
+    check_results_fresh,
+    compute_store,
+    index_store,
+    load_top_matches,
 )
 from simharvest.records import MetadataRecord
 from simharvest.similarity import collection_stats, weight_vector
@@ -72,14 +78,31 @@ class TestPathMapping:
             relpath_to_identifier("a/b/c")
 
     @given(conftest.identifiers)
+    @example("oai:repo.example:.")
+    @example("oai:repo.example:..")
+    @example("oai:..:x")
+    @example(".")
+    @example("..")
     def test_mapping_is_reversible(self, identifier):
         assert relpath_to_identifier(identifier_to_relpath(identifier)) == identifier
 
     @given(conftest.identifiers)
+    @example(".")
+    @example("..")
+    @example("oai:..:x")
     def test_flat_encoding_is_reversible(self, identifier):
         flat = encode_flat(identifier)
         assert "/" not in flat
+        assert flat not in (".", "..")  # names a file, not a directory
         assert decode_flat(flat) == identifier
+
+    def test_dot_segments_are_encoded(self):
+        assert identifier_to_relpath("oai:..:x") == PurePosixPath("%2E%2E/x")
+        assert identifier_to_relpath("oai:repo.example:.") == PurePosixPath(
+            "repo.example/%2E"
+        )
+        assert encode_flat("...") == "%2E%2E%2E"
+        assert encode_flat("a.b") == "a.b"
 
     def test_raw_bucket_cannot_collide_with_a_namespace(self):
         # The encoder never emits a bare '%', so no oai namespace encodes to %raw.
@@ -97,23 +120,26 @@ class TestRecords:
     def test_identical_put_is_a_no_op(self, store):
         record = make_record()
         store.put_record(record)
+        index_store(store)
+        compute_store(store, k=1)
         epoch = store.epoch()
-        store.clear_stale()
         result = store.put_record(record)
         assert result.status == "unchanged"
         assert store.epoch() == epoch
-        assert not store.is_stale()
+        check_results_fresh(store)
 
     def test_changed_put_bumps_epoch_and_marks_stale(self, store):
         store.put_record(make_record())
-        store.clear_stale()
+        index_store(store)
+        compute_store(store, k=1)
         epoch = store.epoch()
         updated = make_record(dc_fields=(("title", "Revised title"),))
         result = store.put_record(updated)
         assert result.status == "replaced"
         assert result.replaced == make_record()
         assert store.epoch() == epoch + 1
-        assert store.is_stale()
+        with pytest.raises(StalenessError):
+            check_results_fresh(store)
 
     def test_every_new_record_bumps_epoch(self, store, rng):
         epochs = [store.epoch()]
@@ -121,6 +147,27 @@ class TestRecords:
             store.put_record(record)
             epochs.append(store.epoch())
         assert epochs == sorted(set(epochs))
+
+    def test_dot_segment_identifiers_stay_inside_the_store(self, store):
+        identifiers = sorted(
+            ["oai:..:x", "oai:repo.example:.", "oai:repo.example:..", ".", ".."]
+        )
+        records = [
+            make_record(identifier, dc_fields=(("title", f"tire runway {n}"),))
+            for n, identifier in enumerate(identifiers)
+        ]
+        for record in records:
+            assert store.put_record(record).status == "created"
+            path = store.record_path(record.identifier).resolve()
+            assert path.parent.parent == store.layout.records_dir.resolve()
+            assert store.top_path(record.identifier).parent == store.layout.top_dir
+        assert store.list_identifiers() == identifiers
+        for record in records:
+            assert store.get_record(record.identifier) == record
+        index_store(store)
+        compute_store(store, k=2)
+        for identifier in identifiers:
+            assert len(load_top_matches(store, identifier)) == 2
 
     def test_get_missing_record(self, store):
         with pytest.raises(NotFoundError):
@@ -264,11 +311,10 @@ class TestWeights:
 
     def test_round_trip_is_exact(self, store):
         vectors = self.fill(store)
-        store.clear_stale()
         for vector in vectors:
             store.put_weights(vector)
         for vector in vectors:
-            got = store.get_weights(vector.identifier)
+            got = conftest.read_weights(store, vector.identifier)
             assert got == vector  # repr round trip: bit-for-bit floats
 
     def test_requires_tf(self, store):
@@ -281,25 +327,8 @@ class TestWeights:
                 )
             )
 
-    def test_stale_weights_refuse_to_load(self, store):
-        vectors = self.fill(store)
-        for vector in vectors:
-            store.put_weights(vector)
-        store.mark_stale()
-        with pytest.raises(StalenessError):
-            store.get_weights(vectors[0].identifier)
-        store.clear_stale()
-        assert store.get_weights(vectors[0].identifier) == vectors[0]
-
-    def test_missing_weights_say_run_compute(self, store):
-        self.fill(store)
-        store.clear_stale()
-        with pytest.raises(NotFoundError, match="run compute"):
-            store.get_weights("oai:a.example:1")
-
     def test_weights_file_holds_norm_then_sorted_terms(self, store):
         vectors = self.fill(store)
-        store.clear_stale()
         path = store.put_weights(vectors[0])
         lines = path.read_text(encoding="utf-8").splitlines()
         assert float(lines[0]) == vectors[0].norm
