@@ -8,9 +8,7 @@ neighbors attached in an <about> container.
 
 from .exceptions import (
     ConfigError,
-    ConformanceError,
     HarvestError,
-    NotFittedError,
     NotFoundError,
     PathCollisionError,
     ProtocolMismatchError,

@@ -21,7 +21,7 @@ from .exceptions import (
     StalenessError,
 )
 from .harvester import USER_AGENT, HarvestSession, harvest
-from .pipeline import compute_store, index_store, load_top_matches
+from .pipeline import check_results_fresh, compute_store, index_store, load_top_matches
 from .records import MetadataRecord
 from .service import OaiProvider, ProviderConfig, duplicate_report
 from .similarity import (
@@ -100,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = add_command("dup-report", help="list likely duplicate pairs")
     cmd.add_argument("--store", dest="store_root")
-    cmd.add_argument("--threshold", type=float, required=True,
-                     help="minimum score, e.g. 0.95")
+    cmd.add_argument("--threshold", type=float, help="minimum score, e.g. 0.95")
 
     return parser
 
@@ -150,7 +149,6 @@ def _cmd_harvest(args: argparse.Namespace, settings: dict) -> int:
     store = RecordStore(settings["store_root"])
     session = HarvestSession(
         base_url=settings["base_url"],
-        metadata_prefix=settings["metadata_prefix"],
         from_=settings.get("from"),
         until=settings.get("until"),
         set_spec=settings.get("set"),
@@ -207,13 +205,14 @@ def _cmd_compute(args: argparse.Namespace, settings: dict) -> int:
     print(f"pairs written: {report.pairs_written}")
     print(f"wall seconds: {report.wall_seconds:.3f}")
     print(f"mean seconds per pair: {report.per_pair_seconds:.6g}")
-    print(f"pair file: {store.layout.similarities_path}")
-    print(f"top matches: {store.layout.top_dir}")
+    print(f"pair file: {store.similarities_path}")
+    print(f"top matches: {store.top_dir}")
     return EXIT_OK
 
 
 def _cmd_top(args: argparse.Namespace, settings: dict) -> int:
     store = RecordStore(settings["store_root"])
+    check_results_fresh(store)
     matches = load_top_matches(store, args.identifier, int(settings["k"]))
     for match in matches:
         print(f"{match.identifier}\t{match.score:.4f}")
@@ -253,12 +252,17 @@ def _cmd_estimate(args: argparse.Namespace, settings: dict) -> int:
 
 
 def _cmd_dup_report(args: argparse.Namespace, settings: dict) -> int:
+    threshold = settings.get("threshold")
+    if threshold is None:
+        raise ConfigError(
+            "dup-report needs --threshold (or threshold in the config file)"
+        )
     store = RecordStore(settings["store_root"])
-    pairs = duplicate_report(store, args.threshold)
+    pairs = duplicate_report(store, float(threshold))
     for pair in pairs:
         flag = "provenance-linked" if pair.provenance_linked else "-"
         print(f"{pair.id_a}\t{pair.id_b}\t{pair.score:.4f}\t{flag}")
-    print(f"pairs at or above {args.threshold:g}: {len(pairs)}", file=sys.stderr)
+    print(f"pairs at or above {threshold:g}: {len(pairs)}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -9,28 +9,31 @@ from __future__ import annotations
 from pathlib import Path
 
 from .exceptions import ConfigError
+from .oai_xml import DEFAULT_SIMILARITY_SCHEMA_URL
+from .service import ProviderConfig
+from .similarity import DEFAULT_PER_PAIR_SECONDS
+from .textpipe import DEFAULT_FIELDS
 
 #: All recognized keys with their defaults (None means unset).
 DEFAULTS: dict[str, object] = {
     "store_root": "store",
     "base_url": None,  # upstream repository to harvest
-    "metadata_prefix": "oai_dc",
     "from": None,
     "until": None,
     "set": None,
-    "fields": "title,description,subject,creator",
+    "fields": ",".join(DEFAULT_FIELDS),
     "stopwords": None,  # path to an alternative stopword file
-    "k": 10,
+    "k": ProviderConfig.k,
     "score_floor": 0.0,
     "jobs": None,  # defaults to the machine's execution units
-    "per_pair_seconds": 0.0036,
+    "per_pair_seconds": DEFAULT_PER_PAIR_SECONDS,
     "bind_host": "127.0.0.1",
     "bind_port": 8080,
-    "repository_name": "simharvest aggregator",
+    "repository_name": ProviderConfig.repository_name,
     "service_base_url": None,  # advertised in responses; derived if unset
-    "admin_email": "admin@localhost",
-    "page_size": 50,
-    "schema_url": "/schema/similarity.xsd",
+    "admin_email": ProviderConfig.admin_email,
+    "page_size": ProviderConfig.page_size,
+    "schema_url": DEFAULT_SIMILARITY_SCHEMA_URL,
     "user_agent": None,
     "from_email": None,
     "threshold": None,

@@ -32,14 +32,6 @@ class ProtocolMismatchError(SimHarvestError):
     """Well-formed XML that is not the OAI-PMH response we asked for."""
 
 
-class ConformanceError(SimHarvestError):
-    """A response body violates the wire-format schema rules."""
-
-    def __init__(self, problems: list[str]):
-        super().__init__("; ".join(problems))
-        self.problems = list(problems)
-
-
 class StorageError(SimHarvestError):
     """Record store corruption or misuse."""
 
@@ -57,10 +49,6 @@ class NotFoundError(SimHarvestError, KeyError):
 
 class StalenessError(SimHarvestError):
     """Similarity results are missing or out of date for the current corpus."""
-
-
-class NotFittedError(SimHarvestError):
-    """Model method called before fit()."""
 
 
 class RequestArgumentError(SimHarvestError, ValueError):

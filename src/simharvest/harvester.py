@@ -62,7 +62,6 @@ class HarvestSession:
     """State of one harvest run against one repository."""
 
     base_url: str
-    metadata_prefix: str = "oai_dc"
     from_: str | None = None
     until: str | None = None
     set_spec: str | None = None
@@ -79,7 +78,7 @@ class HarvestSession:
             raise RequestArgumentError("from datestamp is after until")
 
     def first_page_arguments(self) -> dict:
-        arguments = {"metadataPrefix": self.metadata_prefix}
+        arguments = {"metadataPrefix": "oai_dc"}
         if self.from_:
             arguments["from"] = self.from_
         if self.until:

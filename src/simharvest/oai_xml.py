@@ -12,7 +12,6 @@ of the block element), after which serialize -> parse is lossless.
 
 from __future__ import annotations
 
-import copy
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -29,7 +28,6 @@ from .records import (
     OaiError,
     SimilarityAbout,
     SimilarityMatch,
-    canonical_xml_block,
     is_valid_datestamp,
     utc_now_string,
 )
@@ -38,7 +36,6 @@ OAI_NS = "http://www.openarchives.org/OAI/2.0/"
 OAI_DC_NS = "http://www.openarchives.org/OAI/2.0/oai_dc/"
 DC_NS = "http://purl.org/dc/elements/1.1/"
 XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
-PROVENANCE_NS = "http://www.openarchives.org/OAI/2.0/provenance"
 SIMILARITY_NS = "urn:simharvest:similarity"
 
 OAI_SCHEMA_LOCATION = f"{OAI_NS} http://www.openarchives.org/OAI/2.0/OAI-PMH.xsd"
@@ -532,7 +529,8 @@ def _parse_record(
         if child.tag == f"{{{SIMILARITY_NS}}}similarity":
             similarity = _parse_similarity(child)
         else:
-            provenance.append(canonical_xml_block(copy.deepcopy(child)))
+            child.tail = None  # text after the block is not part of it
+            provenance.append(ET.tostring(child, encoding="unicode"))
     record = MetadataRecord(
         identifier=identifier,
         datestamp=datestamp,

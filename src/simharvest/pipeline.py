@@ -22,7 +22,7 @@ from typing import Sequence
 from .exceptions import NotFoundError, StalenessError
 from .oai_xml import format_score
 from .records import SimilarityMatch, utc_now_string
-from .similarity import VectorSpaceModel
+from .similarity import VectorSpaceModel, pair_count
 from .store import RecordStore, write_atomic
 from .textpipe import DEFAULT_FIELDS, load_stopwords, record_to_tf
 
@@ -55,7 +55,7 @@ def index_store(
     then record the store epoch that the tree reflects."""
     stopwords = load_stopwords(stopwords_path)
     epoch = store.epoch()
-    store.layout.indexed_epoch_path.unlink(missing_ok=True)
+    store.indexed_epoch_path.unlink(missing_ok=True)
     terms: set[str] = set()
     count = 0
     for identifier in store.list_identifiers():
@@ -64,7 +64,7 @@ def index_store(
         store.put_tf(vector)
         terms.update(vector.counts)
         count += 1
-    write_atomic(store.layout.indexed_epoch_path, str(epoch).encode("ascii"))
+    write_atomic(store.indexed_epoch_path, str(epoch).encode("ascii"))
     return IndexReport(count, len(terms))
 
 
@@ -89,7 +89,7 @@ def compute_store(
         raise NotFoundError("store holds no records; harvest before computing")
     corpus = [store.get_tf(identifier) for identifier in identifiers]
     try:
-        indexed = store.layout.indexed_epoch_path.read_text(encoding="ascii")
+        indexed = store.indexed_epoch_path.read_text(encoding="ascii")
     except FileNotFoundError:
         indexed = None
     if indexed != str(epoch):
@@ -99,11 +99,11 @@ def compute_store(
         )
     model = VectorSpaceModel(score_floor=score_floor).fit(corpus)
     # withdraw the old results before any of them is overwritten
-    store.layout.compute_meta_path.unlink(missing_ok=True)
+    store.compute_meta_path.unlink(missing_ok=True)
     for identifier in model.identifiers_:
         store.put_weights(model.vectors_[identifier])
 
-    tmp_path = store.layout.similarities_path.with_suffix(".txt.tmp")
+    tmp_path = store.similarities_path.with_suffix(".txt.tmp")
     blocks = model.similarity_pairs(str(tmp_path), k, jobs=jobs)
     best: list[list[tuple[float, int]]] = [[] for _ in identifiers]
     pairs_written = 0
@@ -116,14 +116,14 @@ def compute_store(
                 pairs_written += written
                 for index, heap in heaps.items():
                     best[index] = heapq.nlargest(k, best[index] + heap)
-        tmp_path.replace(store.layout.similarities_path)
+        tmp_path.replace(store.similarities_path)
     finally:
         blocks.close()  # a failed run waits here for the blocks still scoring
         for leftover in tmp_path.parent.glob(tmp_path.name + "*"):
             leftover.unlink()
 
-    store.layout.top_dir.mkdir(parents=True, exist_ok=True)
-    for stale_file in store.layout.top_dir.iterdir():
+    store.top_dir.mkdir(parents=True, exist_ok=True)
+    for stale_file in store.top_dir.iterdir():
         stale_file.unlink()
     for identifier, ranked in zip(model.identifiers_, best):
         lines = [
@@ -133,7 +133,7 @@ def compute_store(
         store.top_path(identifier).write_text("".join(lines), encoding="utf-8")
 
     wall = time.perf_counter() - t0
-    total_pairs = model.pair_count()
+    total_pairs = pair_count(len(identifiers))
     report = ComputeReport(
         documents=len(identifiers),
         pair_count=total_pairs,
@@ -161,12 +161,12 @@ def _write_compute_meta(store: RecordStore, report: ComputeReport) -> None:
         f"k = {report.k}\n",
         f"score_floor = {report.score_floor!r}\n",
     ]
-    write_atomic(store.layout.compute_meta_path, "".join(lines).encode("utf-8"))
+    write_atomic(store.compute_meta_path, "".join(lines).encode("utf-8"))
 
 
 def read_compute_meta(store: RecordStore) -> dict[str, str]:
     try:
-        text = store.layout.compute_meta_path.read_text(encoding="utf-8")
+        text = store.compute_meta_path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise StalenessError(
             "no similarity results have been computed yet; run compute"
@@ -195,9 +195,10 @@ def load_top_matches(
 ) -> list[SimilarityMatch]:
     """Ranked matches for one record from the top-match directory.
 
-    k larger than the computed depth returns the full stored list.
+    k larger than the computed depth returns the full stored list. The
+    caller checks freshness first (check_results_fresh): this reads the top
+    file as it is.
     """
-    check_results_fresh(store)
     path = store.top_path(identifier)
     try:
         text = path.read_text(encoding="utf-8")
@@ -214,7 +215,7 @@ def iter_similarity_lines(store: RecordStore):
     """(id_a, id_b, score) rows of the persisted pair file, fresh-checked."""
     check_results_fresh(store)
     try:
-        handle = store.layout.similarities_path.open(encoding="utf-8")
+        handle = store.similarities_path.open(encoding="utf-8")
     except FileNotFoundError:
         raise StalenessError("similarities.txt is missing; run compute") from None
     with handle:

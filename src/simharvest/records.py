@@ -109,7 +109,7 @@ def _check_text(value: str, what: str) -> None:
         raise RecordValidationError(f"{what} contains control characters")
 
 
-def canonical_xml_block(block: str | ET.Element) -> str:
+def canonical_xml_block(block: str) -> str:
     """Canonical text form of an embedded XML block (an about container body).
 
     Parses the block, drops indentation whitespace (whitespace-only text of
@@ -117,16 +117,12 @@ def canonical_xml_block(block: str | ET.Element) -> str:
     the registered namespace prefixes, so the form is stable however the
     block has been pretty-printed or prefixed along the way.
     """
-    if isinstance(block, ET.Element):
-        element = block
-    else:
-        try:
-            element = ET.fromstring(block)
-        except ET.ParseError as exc:
-            raise RecordValidationError(
-                f"about block is not well-formed XML: {exc}"
-            ) from None
-    element.tail = None
+    try:
+        element = ET.fromstring(block)
+    except ET.ParseError as exc:
+        raise RecordValidationError(
+            f"about block is not well-formed XML: {exc}"
+        ) from None
     for el in element.iter():
         if len(el) and el.text is not None and not el.text.strip():
             el.text = None

@@ -19,9 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exceptions import NotFittedError, NotFoundError, RecordValidationError
+from .exceptions import NotFoundError, RecordValidationError
 from .oai_xml import format_score
-from .records import SimilarityMatch
 from .textpipe import TermFrequencyVector
 
 #: Measured per-pair cost (seconds) used for runtime projections.
@@ -222,26 +221,17 @@ def _row_blocks(n: int, jobs: int) -> list[tuple[int, int]]:
     return blocks
 
 
-# --- estimator --------------------------------------------------------------
+# --- model ------------------------------------------------------------------
 
 
 def check_tf_corpus(corpus: Iterable) -> list[TermFrequencyVector]:
-    """Validate a corpus argument: TermFrequencyVectors with unique identifiers.
-
-    Accepts any iterable of TermFrequencyVector or (identifier, counts) pairs
-    and returns a list in the input order.
-    """
+    """Validate a corpus argument: TermFrequencyVectors with unique identifiers,
+    returned as a list in the input order."""
     vectors: list[TermFrequencyVector] = []
     seen: set[str] = set()
-    for item in corpus:
-        if isinstance(item, TermFrequencyVector):
-            tf = item
-        elif isinstance(item, tuple) and len(item) == 2:
-            tf = TermFrequencyVector(item[0], dict(item[1]))
-        else:
-            raise RecordValidationError(
-                "corpus items must be TermFrequencyVector or (identifier, counts) pairs"
-            )
+    for tf in corpus:
+        if not isinstance(tf, TermFrequencyVector):
+            raise RecordValidationError("corpus items must be TermFrequencyVector")
         if tf.identifier in seen:
             raise RecordValidationError(f"duplicate identifier {tf.identifier!r}")
         seen.add(tf.identifier)
@@ -250,63 +240,28 @@ def check_tf_corpus(corpus: Iterable) -> list[TermFrequencyVector]:
 
 
 class VectorSpaceModel:
-    """tf-idf vector space model with a fit/transform estimator interface.
+    """tf-idf vector space model of one corpus.
 
-    fit() learns collection statistics and caches the weighted corpus;
-    transform() maps term-frequency vectors to unit-normalized weight vectors
-    against the fitted statistics. Ranking and pair enumeration operate on the
-    fitted corpus.
+    fit() learns the collection statistics and weights the corpus into
+    vectors_ (identifier -> unit-normalized WeightedVector), with
+    identifiers_ in ascending order; similarity_pairs() scores the fitted
+    corpus.
     """
 
     def __init__(self, score_floor: float = 0.0):
         self.score_floor = score_floor
 
-    def fit(self, X: Iterable, y=None) -> "VectorSpaceModel":
+    def fit(self, X: Iterable) -> "VectorSpaceModel":
         corpus = check_tf_corpus(X)
         if not corpus:
             raise RecordValidationError("cannot fit on an empty corpus")
         if not (0.0 <= float(self.score_floor) <= 1.0):
             raise RecordValidationError("score_floor must lie in [0, 1]")
         corpus = sorted(corpus, key=lambda tf: tf.identifier)
-        self.stats_ = collection_stats(corpus)
-        self.vectors_ = {tf.identifier: weight_vector(tf, self.stats_) for tf in corpus}
+        stats = collection_stats(corpus)
+        self.vectors_ = {tf.identifier: weight_vector(tf, stats) for tf in corpus}
         self.identifiers_ = list(self.vectors_)
         return self
-
-    def _check_fitted(self) -> None:
-        if not hasattr(self, "stats_"):
-            raise NotFittedError("model is not fitted; call fit() first")
-
-    def transform(self, X: Iterable) -> list[WeightedVector]:
-        self._check_fitted()
-        return [weight_vector(tf, self.stats_) for tf in check_tf_corpus(X)]
-
-    def fit_transform(self, X: Iterable, y=None) -> list[WeightedVector]:
-        self.fit(X)
-        return [self.vectors_[identifier] for identifier in self.identifiers_]
-
-    def top_k(self, identifier: str, k: int = 10) -> list[SimilarityMatch]:
-        """The k nearest documents to one fitted document, best first.
-
-        Ordered by score descending, ties broken by identifier ascending; the
-        subject itself is excluded. Shorter corpora yield shorter lists.
-        """
-        self._check_fitted()
-        try:
-            subject = self.vectors_[identifier]
-        except KeyError:
-            raise NotFoundError(f"unknown identifier {identifier!r}") from None
-        if k < 0:
-            raise RecordValidationError("k must be non-negative")
-        heap: list[tuple[float, int]] = []
-        for index, other_id in enumerate(self.identifiers_):
-            if other_id != identifier:
-                score = cosine_similarity(subject, self.vectors_[other_id])
-                _keep_best(heap, k, (score, -index))
-        return [
-            SimilarityMatch(self.identifiers_[-negated], score)
-            for score, negated in sorted(heap, reverse=True)
-        ]
 
     def similarity_pairs(
         self, part_prefix: str, k: int, jobs: int | None = None
@@ -320,7 +275,6 @@ class VectorSpaceModel:
         (id_a, id_b) order. With jobs > 1 and at least 64 documents the
         blocks are scored by worker processes; the output is the same.
         """
-        self._check_fitted()
         if k < 0:
             raise RecordValidationError("k must be non-negative")
         vectors = [self.vectors_[identifier] for identifier in self.identifiers_]
@@ -339,10 +293,6 @@ class VectorSpaceModel:
             max_workers=jobs, initializer=_init_worker, initargs=(vectors,)
         ) as pool:
             yield from pool.map(_score_pool_block, tasks)
-
-    def pair_count(self) -> int:
-        self._check_fitted()
-        return pair_count(len(self.identifiers_))
 
 
 # --- runtime projection -----------------------------------------------------

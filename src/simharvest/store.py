@@ -25,7 +25,6 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
-from typing import Iterator
 from urllib.parse import quote, unquote
 
 from .exceptions import NotFoundError, PathCollisionError, StorageError
@@ -84,10 +83,6 @@ def encode_flat(identifier: str) -> str:
     return _encode_segment(identifier)
 
 
-def decode_flat(name: str) -> str:
-    return _decode_segment(name)
-
-
 def write_atomic(path: Path, data: bytes) -> None:
     """Replace path's content in one step: readers and a process that dies
     mid-write see the old file or the new one, never a torn one."""
@@ -103,76 +98,39 @@ class PutResult:
     replaced: MetadataRecord | None = None
 
 
-@dataclass(frozen=True)
-class StoreLayout:
-    root: Path
-
-    @property
-    def records_dir(self) -> Path:
-        return self.root / "records"
-
-    @property
-    def tf_dir(self) -> Path:
-        return self.root / "tf_metadata"
-
-    @property
-    def indexed_epoch_path(self) -> Path:
-        return self.tf_dir / ".indexed_epoch"
-
-    @property
-    def weights_dir(self) -> Path:
-        return self.root / "weights_metadata"
-
-    @property
-    def top_dir(self) -> Path:
-        return self.root / "top_matches"
-
-    @property
-    def similarities_path(self) -> Path:
-        return self.root / "similarities.txt"
-
-    @property
-    def compute_meta_path(self) -> Path:
-        return self.root / "compute_meta.txt"
-
-    @property
-    def epoch_path(self) -> Path:
-        return self.root / ".epoch"
-
-
 class RecordStore:
     """Store facade. One instance per root; methods are individually atomic
     enough for the supported discipline (single writer, many readers)."""
 
     def __init__(self, root: str | Path):
-        self.layout = StoreLayout(Path(root))
-        for directory in (
-            self.layout.records_dir,
-            self.layout.tf_dir,
-            self.layout.weights_dir,
-        ):
+        self.root = Path(root)
+        self.records_dir = self.root / "records"
+        self.tf_dir = self.root / "tf_metadata"
+        self.indexed_epoch_path = self.tf_dir / ".indexed_epoch"
+        self.weights_dir = self.root / "weights_metadata"
+        self.top_dir = self.root / "top_matches"
+        self.similarities_path = self.root / "similarities.txt"
+        self.compute_meta_path = self.root / "compute_meta.txt"
+        self.epoch_path = self.root / ".epoch"
+        for directory in (self.records_dir, self.tf_dir, self.weights_dir):
             directory.mkdir(parents=True, exist_ok=True)
-
-    @property
-    def root(self) -> Path:
-        return self.layout.root
 
     # -- epoch -------------------------------------------------------------
 
     def epoch(self) -> int:
         try:
-            return int(self.layout.epoch_path.read_text(encoding="ascii"))
+            return int(self.epoch_path.read_text(encoding="ascii"))
         except FileNotFoundError:
             return 0
 
     def _bump_epoch(self) -> None:
-        write_atomic(self.layout.epoch_path, str(self.epoch() + 1).encode("ascii"))
+        write_atomic(self.epoch_path, str(self.epoch() + 1).encode("ascii"))
 
     # -- records -----------------------------------------------------------
 
     def record_path(self, identifier: str) -> Path:
         rel = identifier_to_relpath(identifier)
-        return self.layout.records_dir / rel.parent / (rel.name + RECORD_SUFFIX)
+        return self.records_dir / rel.parent / (rel.name + RECORD_SUFFIX)
 
     def has_record(self, identifier: str) -> bool:
         return self.record_path(identifier).is_file()
@@ -184,19 +142,20 @@ class RecordStore:
         path = self.record_path(record.identifier)
         payload = serialize_record_fragment(record)
         previous = None
-        if path.exists():
+        try:
             existing = path.read_bytes()
+        except FileNotFoundError:
+            status = "created"
+        else:
+            if existing == payload:  # equal bytes hold the same identifier
+                return PutResult(path, "unchanged", None)
             previous = parse_record_fragment(existing)
             if previous.identifier != record.identifier:
                 raise PathCollisionError(
                     f"path {path} already holds {previous.identifier!r}; "
                     f"refusing to overwrite it with {record.identifier!r}"
                 )
-            if existing == payload:
-                return PutResult(path, "unchanged", None)
             status = "replaced"
-        else:
-            status = "created"
         self._bump_epoch()
         path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, payload)
@@ -215,11 +174,6 @@ class RecordStore:
             )
         return record
 
-    def _iter_relpaths(self, base: Path, suffix: str) -> Iterator[PurePosixPath]:
-        for path in sorted(base.glob(f"*/*{suffix}")):
-            rel = path.relative_to(base)
-            yield PurePosixPath(rel.parent.as_posix(), rel.name[: -len(suffix)])
-
     def list_identifiers(
         self,
         from_: str | None = None,
@@ -232,8 +186,10 @@ class RecordStore:
             if bound is not None and not is_valid_datestamp(bound):
                 raise StorageError(f"bad {name} datestamp {bound!r}")
         identifiers = sorted(
-            relpath_to_identifier(rel)
-            for rel in self._iter_relpaths(self.layout.records_dir, RECORD_SUFFIX)
+            relpath_to_identifier(
+                PurePosixPath(path.parent.name, path.name[: -len(RECORD_SUFFIX)])
+            )
+            for path in self.records_dir.glob(f"*/*{RECORD_SUFFIX}")
         )
         if from_ is None and until is None and set_spec is None:
             return identifiers
@@ -272,7 +228,7 @@ class RecordStore:
 
     def tf_path(self, identifier: str) -> Path:
         rel = identifier_to_relpath(identifier)
-        return self.layout.tf_dir / rel.parent / (rel.name + TF_SUFFIX)
+        return self.tf_dir / rel.parent / (rel.name + TF_SUFFIX)
 
     def put_tf(self, vector: TermFrequencyVector) -> Path:
         if not self.has_record(vector.identifier):
@@ -303,7 +259,7 @@ class RecordStore:
 
     def weights_path(self, identifier: str) -> Path:
         rel = identifier_to_relpath(identifier)
-        return self.layout.weights_dir / rel.parent / (rel.name + WEIGHTS_SUFFIX)
+        return self.weights_dir / rel.parent / (rel.name + WEIGHTS_SUFFIX)
 
     def put_weights(self, vector: WeightedVector) -> Path:
         if not self.tf_path(vector.identifier).is_file():
@@ -320,22 +276,7 @@ class RecordStore:
     # -- top matches and pair file ---------------------------------------------
 
     def top_path(self, identifier: str) -> Path:
-        return self.layout.top_dir / encode_flat(identifier)
-
-    # -- tree inspection ---------------------------------------------------------
-
-    def record_relpaths(self) -> list[str]:
-        return [
-            str(p) for p in self._iter_relpaths(self.layout.records_dir, RECORD_SUFFIX)
-        ]
-
-    def tf_relpaths(self) -> list[str]:
-        return [str(p) for p in self._iter_relpaths(self.layout.tf_dir, TF_SUFFIX)]
-
-    def weights_relpaths(self) -> list[str]:
-        return [
-            str(p) for p in self._iter_relpaths(self.layout.weights_dir, WEIGHTS_SUFFIX)
-        ]
+        return self.top_dir / encode_flat(identifier)
 
 
 def _datestamp_key(stamp: str, end: bool) -> str:

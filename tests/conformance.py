@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 
-from simharvest.exceptions import ConformanceError
+from simharvest.exceptions import SimHarvestError
 from simharvest.oai_xml import (
     DC_NS,
     OAI_DC_NS,
@@ -22,6 +22,15 @@ from simharvest.oai_xml import (
     XSI_NS,
 )
 from simharvest.records import DC_ELEMENTS, OAI_ERROR_CODES, is_valid_datestamp
+
+
+class ConformanceError(SimHarvestError):
+    """A response body violates the wire-format schema rules."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
+
 
 _SCORE_RE = re.compile(r"^[01]\.[0-9]{4}$")
 _UTC_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -162,3 +163,12 @@ def read_weights(store: RecordStore, identifier: str) -> WeightedVector:
         term, _, weight = line.partition("\t")
         weights[term] = float(weight)
     return WeightedVector(identifier, weights, float(lines[0]))
+
+
+def tree_relpaths(tree: Path, suffix: str) -> list[str]:
+    """The "<namespace>/<local>" paths of one two-level store tree's files,
+    suffix stripped, in the store's sorted path order."""
+    return [
+        path.relative_to(tree).as_posix()[: -len(suffix)]
+        for path in sorted(tree.glob(f"*/*{suffix}"))
+    ]

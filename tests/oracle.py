@@ -2,8 +2,9 @@
 
 The oracle recomputes tf-idf/cosine with numpy over dense matrices, sharing
 no code with the engine under test, so agreement between the two is a real
-cross-check rather than a tautology. parse_duration reads the rendered
-runtime projections back into seconds.
+cross-check rather than a tautology. top_k is the plain full-sort ranking
+that the engine's bounded heaps must reproduce, and parse_duration reads the
+rendered runtime projections back into seconds.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import random
 
 import numpy as np
 
-from simharvest.records import MetadataRecord
+from simharvest.records import MetadataRecord, SimilarityMatch
+from simharvest.similarity import VectorSpaceModel, cosine_similarity
 from simharvest.textpipe import TermFrequencyVector
 
 WORDS = (
@@ -140,6 +142,18 @@ def oracle_top_k(corpus, identifier: str, k: int) -> list[tuple[str, float]]:
     ]
     candidates.sort(key=lambda item: (-item[1], item[0]))
     return candidates[:k]
+
+
+def top_k(model: VectorSpaceModel, identifier: str, k: int) -> list[SimilarityMatch]:
+    """The k best matches of one fitted document by full sort: score
+    descending, then identifier ascending, the document itself excluded."""
+    subject = model.vectors_[identifier]
+    scored = sorted(
+        (-cosine_similarity(subject, model.vectors_[other]), other)
+        for other in model.identifiers_
+        if other != identifier
+    )
+    return [SimilarityMatch(other, -negated) for negated, other in scored[:k]]
 
 
 def parse_duration(text: str) -> int:

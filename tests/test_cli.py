@@ -222,6 +222,25 @@ class TestConfigFile:
         assert code == 1
         assert "cannot read config file" in err
 
+    def test_metadata_prefix_is_not_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "old.conf"
+        cfg.write_text("metadata_prefix = oai_dc\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "estimate", "--n", "5", "--config", str(cfg))
+        assert code == 1
+        assert "unknown key 'metadata_prefix'" in err
+
+    def test_defaults_come_from_their_owners(self):
+        from simharvest import config, oai_xml, service, similarity, textpipe
+
+        defaults = config.DEFAULTS
+        assert len(defaults) == 21
+        assert defaults["fields"] == ",".join(textpipe.DEFAULT_FIELDS)
+        assert defaults["per_pair_seconds"] == similarity.DEFAULT_PER_PAIR_SECONDS
+        assert defaults["schema_url"] == oai_xml.DEFAULT_SIMILARITY_SCHEMA_URL
+        provider = service.ProviderConfig()
+        for key in ("repository_name", "admin_email", "k", "page_size"):
+            assert defaults[key] == getattr(provider, key)
+
 
 class TestDupReport:
     def build(self, tmp_path):
@@ -281,6 +300,29 @@ class TestDupReport:
         )
         assert code == 2
         assert "threshold" in err
+
+    def test_threshold_from_config_file(self, tmp_path, capsys):
+        root, _ = self.build(tmp_path)
+        cfg = tmp_path / "dup.conf"
+        cfg.write_text(f"store_root = {root}\nthreshold = 0.9\n", encoding="utf-8")
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "dup-report", "--config", str(cfg))
+        assert code == 0
+        assert out == "oai:x.example:dup\toai:y.example:dup\t1.0000\tprovenance-linked\n"
+        assert err == "pairs at or above 0.9: 1\n"
+        code, _, err = run_cli(
+            capsys, "dup-report", "--config", str(cfg), "--threshold", "0"
+        )
+        assert code == 0
+        assert err.startswith("pairs at or above 0: ")
+
+    def test_threshold_missing_is_usage_error(self, tmp_path, capsys):
+        root, _ = self.build(tmp_path)
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "dup-report", "--store", root)
+        assert code == 1
+        assert out == ""
+        assert "dup-report needs --threshold (or threshold in the config file)" in err
 
     def test_stale_results_exit_three(self, tmp_path, capsys):
         root, store = self.build(tmp_path)

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 
 import conftest
 from conformance import (
+    ConformanceError,
     conformance_problems,
     validate_response,
     validate_similarity_container,
 )
-from simharvest.exceptions import ConformanceError
 from simharvest.oai_xml import (
     ResumptionToken,
     serialize_error,

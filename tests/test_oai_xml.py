@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
+from simharvest import oai_xml, records
 from simharvest.exceptions import (
     ProtocolMismatchError,
     RecordValidationError,
@@ -449,3 +450,26 @@ class TestRecordFragments:
     def test_fragment_rejects_other_documents(self):
         with pytest.raises(ProtocolMismatchError):
             parse_record_fragment(b"<notarecord/>")
+
+    def test_provenance_canonicalised_once_per_block(self, monkeypatch):
+        record = sample_record()
+        data = serialize_record_fragment(record)
+        calls = []
+        real = records.canonical_xml_block
+
+        def counting(block):
+            calls.append(block)
+            return real(block)
+
+        monkeypatch.setattr(records, "canonical_xml_block", counting)
+        # the parser must leave canonicalisation to MetadataRecord
+        monkeypatch.setattr(oai_xml, "canonical_xml_block", counting, raising=False)
+        assert parse_record_fragment(data) == record
+        assert len(calls) == len(record.provenance) == 1
+
+    def test_text_after_a_provenance_block_is_dropped(self):
+        record = sample_record()
+        data = serialize_record_fragment(record).replace(
+            b"</provenance:provenance>", b"</provenance:provenance> stray text"
+        )
+        assert parse_record_fragment(data) == record

@@ -7,7 +7,7 @@ import pytest
 
 import conftest
 import oracle
-from simharvest import similarity
+from simharvest import cli, similarity
 from simharvest.exceptions import NotFoundError, StalenessError
 from simharvest.oai_xml import format_score
 from simharvest.pipeline import (
@@ -45,6 +45,11 @@ def populate(store, n, seed=11, prefix="oai:p.example:doc"):
     rng = random.Random(seed)
     for record in oracle.synthetic_records(rng, n, id_prefix=prefix):
         store.put_record(record)
+
+
+def top_exit_code(store, identifier):
+    """Exit code of the CLI's top command, which serves one top file."""
+    return cli.main(["top", "--identifier", identifier, "--store", str(store.root)])
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +116,8 @@ class TestIndexStore:
         for record in tiny_records():
             store.put_record(record)
         index_store(store)
-        assert store.tf_relpaths() == store.record_relpaths()
+        tf_paths = conftest.tree_relpaths(store.tf_dir, ".tf")
+        assert tf_paths == conftest.tree_relpaths(store.records_dir, ".xml")
 
 
 class TestComputeStore:
@@ -155,7 +161,7 @@ class TestComputeStore:
         )
         for identifier in identifiers:
             stored = load_top_matches(store, identifier)
-            expected = model.top_k(identifier, k=report.k)
+            expected = oracle.top_k(model, identifier, report.k)
             assert [match.identifier for match in stored] == [
                 match.identifier for match in expected
             ]
@@ -164,7 +170,8 @@ class TestComputeStore:
 
     def test_trees_mirror_after_compute(self, computed):
         store, _ = computed
-        assert store.weights_relpaths() == store.record_relpaths()
+        weights_paths = conftest.tree_relpaths(store.weights_dir, ".w")
+        assert weights_paths == conftest.tree_relpaths(store.records_dir, ".xml")
 
     def test_load_top_matches_depth(self, computed):
         store, report = computed
@@ -214,8 +221,8 @@ class TestComputeStore:
         for record in tiny_records():
             store.put_record(record)
         index_store(store)
-        store.layout.top_dir.mkdir(parents=True, exist_ok=True)
-        stray = store.layout.top_dir / "leftover"
+        store.top_dir.mkdir(parents=True, exist_ok=True)
+        stray = store.top_dir / "leftover"
         stray.write_text("junk", encoding="utf-8")
         compute_store(store, k=1)
         assert not stray.exists()
@@ -246,11 +253,11 @@ class TestComputeStore:
         for identifier in identifiers:
             expected = "".join(
                 f"{m.identifier}\t{format_score(m.score)}\n"
-                for m in model.top_k(identifier, k)
+                for m in oracle.top_k(model, identifier, k)
             )
             assert store.top_path(identifier).read_text(encoding="utf-8") == expected
             assert len(expected.splitlines()) == min(k, 5)
-        rows = store.layout.similarities_path.read_text().splitlines()
+        rows = store.similarities_path.read_text().splitlines()
         assert len(rows) == report.pairs_written
         assert all(float(row.rsplit("\t", 1)[1]) >= floor - 5e-5 for row in rows)
         assert (report.pairs_written < 15) == (floor > 0)
@@ -286,13 +293,13 @@ class TestDeterminism:
         populate(store, 15, seed=21)
         index_store(store)
         compute_store(store, k=3)
-        first = store.layout.similarities_path.read_bytes()
+        first = store.similarities_path.read_bytes()
         top_first = {
             identifier: store.top_path(identifier).read_bytes()
             for identifier in store.list_identifiers()
         }
         compute_store(store, k=3)
-        assert store.layout.similarities_path.read_bytes() == first
+        assert store.similarities_path.read_bytes() == first
         for identifier, blob in top_first.items():
             assert store.top_path(identifier).read_bytes() == blob
 
@@ -302,9 +309,9 @@ class TestDeterminism:
         populate(store, 80, seed=31)
         index_store(store)
         compute_store(store, k=3, jobs=1)
-        serial = store.layout.similarities_path.read_bytes()
+        serial = store.similarities_path.read_bytes()
         compute_store(store, k=3, jobs=4)
-        assert store.layout.similarities_path.read_bytes() == serial
+        assert store.similarities_path.read_bytes() == serial
 
     @pytest.mark.parametrize("n", [63, 64, 65])
     def test_outputs_identical_across_jobs(self, tmp_path, n):
@@ -316,7 +323,7 @@ class TestDeterminism:
         for jobs in (1, 2, 3):
             compute_store(store, k=4, jobs=jobs)
             outputs.append(
-                [store.layout.similarities_path.read_bytes()]
+                [store.similarities_path.read_bytes()]
                 + [store.top_path(i).read_bytes() for i in store.list_identifiers()]
             )
         assert outputs[0] == outputs[1] == outputs[2]
@@ -328,14 +335,14 @@ class TestScoreFloor:
         populate(store, 15, seed=41)
         index_store(store)
         unfloored = compute_store(store, k=5)
-        all_rows = set(store.layout.similarities_path.read_text().splitlines())
+        all_rows = set(store.similarities_path.read_text().splitlines())
         full_tops = {
             identifier: load_top_matches(store, identifier)
             for identifier in store.list_identifiers()
         }
 
         floored = compute_store(store, k=5, score_floor=0.3)
-        kept_rows = store.layout.similarities_path.read_text().splitlines()
+        kept_rows = store.similarities_path.read_text().splitlines()
         assert floored.pairs_written == len(kept_rows) < unfloored.pairs_written
         assert set(kept_rows) <= all_rows
         for row in kept_rows:
@@ -376,8 +383,7 @@ class TestStalenessLifecycle:
         )
         with pytest.raises(StalenessError, match="run compute"):
             check_results_fresh(store)
-        with pytest.raises(StalenessError):
-            load_top_matches(store, "oai:p.example:doc00000")
+        assert top_exit_code(store, "oai:p.example:doc00000") == cli.EXIT_STALE
         with pytest.raises(StalenessError):
             list(iter_similarity_lines(store))
 
@@ -459,8 +465,7 @@ class TestStalenessLifecycle:
         assert read_compute_meta(store)["epoch"] == str(epoch)
         with pytest.raises(StalenessError):
             check_results_fresh(store)
-        with pytest.raises(StalenessError):
-            load_top_matches(store, records[0].identifier)
+        assert top_exit_code(store, records[0].identifier) == cli.EXIT_STALE
 
     def test_put_record_interrupted_at_each_write(self, tmp_path, monkeypatch):
         records = oracle.synthetic_records(random.Random(95), 3)

@@ -15,6 +15,8 @@ import pytest
 
 import oracle
 from conformance import conformance_problems, validate_similarity_container
+from simharvest import pipeline as pipeline_module
+from simharvest import service as service_module
 from simharvest.exceptions import SimHarvestError, StalenessError
 from simharvest.harvester import HarvestSession, harvest
 from simharvest.oai_xml import (
@@ -24,6 +26,7 @@ from simharvest.oai_xml import (
     parse_response,
 )
 from simharvest.pipeline import (
+    check_results_fresh,
     compute_store,
     index_store,
     load_top_matches,
@@ -401,6 +404,28 @@ class TestGetRecord:
             },
         )
         assert error_codes(parsed) == ["idDoesNotExist"]
+
+    def test_one_freshness_check_per_request(self, provider, monkeypatch):
+        checks = []
+
+        def counting(store):
+            checks.append(store)
+            return check_results_fresh(store)
+
+        monkeypatch.setattr(service_module, "check_results_fresh", counting)
+        monkeypatch.setattr(pipeline_module, "check_results_fresh", counting)
+        parsed = checked(
+            provider,
+            "GetRecord",
+            {"verb": "GetRecord", "metadataPrefix": "oai_dc", "identifier": LIVE_IDS[2]},
+        )
+        assert LIVE_IDS[2] in parsed.similarity
+        assert len(checks) == 1
+        status, _, _ = wsgi_call(
+            provider, path="/similar", query=urlencode({"identifier": LIVE_IDS[2]})
+        )
+        assert status == "200 OK"
+        assert len(checks) == 2
 
     def test_post_equals_get(self, provider):
         args = {

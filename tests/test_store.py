@@ -2,6 +2,7 @@
 
 import tempfile
 from pathlib import Path, PurePosixPath
+from urllib.parse import unquote
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,11 +22,11 @@ from simharvest.pipeline import (
     index_store,
     load_top_matches,
 )
+from simharvest import store as store_module
 from simharvest.records import MetadataRecord
 from simharvest.similarity import collection_stats, weight_vector
 from simharvest.store import (
     RecordStore,
-    decode_flat,
     encode_flat,
     identifier_to_relpath,
     relpath_to_identifier,
@@ -94,7 +95,7 @@ class TestPathMapping:
         flat = encode_flat(identifier)
         assert "/" not in flat
         assert flat not in (".", "..")  # names a file, not a directory
-        assert decode_flat(flat) == identifier
+        assert unquote(flat) == identifier
 
     def test_dot_segments_are_encoded(self):
         assert identifier_to_relpath("oai:..:x") == PurePosixPath("%2E%2E/x")
@@ -128,6 +129,24 @@ class TestRecords:
         assert store.epoch() == epoch
         check_results_fresh(store)
 
+    def test_identical_put_compares_bytes_before_parsing(self, store, monkeypatch):
+        parsed = []
+        real = store_module.parse_record_fragment
+
+        def counting(data):
+            parsed.append(data)
+            return real(data)
+
+        monkeypatch.setattr(store_module, "parse_record_fragment", counting)
+        record = make_record()
+        assert store.put_record(record).status == "created"
+        assert store.put_record(record).status == "unchanged"
+        assert parsed == []
+        updated = make_record(dc_fields=(("title", "Revised title"),))
+        result = store.put_record(updated)
+        assert (result.status, result.replaced) == ("replaced", record)
+        assert len(parsed) == 1
+
     def test_changed_put_bumps_epoch_and_marks_stale(self, store):
         store.put_record(make_record())
         index_store(store)
@@ -159,8 +178,8 @@ class TestRecords:
         for record in records:
             assert store.put_record(record).status == "created"
             path = store.record_path(record.identifier).resolve()
-            assert path.parent.parent == store.layout.records_dir.resolve()
-            assert store.top_path(record.identifier).parent == store.layout.top_dir
+            assert path.parent.parent == store.records_dir.resolve()
+            assert store.top_path(record.identifier).parent == store.top_dir
         assert store.list_identifiers() == identifiers
         for record in records:
             assert store.get_record(record.identifier) == record
@@ -341,8 +360,10 @@ class TestMirroredTrees:
         vectors = TestWeights().fill(store)
         for vector in vectors:
             store.put_weights(vector)
-        assert store.record_relpaths() == store.tf_relpaths() == store.weights_relpaths()
-        assert store.record_relpaths() == [
+        record_paths = conftest.tree_relpaths(store.records_dir, ".xml")
+        assert record_paths == conftest.tree_relpaths(store.tf_dir, ".tf")
+        assert record_paths == conftest.tree_relpaths(store.weights_dir, ".w")
+        assert record_paths == [
             "a.example/1",
             "a.example/2",
             "b.example/3",
@@ -350,5 +371,5 @@ class TestMirroredTrees:
 
     def test_top_path_is_flat_and_reversible(self, store):
         path = store.top_path("oai:a.example:with/slash")
-        assert path.parent == store.layout.top_dir
-        assert decode_flat(path.name) == "oai:a.example:with/slash"
+        assert path.parent == store.top_dir
+        assert unquote(path.name) == "oai:a.example:with/slash"
