@@ -51,7 +51,6 @@ from .similarity import (
     VectorSpaceModel,
     WeightedVector,
     collection_stats,
-    cosine_similarity,
     estimate_runtime,
     format_duration,
     idf,

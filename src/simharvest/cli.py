@@ -191,20 +191,28 @@ def _cmd_index(args: argparse.Namespace, settings: dict) -> int:
     return EXIT_OK
 
 
+def _non_negative(name: str, value: int) -> int:
+    """A count from a flag or the config file; negative is a usage error."""
+    if value < 0:
+        raise ConfigError(f"{name} must be non-negative, got {value}")
+    return value
+
+
 def _cmd_compute(args: argparse.Namespace, settings: dict) -> int:
+    k = _non_negative("k", int(settings["k"]))
+    score_floor = float(settings["score_floor"])
+    if not 0.0 <= score_floor <= 1.0:
+        raise ConfigError(f"score_floor must lie in [0, 1], got {score_floor:g}")
     store = RecordStore(settings["store_root"])
     jobs = settings.get("jobs") or os.cpu_count() or 1
-    report = compute_store(
-        store,
-        k=int(settings["k"]),
-        score_floor=float(settings["score_floor"]),
-        jobs=int(jobs),
-    )
+    report = compute_store(store, k=k, score_floor=score_floor, jobs=int(jobs))
     print(f"documents: {report.documents}")
     print(f"pairs: {report.pair_count}")
     print(f"pairs written: {report.pairs_written}")
     print(f"wall seconds: {report.wall_seconds:.3f}")
     print(f"mean seconds per pair: {report.per_pair_seconds:.6g}")
+    for stage, seconds in report.stage_seconds.items():
+        print(f"{stage.replace('_', ' ')} seconds: {seconds:.3f}")
     print(f"pair file: {store.similarities_path}")
     print(f"top matches: {store.top_dir}")
     return EXIT_OK
@@ -212,8 +220,9 @@ def _cmd_compute(args: argparse.Namespace, settings: dict) -> int:
 
 def _cmd_top(args: argparse.Namespace, settings: dict) -> int:
     store = RecordStore(settings["store_root"])
+    k = _non_negative("k", int(settings["k"]))
     check_results_fresh(store)
-    matches = load_top_matches(store, args.identifier, int(settings["k"]))
+    matches = load_top_matches(store, args.identifier, k)
     for match in matches:
         print(f"{match.identifier}\t{match.score:.4f}")
     return EXIT_OK
@@ -241,10 +250,13 @@ def _cmd_serve(args: argparse.Namespace, settings: dict) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace, settings: dict) -> int:
+    n = _non_negative("n", args.n)
     per_pair = float(settings["per_pair_seconds"])
-    seconds = estimate_runtime(args.n, per_pair)
-    print(f"documents: {args.n}")
-    print(f"pairs: {pair_count(args.n)}")
+    if per_pair <= 0.0:
+        raise ConfigError(f"per_pair_seconds must be positive, got {per_pair:g}")
+    seconds = estimate_runtime(n, per_pair)
+    print(f"documents: {n}")
+    print(f"pairs: {pair_count(n)}")
     print(f"seconds per pair: {per_pair:g}")
     print(f"estimated seconds: {seconds:.2f}")
     print(f"estimated duration: {format_duration(seconds)}")

@@ -16,10 +16,11 @@ import heapq
 import os
 import shutil
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exceptions import NotFoundError, StalenessError
+from .exceptions import NotFoundError, RecordValidationError, StalenessError
 from .oai_xml import format_score
 from .records import SimilarityMatch, utc_now_string
 from .similarity import VectorSpaceModel, pair_count
@@ -44,6 +45,31 @@ class ComputeReport:
     score_floor: float
     computed_at: str
     epoch: int
+    #: seconds per stage of the run, keyed as STAGES, in that order
+    stage_seconds: dict[str, float]
+
+
+#: The timed stages of compute_store, in the order they run. Scoring is the
+#: time spent waiting for row blocks (scored and written to their parts),
+#: not counting the concatenation of parts and the merge of top-k lists
+#: that happen between blocks.
+STAGES = (
+    "load_tf",
+    "fit",
+    "weights_write",
+    "scoring",
+    "concatenation",
+    "top_k_merge",
+    "top_files_write",
+)
+
+
+@contextmanager
+def _stage(stages: dict[str, float], name: str):
+    """Add the seconds spent in the with-block to stages[name]."""
+    started = time.perf_counter()
+    yield
+    stages[name] += time.perf_counter() - started
 
 
 def index_store(
@@ -79,15 +105,21 @@ def compute_store(
     Writes the weights tree, similarities.txt (pairs at or above score_floor,
     four-decimal scores), one ranked top-k file per document, and the compute
     metadata last, stamped with the epoch read at the start. Raises
-    StalenessError when records changed after the last index.
+    StalenessError when records changed after the last index, and
+    RecordValidationError for k < 0 or score_floor outside [0, 1], in both
+    cases before anything is written.
     """
+    if k < 0:
+        raise RecordValidationError("k must be non-negative")
     started = utc_now_string()
     t0 = time.perf_counter()
+    stages = dict.fromkeys(STAGES, 0.0)
     epoch = store.epoch()
     identifiers = store.list_identifiers()
     if not identifiers:
         raise NotFoundError("store holds no records; harvest before computing")
-    corpus = [store.get_tf(identifier) for identifier in identifiers]
+    with _stage(stages, "load_tf"):
+        corpus = [store.get_tf(identifier) for identifier in identifiers]
     try:
         indexed = store.indexed_epoch_path.read_text(encoding="ascii")
     except FileNotFoundError:
@@ -97,40 +129,47 @@ def compute_store(
             "term frequencies are stale: records changed after the last index; "
             "run index"
         )
-    model = VectorSpaceModel(score_floor=score_floor).fit(corpus)
+    with _stage(stages, "fit"):  # validates score_floor before anything is written
+        model = VectorSpaceModel(score_floor=score_floor).fit(corpus)
     # withdraw the old results before any of them is overwritten
     store.compute_meta_path.unlink(missing_ok=True)
-    for identifier in model.identifiers_:
-        store.put_weights(model.vectors_[identifier])
+    with _stage(stages, "weights_write"):
+        for identifier in model.identifiers_:
+            store.put_weights(model.vectors_[identifier])
 
     tmp_path = store.similarities_path.with_suffix(".txt.tmp")
     blocks = model.similarity_pairs(str(tmp_path), k, jobs=jobs)
     best: list[list[tuple[float, int]]] = [[] for _ in identifiers]
     pairs_written = 0
     try:
-        with tmp_path.open("wb") as handle:
+        with _stage(stages, "scoring"), tmp_path.open("wb") as handle:
             for part, written, heaps in blocks:
-                with open(part, "rb") as source:
-                    shutil.copyfileobj(source, handle)
-                os.unlink(part)
+                with _stage(stages, "concatenation"):
+                    with open(part, "rb") as source:
+                        shutil.copyfileobj(source, handle)
+                    os.unlink(part)
                 pairs_written += written
-                for index, heap in heaps.items():
-                    best[index] = heapq.nlargest(k, best[index] + heap)
+                with _stage(stages, "top_k_merge"):
+                    for index, heap in heaps.items():
+                        best[index] = heapq.nlargest(k, best[index] + heap)
+        # the loop's own time is the wait for the blocks being scored
+        stages["scoring"] -= stages["concatenation"] + stages["top_k_merge"]
         tmp_path.replace(store.similarities_path)
     finally:
         blocks.close()  # a failed run waits here for the blocks still scoring
         for leftover in tmp_path.parent.glob(tmp_path.name + "*"):
             leftover.unlink()
 
-    store.top_dir.mkdir(parents=True, exist_ok=True)
-    for stale_file in store.top_dir.iterdir():
-        stale_file.unlink()
-    for identifier, ranked in zip(model.identifiers_, best):
-        lines = [
-            f"{model.identifiers_[-negated]}\t{format_score(score)}\n"
-            for score, negated in ranked
-        ]
-        store.top_path(identifier).write_text("".join(lines), encoding="utf-8")
+    with _stage(stages, "top_files_write"):
+        store.top_dir.mkdir(parents=True, exist_ok=True)
+        for stale_file in store.top_dir.iterdir():
+            stale_file.unlink()
+        for identifier, ranked in zip(model.identifiers_, best):
+            lines = [
+                f"{model.identifiers_[-negated]}\t{format_score(score)}\n"
+                for score, negated in ranked
+            ]
+            store.top_path(identifier).write_text("".join(lines), encoding="utf-8")
 
     wall = time.perf_counter() - t0
     total_pairs = pair_count(len(identifiers))
@@ -144,6 +183,7 @@ def compute_store(
         score_floor=score_floor,
         computed_at=started,
         epoch=epoch,
+        stage_seconds=stages,
     )
     _write_compute_meta(store, report)
     return report
@@ -160,6 +200,10 @@ def _write_compute_meta(store: RecordStore, report: ComputeReport) -> None:
         f"per_pair_seconds = {report.per_pair_seconds!r}\n",
         f"k = {report.k}\n",
         f"score_floor = {report.score_floor!r}\n",
+    ]
+    lines += [
+        f"{name}_seconds = {seconds!r}\n"
+        for name, seconds in report.stage_seconds.items()
     ]
     write_atomic(store.compute_meta_path, "".join(lines).encode("utf-8"))
 
@@ -227,6 +271,7 @@ def iter_similarity_lines(store: RecordStore):
 __all__ = [
     "IndexReport",
     "ComputeReport",
+    "STAGES",
     "index_store",
     "compute_store",
     "read_compute_meta",

@@ -21,7 +21,7 @@ from importlib import resources
 from typing import Callable
 from urllib.parse import parse_qs, quote, unquote, urlparse
 
-from .exceptions import NotFoundError, SimHarvestError, StalenessError
+from .exceptions import ConfigError, NotFoundError, SimHarvestError, StalenessError
 from .oai_xml import (
     DEFAULT_SIMILARITY_SCHEMA_URL,
     OAI_DC_NS,
@@ -57,7 +57,7 @@ class ProviderConfig:
 
     def __post_init__(self):
         if self.k < 0 or self.page_size < 1:
-            raise SimHarvestError("k must be >= 0 and page_size >= 1")
+            raise ConfigError("k must be >= 0 and page_size >= 1")
 
 
 def similarity_schema_text() -> str:

@@ -1,11 +1,14 @@
 """Vector space similarity engine: tf-idf weighting and cosine ranking.
 
-The engine is pure Python over sparse term->weight mappings. Determinism
-rules: corpora are processed in ascending identifier order, term iteration
-always follows sorted term order, and pairs are scored in row blocks of the
-upper triangle in (id_a, id_b) order, so results (including float
-accumulation order) are identical run to run and independent of the worker
-count.
+The engine is pure Python over sparse term->weight mappings. fit() weights
+the corpus in ascending identifier order; similarity_pairs() scores the
+upper triangle in row blocks, term at a time: an inverted index lists each
+term's rows and weights in row order, and row i adds w_i * w_j into an
+accumulator slot per later row j, going through its terms in sorted term
+order. Every pair's score is therefore the sum, from 0.0, of its
+shared-term products in sorted term order, clamped to [0, 1]: the same
+floats run to run, whatever the worker count. Each row is then rendered to
+its pair lines and ranked into its top k as a whole.
 
 idf values are computed on the fly from collection statistics and are never
 persisted anywhere.
@@ -17,10 +20,11 @@ import heapq
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import gt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exceptions import NotFoundError, RecordValidationError
-from .oai_xml import format_score
 from .textpipe import TermFrequencyVector
 
 #: Measured per-pair cost (seconds) used for runtime projections.
@@ -108,28 +112,6 @@ def weight_vector(tf: TermFrequencyVector, stats: CollectionStats) -> WeightedVe
     )
 
 
-def cosine_similarity(a: WeightedVector, b: WeightedVector) -> float:
-    """Dot product over shared terms of two unit vectors, clamped to [0, 1].
-
-    The shorter weight mapping is iterated (in its sorted term order), so the
-    accumulation order is identical whichever operand comes first.
-    """
-    wa, wb = a.weights, b.weights
-    if not wa or not wb:
-        return 0.0
-    if len(wb) < len(wa):
-        wa, wb = wb, wa
-    lookup = wb.get
-    total = 0.0
-    for term, weight in wa.items():
-        other = lookup(term)
-        if other is not None:
-            total += weight * other
-    if total <= 0.0:
-        return 0.0
-    return total if total < 1.0 else 1.0
-
-
 def pair_count(n_docs: int) -> int:
     """Number of unordered pairs among n documents: n(n-1)/2."""
     if n_docs < 0:
@@ -140,15 +122,40 @@ def pair_count(n_docs: int) -> int:
 # --- block scoring ----------------------------------------------------------
 
 #: (path of the block's pair-file part, lines written to it,
-#:  {row index: min-heap of (score, -other row index)} for non-empty heaps)
+#:  {row index: up to k best (score, -other row index) entries the block
+#:  scored for that row}, for the rows it scored any for)
 BlockScores = tuple[str, int, dict[int, list[tuple[float, int]]]]
 
-_worker_vectors: list[WeightedVector] = []
+#: Per row, one (weight, rows, weights, after) entry for each of its terms in
+#: sorted term order: the row's weight for the term, the term's posting list
+#: as parallel lists of row indexes and weights in row order, and the index
+#: just past the row's own posting in those lists.
+Postings = list[list[tuple[float, list[int], list[float], int]]]
+
+_worker_index: tuple[list[str], Postings] = ([], [])
+
+
+def _postings(vectors: Sequence[WeightedVector]) -> Postings:
+    """Inverted index of the identifier-sorted vectors (see Postings)."""
+    lists: dict[str, tuple[list[int], list[float]]] = {}
+    postings: Postings = []
+    for row, vector in enumerate(vectors):
+        entries = []
+        for term, weight in vector.weights.items():  # sorted term order
+            pair = lists.get(term)
+            if pair is None:
+                pair = lists[term] = ([], [])
+            rows, weights = pair
+            rows.append(row)
+            weights.append(weight)
+            entries.append((weight, rows, weights, len(rows)))
+        postings.append(entries)
+    return postings
 
 
 def _init_worker(vectors: list[WeightedVector]) -> None:
-    global _worker_vectors
-    _worker_vectors = vectors
+    global _worker_index
+    _worker_index = ([vector.identifier for vector in vectors], _postings(vectors))
 
 
 def _keep_best(heap: list, k: int, entry: tuple) -> None:
@@ -160,45 +167,68 @@ def _keep_best(heap: list, k: int, entry: tuple) -> None:
 
 
 def _score_block(
-    vectors: Sequence[WeightedVector],
+    identifiers: Sequence[str],
+    postings: Postings,
     start: int,
     stop: int,
     part: str,
     score_floor: float,
     k: int,
 ) -> BlockScores:
-    """Score rows start..stop-1 of the identifier-sorted vectors against every
+    """Score rows start..stop-1 of the identifier-sorted corpus against every
     later row.
 
-    Each pair scoring at least score_floor becomes one "id_a<TAB>id_b<TAB>score"
-    line of the part file, in upper-triangle order. Every pair, floored or not,
-    is offered to both documents' bounded heaps keyed (score, -row index):
-    rows are in identifier order, so the larger key ranks the smaller
-    identifier first among equal scores.
+    Row i's scores come from its postings: for each of its terms, in sorted
+    term order, w_i * w_j is added into acc[j] for the postings after its
+    own. A pair's score is thus the dot product of the two unit vectors,
+    its shared-term products summed from 0.0 in sorted term order, capped
+    at 1.0 (weights are positive, so no sum is negative, and a pair with no
+    shared term scores 0.0). Each pair scoring at least score_floor becomes
+    one "id_a<TAB>id_b<TAB>score" line of the part file, in upper-triangle
+    order, with the four decimals of format_score. Every pair, floored or
+    not, counts for both documents' top k, keyed (score, -row index): rows
+    are in identifier order, so the larger key ranks the smaller identifier
+    first among equal scores. The row side is ranked once per row; a later
+    row j is offered a score only when it beats the lowest score of a full
+    heaps[j].
     """
-    n = len(vectors)
+    n = len(identifiers)
     heaps: list[list[tuple[float, int]]] = [[] for _ in range(n)]
+    # a score must beat floors[j] to enter heaps[j]; -1.0 until it holds k
+    floors = [-1.0] * n
     lines = 0
     with open(part, "w", encoding="utf-8", newline="\n") as handle:
-        write = handle.write
         for i in range(start, stop):
-            a = vectors[i]
-            id_a = a.identifier
-            heap_a = heaps[i]
-            for j in range(i + 1, n):
-                b = vectors[j]
-                score = cosine_similarity(a, b)
-                if score >= score_floor:
-                    write(f"{id_a}\t{b.identifier}\t{format_score(score)}\n")
-                    lines += 1
-                if k:
-                    _keep_best(heap_a, k, (score, -j))
-                    _keep_best(heaps[j], k, (score, -i))
+            acc = [0.0] * n
+            for weight, rows, weights, after in postings[i]:
+                for j, other in zip(rows[after:], weights[after:]):
+                    acc[j] += weight * other
+            scores = [score if score < 1.0 else 1.0 for score in acc[i + 1 :]]
+            prefix = identifiers[i] + "\t"
+            rendered = [
+                f"{prefix}{other}\t{score:.4f}\n"
+                for other, score in zip(identifiers[i + 1 :], scores)
+                if score >= score_floor
+            ]
+            handle.write("".join(rendered))
+            lines += len(rendered)
+            if not k:
+                continue
+            heaps[i] = heapq.nlargest(
+                k, chain(heaps[i], zip(scores, range(-i - 1, -n, -1)))
+            )
+            # heaps[j] holds entries of rows before i only, so (score, -i)
+            # loses every tie with them: only a higher score can enter.
+            for j in compress(range(i + 1, n), map(gt, scores, floors[i + 1 :])):
+                heap = heaps[j]
+                _keep_best(heap, k, (scores[j - i - 1], -i))
+                if len(heap) == k:
+                    floors[j] = heap[0][0]
     return part, lines, {index: heap for index, heap in enumerate(heaps) if heap}
 
 
 def _score_pool_block(task: tuple) -> BlockScores:
-    return _score_block(_worker_vectors, *task)
+    return _score_block(*_worker_index, *task)
 
 
 def _row_blocks(n: int, jobs: int) -> list[tuple[int, int]]:
@@ -270,10 +300,12 @@ class VectorSpaceModel:
 
         Block b writes its pair lines (score >= score_floor) to
         "{part_prefix}.{b}" and yields (part path, lines written, partial
-        top-k heaps by row index of identifiers_); blocks come in row order,
+        top-k lists by row index of identifiers_); blocks come in row order,
         so their parts concatenated in that order hold the upper triangle in
         (id_a, id_b) order. With jobs > 1 and at least 64 documents the
-        blocks are scored by worker processes; the output is the same.
+        blocks are scored by worker processes; the output is the same. Each
+        process that scores builds the inverted index once, before its first
+        block: this one when serial, each worker in its initializer.
         """
         if k < 0:
             raise RecordValidationError("k must be non-negative")
@@ -286,8 +318,9 @@ class VectorSpaceModel:
             )
         ]
         if not parallel:
+            postings = _postings(vectors)
             for task in tasks:
-                yield _score_block(vectors, *task)
+                yield _score_block(self.identifiers_, postings, *task)
             return
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(vectors,)

@@ -90,7 +90,7 @@ class TermFrequencyVector:
             count = self.counts[term]
             if not isinstance(term, str) or not term:
                 raise RecordValidationError("terms must be non-empty strings")
-            if term != term.lower() or any(ch.isspace() for ch in term):
+            if term != term.lower() or term.split() != [term]:
                 raise RecordValidationError(
                     f"term {term!r} must be lowercase with no whitespace"
                 )

@@ -165,6 +165,15 @@ def read_weights(store: RecordStore, identifier: str) -> WeightedVector:
     return WeightedVector(identifier, weights, float(lines[0]))
 
 
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under root by its relative path, with its content."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(Path(root).rglob("*"))
+        if path.is_file()
+    }
+
+
 def tree_relpaths(tree: Path, suffix: str) -> list[str]:
     """The "<namespace>/<local>" paths of one two-level store tree's files,
     suffix stripped, in the store's sorted path order."""

@@ -2,9 +2,11 @@
 
 The oracle recomputes tf-idf/cosine with numpy over dense matrices, sharing
 no code with the engine under test, so agreement between the two is a real
-cross-check rather than a tautology. top_k is the plain full-sort ranking
-that the engine's bounded heaps must reproduce, and parse_duration reads the
-rendered runtime projections back into seconds.
+cross-check rather than a tautology. cosine_similarity is the reference
+scorer of one pair, whose floats the engine's term-at-a-time scores must
+equal exactly. top_k is the plain full-sort ranking that the engine's
+bounded heaps must reproduce, and parse_duration reads the rendered runtime
+projections back into seconds.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 import numpy as np
 
 from simharvest.records import MetadataRecord, SimilarityMatch
-from simharvest.similarity import VectorSpaceModel, cosine_similarity
+from simharvest.similarity import VectorSpaceModel, WeightedVector
 from simharvest.textpipe import TermFrequencyVector
 
 WORDS = (
@@ -142,6 +144,28 @@ def oracle_top_k(corpus, identifier: str, k: int) -> list[tuple[str, float]]:
     ]
     candidates.sort(key=lambda item: (-item[1], item[0]))
     return candidates[:k]
+
+
+def cosine_similarity(a: WeightedVector, b: WeightedVector) -> float:
+    """Dot product over shared terms of two unit vectors, clamped to [0, 1].
+
+    The shorter weight mapping is iterated (in its sorted term order), so the
+    accumulation order is identical whichever operand comes first.
+    """
+    wa, wb = a.weights, b.weights
+    if not wa or not wb:
+        return 0.0
+    if len(wb) < len(wa):
+        wa, wb = wb, wa
+    lookup = wb.get
+    total = 0.0
+    for term, weight in wa.items():
+        other = lookup(term)
+        if other is not None:
+            total += weight * other
+    if total <= 0.0:
+        return 0.0
+    return total if total < 1.0 else 1.0
 
 
 def top_k(model: VectorSpaceModel, identifier: str, k: int) -> list[SimilarityMatch]:

@@ -6,6 +6,7 @@ pinned in the assertions below and must not be loosened.
 """
 
 import random
+import tempfile
 import time
 import urllib.request
 from contextlib import contextmanager
@@ -19,6 +20,7 @@ from conftest import ACCEPTANCE_LINES, tree_relpaths
 from mock_upstream import MockUpstream, http_server
 from oracle import parse_duration
 from test_service import wsgi_call
+from test_similarity import engine_top, score_blocks
 from simharvest.cli import main as cli_main
 from simharvest.exceptions import StalenessError
 from simharvest.harvester import HarvestSession, harvest
@@ -45,7 +47,6 @@ from simharvest.service import OaiProvider, ProviderConfig
 from simharvest.similarity import (
     VectorSpaceModel,
     _row_blocks,
-    cosine_similarity,
     estimate_runtime,
     format_duration,
     pair_count,
@@ -121,13 +122,10 @@ def test_criterion_3_engine_matches_oracle():
             expected = {
                 (id_a, id_b): score for id_a, id_b, score in oracle.oracle_pairs(corpus)
             }
-            vectors = [model.vectors_[identifier] for identifier in model.identifiers_]
-            got = {
-                (a.identifier, b.identifier): cosine_similarity(a, b)
-                for i, a in enumerate(vectors)
-                for b in vectors[i + 1 :]
-            }
-            assert list(got) == list(expected)
+            with tempfile.TemporaryDirectory() as directory:
+                lines, got, _ = score_blocks(model, directory, k=len(corpus))
+            assert [tuple(line.split("\t")[:2]) for line in lines] == list(expected)
+            assert got.keys() == expected.keys()
             for key, score in got.items():
                 assert abs(score - expected[key]) <= 1e-9, key
         assert time.perf_counter() - started < 120
@@ -147,10 +145,10 @@ def test_criterion_4_planted_duplicates():
         for i in range(5):
             original = corpus[i * 7].identifier
             clone = f"oai:dup.example:clone{i:02d}"
-            score = cosine_similarity(model.vectors_[original], model.vectors_[clone])
-            assert abs(score - 1.0) <= 1e-9
-            assert oracle.top_k(model, original, 1)[0].identifier == clone
-            assert oracle.top_k(model, clone, 1)[0].identifier == original
+            best = engine_top(model, original, 1)[0]
+            assert best.identifier == clone
+            assert abs(best.score - 1.0) <= 1e-9
+            assert engine_top(model, clone, 1)[0].identifier == original
 
 
 def test_criterion_5_round_trip_and_conformance():

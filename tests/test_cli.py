@@ -8,12 +8,19 @@ import urllib.request
 
 import pytest
 
+import conftest
 import oracle
 from conformance import conformance_problems
 from mock_upstream import MockUpstream, http_server
 from simharvest import cli
 from simharvest.oai_xml import parse_response
-from simharvest.pipeline import compute_store, index_store, load_top_matches
+from simharvest.pipeline import (
+    STAGES,
+    check_results_fresh,
+    compute_store,
+    index_store,
+    load_top_matches,
+)
 from simharvest.records import MetadataRecord
 from simharvest.store import RecordStore
 
@@ -106,6 +113,9 @@ class TestIndexComputeTop:
             wall / 28, abs=0.0005 / 28 + 1e-9
         )
         assert lines["pair file"].endswith("similarities.txt")
+        # each stage is printed at 3 decimals too
+        stages = [float(lines[f"{name.replace('_', ' ')} seconds"]) for name in STAGES]
+        assert sum(stages) <= wall + 0.0005 * len(stages)
 
         identifier = "oai:c.example:doc00000"
         code, out, _ = run_cli(capsys, "top", "--identifier", identifier, "--store", root)
@@ -171,6 +181,70 @@ class TestIndexComputeTop:
         )
         assert code == 2
         assert "no top matches" in err
+
+
+class TestBadFlagValues:
+    """A flag value out of range is a usage error (exit 1), refused before
+    the command does anything."""
+
+    def test_compute_negative_k_keeps_results_fresh(self, tmp_path, capsys):
+        root = str(tmp_path / "store")
+        store = populate(root, 6)
+        index_store(store)
+        compute_store(store, k=3)
+        before = conftest.tree_bytes(store.root)
+        code, _, err = run_cli(capsys, "compute", "--store", root, "--k", "-1")
+        assert code == 1
+        assert "k must be non-negative" in err
+        check_results_fresh(store)
+        assert conftest.tree_bytes(store.root) == before
+
+    def test_compute_floor_above_one(self, tmp_path, capsys):
+        root = str(tmp_path / "store")
+        code, _, err = run_cli(capsys, "compute", "--store", root, "--floor", "1.5")
+        assert code == 1
+        assert "score_floor" in err
+
+    def test_top_negative_k(self, tmp_path, capsys):
+        root = str(tmp_path / "store")
+        code, _, err = run_cli(
+            capsys, "top", "--store", root, "--identifier", "oai:c.example:doc00000",
+            "--k", "-1",
+        )
+        assert code == 1
+        assert "k must be non-negative" in err
+
+    @pytest.fixture
+    def no_server(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("serve started a server despite a bad flag")
+
+        monkeypatch.setattr(cli, "make_server", refuse)
+
+    def test_serve_negative_k(self, tmp_path, capsys, no_server):
+        code, _, err = run_cli(
+            capsys, "serve", "--store", str(tmp_path / "store"), "--k", "-1"
+        )
+        assert code == 1
+        assert "k must be >= 0" in err
+
+    def test_serve_zero_page_size(self, tmp_path, capsys, no_server):
+        code, _, err = run_cli(
+            capsys, "serve", "--store", str(tmp_path / "store"), "--page-size", "0"
+        )
+        assert code == 1
+        assert "page_size >= 1" in err
+
+    def test_estimate_negative_n(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--n", "-5")
+        assert code == 1
+        assert out == ""
+        assert "n must be non-negative" in err
+
+    def test_estimate_zero_per_pair(self, capsys):
+        code, _, err = run_cli(capsys, "estimate", "--n", "5", "--per-pair", "0")
+        assert code == 1
+        assert "per_pair_seconds must be positive" in err
 
 
 class TestConfigFile:
@@ -457,6 +531,7 @@ class TestServeCommand:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 def test_keyboard_interrupt_exits_runtime(monkeypatch, capsys):

@@ -8,9 +8,10 @@ import pytest
 import conftest
 import oracle
 from simharvest import cli, similarity
-from simharvest.exceptions import NotFoundError, StalenessError
+from simharvest.exceptions import NotFoundError, RecordValidationError, StalenessError
 from simharvest.oai_xml import format_score
 from simharvest.pipeline import (
+    STAGES,
     check_results_fresh,
     compute_store,
     index_store,
@@ -199,6 +200,39 @@ class TestComputeStore:
         assert meta["k"] == "4"
         assert float(meta["score_floor"]) == 0.0
 
+    def test_stage_timings(self, computed):
+        store, report = computed
+        assert tuple(report.stage_seconds) == STAGES
+        assert all(seconds >= 0.0 for seconds in report.stage_seconds.values())
+        assert sum(report.stage_seconds.values()) <= report.wall_seconds
+        meta = read_compute_meta(store)
+        keys = list(meta)
+        assert keys[:9] == [
+            "epoch",
+            "computed_at",
+            "documents",
+            "pair_count",
+            "pairs_written",
+            "wall_seconds",
+            "per_pair_seconds",
+            "k",
+            "score_floor",
+        ]
+        assert keys[9:] == [f"{stage}_seconds" for stage in STAGES]
+        for stage, seconds in report.stage_seconds.items():
+            assert float(meta[f"{stage}_seconds"]) == seconds
+
+    @pytest.mark.parametrize("k, floor", [(-1, 0.0), (3, 1.5)])
+    def test_bad_arguments_leave_results_fresh(self, store, k, floor):
+        populate(store, 6)
+        index_store(store)
+        compute_store(store, k=3)
+        before = conftest.tree_bytes(store.root)
+        with pytest.raises(RecordValidationError):
+            compute_store(store, k=k, score_floor=floor)
+        check_results_fresh(store)
+        assert conftest.tree_bytes(store.root) == before
+
     def test_empty_store_refuses(self, store):
         with pytest.raises(NotFoundError, match="harvest before computing"):
             compute_store(store)
@@ -271,9 +305,9 @@ class TestComputeStore:
         check_results_fresh(store)
         real = similarity._score_block
 
-        def failing(vectors, start, stop, part, score_floor, k):
-            result = real(vectors, start, stop, part, score_floor, k)
-            if stop == len(vectors):
+        def failing(identifiers, postings, start, stop, part, score_floor, k):
+            result = real(identifiers, postings, start, stop, part, score_floor, k)
+            if stop == len(identifiers):
                 raise RuntimeError("injected block failure")
             return result
 

@@ -13,7 +13,7 @@ import conftest
 import oracle
 from simharvest.exceptions import NotFoundError, RecordValidationError
 from simharvest.records import SimilarityMatch
-from oracle import parse_duration
+from oracle import cosine_similarity, parse_duration
 from simharvest.oai_xml import format_score
 from simharvest.similarity import (
     DEFAULT_PER_PAIR_SECONDS,
@@ -24,7 +24,6 @@ from simharvest.similarity import (
     _row_blocks,
     check_tf_corpus,
     collection_stats,
-    cosine_similarity,
     estimate_runtime,
     format_duration,
     idf,
@@ -39,6 +38,26 @@ corpora = st.lists(
     max_size=8,
     unique_by=lambda tf: tf.identifier,
 )
+
+# Zipf-like terms: "t<400 // r>" for r drawn from 1..400, so a few terms
+# turn up in most documents and most terms in few. Dense terms come from
+# six words, so nearly every pair shares some.
+zipf_terms = st.integers(min_value=1, max_value=400).map(lambda r: f"t{400 // r}")
+dense_terms = st.sampled_from(("aa", "bb", "cc", "dd", "ee", "ff"))
+
+
+def corpus_of(terms):
+    """1..20 documents over terms; an empty document stands for a deleted record."""
+    return st.lists(
+        st.dictionaries(terms, st.integers(min_value=1, max_value=6), max_size=12),
+        min_size=1,
+        max_size=20,
+    ).map(
+        lambda docs: [
+            TermFrequencyVector(f"oai:x.example:{i:03d}", counts)
+            for i, counts in enumerate(docs)
+        ]
+    )
 
 
 def score_blocks(model, directory, k, jobs=None):
@@ -60,6 +79,26 @@ def score_blocks(model, directory, k, jobs=None):
             for score, negated in heap:
                 scores[tuple(sorted((ids[row], ids[-negated])))] = score
     return lines, scores, merged
+
+
+def assert_scores_equal_reference(corpus, score_floor=0.0, jobs=None):
+    """Every pair's engine score == the reference scorer's, exactly, and the
+    pair lines are the reference's scores at or above the floor. Returns the
+    engine's scores by (id_a, id_b)."""
+    model = VectorSpaceModel(score_floor=score_floor).fit(corpus)
+    ids = model.identifiers_
+    with tempfile.TemporaryDirectory() as directory:
+        lines, scores, _ = score_blocks(model, directory, len(ids), jobs=jobs)
+    expected_lines = []
+    for i, id_a in enumerate(ids):
+        for id_b in ids[i + 1 :]:
+            reference = cosine_similarity(model.vectors_[id_a], model.vectors_[id_b])
+            assert scores[id_a, id_b] == reference, (id_a, id_b)
+            if reference >= score_floor:
+                expected_lines.append(f"{id_a}\t{id_b}\t{format_score(reference)}")
+    assert len(scores) == pair_count(len(ids))
+    assert lines == expected_lines
+    return scores
 
 
 def engine_top(model, identifier, k):
@@ -205,6 +244,75 @@ class TestCosine:
         b = weight_vector(corpus[1], stats)
         assert cosine_similarity(a, b) == pytest.approx(1.0, abs=1e-9)
         assert cosine_similarity(a, b) <= 1.0
+
+
+class TestExactScores:
+    """The term-at-a-time engine reproduces the reference pair scorer's
+    floats bit for bit, not merely within a tolerance."""
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(corpus_of(zipf_terms), corpus_of(dense_terms)),
+        st.sampled_from((0.0, 0.3)),
+    )
+    def test_every_score_equals_the_reference(self, corpus, floor):
+        assert_scores_equal_reference(corpus, floor)
+
+    def test_random_corpora(self, rng):
+        for n_docs, vocab_size in ((60, 400), (60, 12)):
+            corpus = oracle.random_corpus(rng, n_docs, vocab_size=vocab_size)
+            assert_scores_equal_reference(corpus)
+            assert_scores_equal_reference(corpus, 0.3)
+
+    def test_worker_scores_equal_the_reference(self, rng):
+        assert_scores_equal_reference(oracle.random_corpus(rng, 70), jobs=2)
+
+    def test_empty_vectors_score_zero(self):
+        corpus = [
+            TermFrequencyVector("oai:x:1", {"aa": 2, "bb": 1}),
+            TermFrequencyVector("oai:x:2", {}),  # a deleted record
+            TermFrequencyVector("oai:x:3", {"aa": 1, "cc": 3}),
+            TermFrequencyVector("oai:x:4", {"zz": 1}),
+            TermFrequencyVector("oai:x:5", {"zz": 2}),  # only zero-idf terms
+        ]
+        scores = assert_scores_equal_reference(corpus)
+        for (id_a, id_b), score in scores.items():
+            if {id_a, id_b} & {"oai:x:2"}:
+                assert score == 0.0
+
+    def test_identical_documents_clamp_to_one(self):
+        corpus = [
+            TermFrequencyVector("oai:x:1", {"aa": 8, "bb": 9}),
+            TermFrequencyVector("oai:x:2", {"aa": 8, "bb": 9}),
+            TermFrequencyVector("oai:x:3", {"zz": 1}),
+        ]
+        model = VectorSpaceModel().fit(corpus)
+        unclamped = 0.0
+        for weight in model.vectors_["oai:x:1"].weights.values():
+            unclamped += weight * weight
+        assert unclamped > 1.0  # the sum overshoots; the score must not
+        scores = assert_scores_equal_reference(corpus)
+        assert scores["oai:x:1", "oai:x:2"] == 1.0
+
+    def test_no_shared_terms_score_zero(self):
+        corpus = [
+            TermFrequencyVector("oai:x:1", {"aa": 1, "bb": 2}),
+            TermFrequencyVector("oai:x:2", {"cc": 1}),
+            TermFrequencyVector("oai:x:3", {"dd": 3, "ee": 1}),
+        ]
+        scores = assert_scores_equal_reference(corpus)
+        assert set(scores.values()) == {0.0}
+
+    def test_one_document(self, tmp_path):
+        model = VectorSpaceModel().fit([TermFrequencyVector("oai:x:1", {"aa": 1})])
+        blocks = list(model.similarity_pairs(str(tmp_path / "pairs"), k=10))
+        assert [(lines, heaps) for _, lines, heaps in blocks] == [(0, {})]
+        assert (tmp_path / "pairs.0").read_text() == ""
+
+    def test_floor_keeps_the_lines_at_or_above_it(self, rng):
+        corpus = oracle.random_corpus(rng, 40, vocab_size=30)
+        scores = assert_scores_equal_reference(corpus, 0.3)
+        assert min(scores.values()) < 0.3 <= max(scores.values())
 
 
 class TestPairs:

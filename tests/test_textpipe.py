@@ -1,5 +1,7 @@
 """Tokenization and term-frequency extraction."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,6 +124,15 @@ class TestTermFrequencyVector:
             TermFrequencyVector("oai:a.example:1", {"Upper": 1})
         with pytest.raises(RecordValidationError):
             TermFrequencyVector("oai:a.example:1", {"a b": 1})
+
+    def test_every_unicode_whitespace_rejected(self):
+        spaces = [chr(code) for code in range(sys.maxunicode + 1)]
+        spaces = [space for space in spaces if space.isspace()]
+        assert len(spaces) > 20
+        for space in spaces:
+            for term in (f"ab{space}cd", f"ab{space}", space):
+                with pytest.raises(RecordValidationError, match="no whitespace"):
+                    TermFrequencyVector("oai:a.example:1", {term: 1})
 
     def test_empty_vector_allowed(self):
         assert TermFrequencyVector("oai:a.example:1", {}).counts == {}
