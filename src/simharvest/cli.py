@@ -204,8 +204,11 @@ def _cmd_compute(args: argparse.Namespace, settings: dict) -> int:
     if not 0.0 <= score_floor <= 1.0:
         raise ConfigError(f"score_floor must lie in [0, 1], got {score_floor:g}")
     store = RecordStore(settings["store_root"])
-    jobs = settings.get("jobs") or os.cpu_count() or 1
-    report = compute_store(store, k=k, score_floor=score_floor, jobs=int(jobs))
+    jobs = settings.get("jobs")
+    jobs = (os.cpu_count() or 1) if jobs is None else int(jobs)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    report = compute_store(store, k=k, score_floor=score_floor, jobs=jobs)
     print(f"documents: {report.documents}")
     print(f"pairs: {report.pair_count}")
     print(f"pairs written: {report.pairs_written}")
@@ -269,8 +272,13 @@ def _cmd_dup_report(args: argparse.Namespace, settings: dict) -> int:
         raise ConfigError(
             "dup-report needs --threshold (or threshold in the config file)"
         )
+    threshold = float(threshold)
+    if not 0.0 <= threshold <= 1.01:
+        raise ConfigError(
+            f"threshold must lie in [0, 1] (1.01 to mean 'none'), got {threshold:g}"
+        )
     store = RecordStore(settings["store_root"])
-    pairs = duplicate_report(store, float(threshold))
+    pairs = duplicate_report(store, threshold)
     for pair in pairs:
         flag = "provenance-linked" if pair.provenance_linked else "-"
         print(f"{pair.id_a}\t{pair.id_b}\t{pair.score:.4f}\t{flag}")

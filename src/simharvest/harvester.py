@@ -25,7 +25,7 @@ from .exceptions import (
     TokenLoopError,
 )
 from .oai_xml import argument_problems, parse_response
-from .records import MetadataRecord, is_valid_datestamp
+from .records import MetadataRecord
 
 log = logging.getLogger(__name__)
 
@@ -71,9 +71,14 @@ class HarvestSession:
     def __post_init__(self):
         if not self.base_url:
             raise RequestArgumentError("base_url must be non-empty")
-        for bound, name in ((self.from_, "from"), (self.until, "until")):
-            if bound is not None and not is_valid_datestamp(bound):
-                raise RequestArgumentError(f"bad {name} datestamp {bound!r}")
+        arguments = {"metadataPrefix": "oai_dc"}
+        for name, value in (("from", self.from_), ("until", self.until)):
+            if value is not None:
+                arguments[name] = value
+        problems = argument_problems("ListRecords", arguments)
+        if problems:
+            raise RequestArgumentError(problems[0])
+        # one granularity for both bounds, so they compare as strings
         if self.from_ and self.until and self.from_ > self.until:
             raise RequestArgumentError("from datestamp is after until")
 

@@ -5,6 +5,10 @@ similarity ranking travels inside a record's optional <about> container as a
 <similarity> element (own namespace) holding <match identifier score/>
 children, score rendered with exactly four decimals.
 
+parse_response reads the envelope, errors and resumptionToken of any
+response, but records only from a ListRecords page (what the harvester
+fetches) or a GetRecord answer; other verbs' payloads are not parsed.
+
 Serialization and parsing are inverses for validated records: provenance
 about blocks are normalized once at parse time (stand-alone re-serialization
 of the block element), after which serialize -> parse is lossless.
@@ -90,9 +94,17 @@ def argument_problems(verb: str, arguments: Mapping[str, str]) -> list[str]:
         problems += [
             f"{verb} requires {name}" for name in required if name not in arguments
         ]
+    stamps = []
     for name in ("from", "until"):
-        if name in arguments and not is_valid_datestamp(arguments[name]):
-            problems.append(f"bad {name} datestamp {arguments[name]!r}")
+        if name in arguments:
+            if is_valid_datestamp(arguments[name]):
+                stamps.append(arguments[name])
+            else:
+                problems.append(f"bad {name} datestamp {arguments[name]!r}")
+    # section 3.3.1: both bounds share one granularity (day or second), so
+    # they compare as strings; valid datestamps of equal length share it
+    if len(stamps) == 2 and len(stamps[0]) != len(stamps[1]):
+        problems.append("from and until must have the same granularity")
     return problems
 
 
@@ -117,7 +129,7 @@ class ResumptionToken:
 
 @dataclass
 class ParsedResponse:
-    """Everything extracted from one response body."""
+    """What parse_response extracts from one response body."""
 
     verb: str
     response_date: str | None = None
@@ -126,9 +138,6 @@ class ParsedResponse:
     records: list[MetadataRecord] = field(default_factory=list)
     similarity: dict[str, SimilarityAbout] = field(default_factory=dict)
     token: ResumptionToken | None = None
-    identify: dict | None = None
-    formats: list[dict] = field(default_factory=list)
-    sets: list[dict] = field(default_factory=list)
 
 
 # --- helpers ----------------------------------------------------------------
@@ -167,8 +176,6 @@ def _element_text(parent: ET.Element, tag: str) -> str | None:
     if child is None or child.text is None:
         return None
     return child.text.strip()
-
-
 
 
 # --- serialization ----------------------------------------------------------
@@ -242,9 +249,7 @@ def _similarity_element(about: SimilarityAbout, schema_url: str) -> ET.Element:
 
 def serialize_similarity(about: SimilarityAbout, schema_url: str) -> bytes:
     """Stand-alone similarity container document, as the /similar route sends it."""
-    element = _similarity_element(about, schema_url)
-    ET.indent(element)
-    return ET.tostring(element, encoding="utf-8", xml_declaration=True)
+    return _to_bytes(_similarity_element(about, schema_url))
 
 
 def _record_element(
@@ -388,7 +393,6 @@ def serialize_list_sets(
     *,
     base_url: str,
     request_args: Mapping[str, str],
-    token: ResumptionToken | None = None,
     response_date: str | None = None,
 ) -> bytes:
     root = _response_root(base_url, request_args, response_date, True)
@@ -399,8 +403,6 @@ def serialize_list_sets(
         ET.SubElement(element, _q("setName")).text = entry.get(
             "setName", entry["setSpec"]
         )
-    if token is not None:
-        payload.append(_token_element(token))
     return _to_bytes(root)
 
 
@@ -446,9 +448,7 @@ def build_similarity_about(
 
 def serialize_record_fragment(record: MetadataRecord) -> bytes:
     """Stand-alone <record> document, used as the store's per-record file."""
-    root = _record_element(record)
-    ET.indent(root)
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+    return _to_bytes(_record_element(record))
 
 
 def parse_record_fragment(data: bytes) -> MetadataRecord:
@@ -460,18 +460,6 @@ def parse_record_fragment(data: bytes) -> MetadataRecord:
 
 
 # --- parsing ----------------------------------------------------------------
-
-
-def _parse_header(header: ET.Element) -> tuple[str, str, tuple[str, ...], bool]:
-    identifier = _element_text(header, "identifier")
-    datestamp = _element_text(header, "datestamp")
-    if not identifier or not datestamp:
-        raise RecordValidationError("header lacks identifier or datestamp")
-    specs = tuple(
-        el.text.strip() for el in header.findall(_q("setSpec")) if el.text
-    )
-    deleted = header.get("status") == "deleted"
-    return identifier, datestamp, specs, deleted
 
 
 def _parse_similarity(element: ET.Element) -> SimilarityAbout:
@@ -501,7 +489,13 @@ def _parse_record(
     header = element.find(_q("header"))
     if header is None:
         raise RecordValidationError("record lacks a header")
-    identifier, datestamp, specs, deleted = _parse_header(header)
+    identifier = _element_text(header, "identifier")
+    datestamp = _element_text(header, "datestamp")
+    if not identifier or not datestamp:
+        raise RecordValidationError("header lacks identifier or datestamp")
+    specs = tuple(
+        el.text.strip() for el in header.findall(_q("setSpec")) if el.text
+    )
     dc_fields: list[tuple[str, str]] = []
     metadata = element.find(_q("metadata"))
     if metadata is not None:
@@ -537,7 +531,7 @@ def _parse_record(
         set_specs=specs,
         dc_fields=tuple(dc_fields),
         provenance=tuple(provenance),
-        deleted=deleted,
+        deleted=header.get("status") == "deleted",
     )
     return record, similarity
 
@@ -558,8 +552,9 @@ def _parse_token(parent: ET.Element) -> ResumptionToken | None:
 def parse_response(data: bytes | str, expected_verb: str) -> ParsedResponse:
     """Parse one response body, checking it answers the verb we asked.
 
-    Protocol errors inside the body are returned, not raised; the caller
-    decides how to react. Nothing absent is ever invented.
+    Records and their similarity containers come only from a GetRecord or
+    ListRecords payload. Protocol errors inside the body are returned, not
+    raised; the caller decides how to react. Nothing absent is ever invented.
     """
     if expected_verb not in VERB_ARGUMENTS:
         raise RecordValidationError(f"unknown verb {expected_verb!r}")
@@ -595,41 +590,5 @@ def parse_response(data: bytes | str, expected_verb: str) -> ParsedResponse:
             parsed.records.append(record)
             if similarity is not None:
                 parsed.similarity[record.identifier] = similarity
-    elif actual == "ListIdentifiers":
-        for element in payload.findall(_q("header")):
-            identifier, datestamp, specs, deleted = _parse_header(element)
-            parsed.records.append(
-                MetadataRecord(
-                    identifier=identifier,
-                    datestamp=datestamp,
-                    set_specs=specs,
-                    deleted=deleted,
-                )
-            )
-    elif actual == "Identify":
-        parsed.identify = {
-            _local(child.tag): (child.text or "").strip() for child in payload
-        }
-        parsed.identify["adminEmail"] = [
-            (el.text or "").strip() for el in payload.findall(_q("adminEmail"))
-        ]
-    elif actual == "ListMetadataFormats":
-        for element in payload.findall(_q("metadataFormat")):
-            parsed.formats.append(
-                {
-                    "metadataPrefix": _element_text(element, "metadataPrefix") or "",
-                    "schema": _element_text(element, "schema") or "",
-                    "metadataNamespace": _element_text(element, "metadataNamespace")
-                    or "",
-                }
-            )
-    elif actual == "ListSets":
-        for element in payload.findall(_q("set")):
-            parsed.sets.append(
-                {
-                    "setSpec": _element_text(element, "setSpec") or "",
-                    "setName": _element_text(element, "setName") or "",
-                }
-            )
     parsed.token = _parse_token(payload)
     return parsed

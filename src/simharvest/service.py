@@ -39,7 +39,7 @@ from .oai_xml import (
     serialize_similarity,
 )
 from .pipeline import check_results_fresh, iter_similarity_lines, load_top_matches
-from .records import OaiError
+from .records import OaiError, SimilarityAbout
 from .store import RecordStore
 
 XML_CONTENT_TYPE = "text/xml; charset=utf-8"
@@ -203,16 +203,9 @@ class OaiProvider:
         about = None
         if not record.deleted:
             try:
-                meta = check_results_fresh(self.store)
-                matches = load_top_matches(self.store, record.identifier, self.config.k)
-                about = build_similarity_about(
-                    record.identifier,
-                    matches,
-                    self.config.k,
-                    computed_at=meta.get("computed_at"),
-                )
+                about = self._similarity(record.identifier, self.config.k)
             except (StalenessError, NotFoundError):
-                about = None  # no fresh results: the record stands alone
+                pass  # no fresh results: the record stands alone
         return serialize_get_record(
             record,
             about,
@@ -231,7 +224,7 @@ class OaiProvider:
         token_text = flat.get("resumptionToken")
         if token_text is not None:
             try:
-                offset, filters = self._decode_token(token_text)
+                offset, filters = self._decode_token(token_text, flat["verb"])
             except SimHarvestError as error:
                 return self._error_response(
                     flat, [OaiError("badResumptionToken", str(error))]
@@ -287,7 +280,7 @@ class OaiProvider:
         ]
         return "!".join(parts)
 
-    def _decode_token(self, text: str) -> tuple[int, tuple]:
+    def _decode_token(self, text: str, verb: str) -> tuple[int, tuple]:
         parts = text.split("!")
         if len(parts) != 6 or not parts[2].isdigit():
             raise SimHarvestError("malformed resumption token")
@@ -299,6 +292,15 @@ class OaiProvider:
             )
         if digest != self._filter_hash(filters):
             raise SimHarvestError("token filters were tampered with")
+        # the digest is unkeyed, so a client can forge one: the pinned filters
+        # pass the same rule as a fresh request's
+        arguments = {"metadataPrefix": "oai_dc"}
+        for name, value in zip(("from", "until", "set"), filters):
+            if value is not None:
+                arguments[name] = value
+        problems = argument_problems(verb, arguments)
+        if problems:
+            raise SimHarvestError(f"token filters are illegal: {problems[0]}")
         return offset, filters
 
     # -- auxiliary endpoints -----------------------------------------------------
@@ -322,17 +324,22 @@ class OaiProvider:
         if not self.store.has_record(identifier):
             return _plain("404 Not Found", f"unknown identifier {identifier}")
         try:
-            meta = check_results_fresh(self.store)
-            matches = load_top_matches(self.store, identifier, k)
+            about = self._similarity(identifier, k)
         except StalenessError as error:
             return _plain("409 Conflict", f"{error}")
         except NotFoundError as error:
             return _plain("404 Not Found", str(error))
-        about = build_similarity_about(
-            identifier, matches, k, computed_at=meta.get("computed_at")
-        )
         body = serialize_similarity(about, self.config.schema_url)
         return "200 OK", XML_CONTENT_TYPE, body
+
+    def _similarity(self, identifier: str, k: int) -> SimilarityAbout:
+        """The subject's top-k container for GetRecord and /similar; raises
+        StalenessError or NotFoundError when there are no fresh results."""
+        meta = check_results_fresh(self.store)
+        matches = load_top_matches(self.store, identifier, k)
+        return build_similarity_about(
+            identifier, matches, k, computed_at=meta.get("computed_at")
+        )
 
 
 def _plain(status: str, message: str) -> tuple[str, str, bytes]:

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import urllib.request
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -13,7 +14,7 @@ import oracle
 from conformance import conformance_problems
 from mock_upstream import MockUpstream, http_server
 from simharvest import cli
-from simharvest.oai_xml import parse_response
+from simharvest.oai_xml import OAI_NS, parse_response
 from simharvest.pipeline import (
     STAGES,
     check_results_fresh,
@@ -199,6 +200,28 @@ class TestBadFlagValues:
         check_results_fresh(store)
         assert conftest.tree_bytes(store.root) == before
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_compute_jobs_below_one_keeps_results_fresh(self, tmp_path, capsys, jobs):
+        root = str(tmp_path / "store")
+        store = populate(root, 6)
+        index_store(store)
+        compute_store(store, k=3)
+        before = conftest.tree_bytes(store.root)
+        code, _, err = run_cli(capsys, "compute", "--store", root, "--jobs", jobs)
+        assert code == 1
+        assert f"jobs must be at least 1, got {jobs}" in err
+        check_results_fresh(store)
+        assert conftest.tree_bytes(store.root) == before
+
+    def test_compute_jobs_zero_in_config_file(self, tmp_path, capsys):
+        root = str(tmp_path / "store")
+        index_store(populate(root, 6))
+        cfg = tmp_path / "simharvest.conf"
+        cfg.write_text(f"store_root = {root}\njobs = 0\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "compute", "--config", str(cfg))
+        assert code == 1
+        assert "jobs must be at least 1, got 0" in err
+
     def test_compute_floor_above_one(self, tmp_path, capsys):
         root = str(tmp_path / "store")
         code, _, err = run_cli(capsys, "compute", "--store", root, "--floor", "1.5")
@@ -372,7 +395,7 @@ class TestDupReport:
         code, _, err = run_cli(
             capsys, "dup-report", "--store", root, "--threshold", "2"
         )
-        assert code == 2
+        assert code == 1
         assert "threshold" in err
 
     def test_threshold_from_config_file(self, tmp_path, capsys):
@@ -517,8 +540,10 @@ class TestServeCommand:
             with urllib.request.urlopen(f"{base}/?verb=Identify", timeout=10) as reply:
                 body = reply.read()
             assert conformance_problems(body) == []
-            parsed = parse_response(body, "Identify")
-            assert parsed.identify["repositoryName"] == "simharvest aggregator"
+            identify = ET.fromstring(body).find(f"{{{OAI_NS}}}Identify")
+            assert identify.findtext(f"{{{OAI_NS}}}repositoryName") == (
+                "simharvest aggregator"
+            )
             record_url = (
                 f"{base}/?verb=GetRecord&metadataPrefix=oai_dc"
                 "&identifier=oai:c.example:doc00000"

@@ -98,6 +98,19 @@ class TestHarvestSession:
         with pytest.raises(RequestArgumentError):
             HarvestSession(base_url=BASE, from_="2003-01-01", until="2002-01-01")
 
+    def test_mixed_granularity_refused(self):
+        with pytest.raises(RequestArgumentError, match="same granularity"):
+            HarvestSession(
+                base_url=BASE, from_="2006-01-02T10:00:00Z", until="2006-01-02"
+            )
+        arguments = {
+            "metadataPrefix": "oai_dc",
+            "from": "2006-01-01",
+            "until": "2006-01-02T00:00:00Z",
+        }
+        with pytest.raises(RequestArgumentError, match="same granularity"):
+            build_request_url(BASE, "ListRecords", arguments)
+
     def test_first_page_arguments(self):
         session = HarvestSession(
             base_url=BASE, from_="2001-01-01", until="2002-01-01", set_spec="x"

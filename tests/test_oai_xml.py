@@ -1,12 +1,14 @@
 """Response serialization and parsing: lossless round trips, protocol shape."""
 
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
+from conformance import conformance_problems
 from simharvest import oai_xml, records
 from simharvest.exceptions import (
     ProtocolMismatchError,
@@ -14,7 +16,9 @@ from simharvest.exceptions import (
     XmlParseError,
 )
 from simharvest.oai_xml import (
+    DC_NS,
     DEFAULT_SIMILARITY_SCHEMA_URL,
+    OAI_NS,
     ResumptionToken,
     build_similarity_about,
     format_score,
@@ -38,6 +42,16 @@ from simharvest.records import (
 
 BASE = "http://aggregator.example/oai"
 DATE = "2006-04-19T12:00:00Z"
+
+
+def oai(tag):
+    return f"{{{OAI_NS}}}{tag}"
+
+
+def vetted_payload(body, verb):
+    """The <verb> element of a body that passes the conformance validator."""
+    assert conformance_problems(body) == []
+    return ET.fromstring(body).find(oai(verb))
 
 
 def sample_record(**overrides):
@@ -275,14 +289,20 @@ class TestListVerbs:
             request_args={"verb": "ListIdentifiers", "metadataPrefix": "oai_dc"},
             response_date=DATE,
         )
-        parsed = parse_response(body, "ListIdentifiers")
-        assert [r.identifier for r in parsed.records] == [
+        listing = vetted_payload(body, "ListIdentifiers")
+        headers = listing.findall(oai("header"))
+        assert [h.findtext(oai("identifier")) for h in headers] == [
             r.identifier for r in records
         ]
-        assert [r.datestamp for r in parsed.records] == [r.datestamp for r in records]
-        assert [r.set_specs for r in parsed.records] == [r.set_specs for r in records]
-        assert [r.deleted for r in parsed.records] == [False, False, False, True]
-        assert all(r.dc_fields == () for r in parsed.records)
+        assert [h.findtext(oai("datestamp")) for h in headers] == [
+            r.datestamp for r in records
+        ]
+        assert [
+            tuple(spec.text for spec in h.findall(oai("setSpec"))) for h in headers
+        ] == [r.set_specs for r in records]
+        deleted = [h.get("status") == "deleted" for h in headers]
+        assert deleted == [False, False, False, True]
+        assert not any(e.tag.startswith(f"{{{DC_NS}}}") for e in listing.iter())
 
 
 class TestIdentifyAndFriends:
@@ -301,10 +321,13 @@ class TestIdentifyAndFriends:
             self.INFO, base_url=BASE, request_args={"verb": "Identify"},
             response_date=DATE,
         )
-        parsed = parse_response(body, "Identify")
-        assert parsed.identify["repositoryName"] == "test aggregator"
-        assert parsed.identify["adminEmail"] == ["one@example.org", "two@example.org"]
-        assert parsed.identify["granularity"] == "YYYY-MM-DDThh:mm:ssZ"
+        identify = vetted_payload(body, "Identify")
+        assert identify.findtext(oai("repositoryName")) == "test aggregator"
+        assert [e.text for e in identify.findall(oai("adminEmail"))] == [
+            "one@example.org",
+            "two@example.org",
+        ]
+        assert identify.findtext(oai("granularity")) == "YYYY-MM-DDThh:mm:ssZ"
 
     def test_formats_round_trip(self):
         formats = [
@@ -317,14 +340,22 @@ class TestIdentifyAndFriends:
         body = serialize_list_metadata_formats(
             formats, base_url=BASE, request_args={"verb": "ListMetadataFormats"}
         )
-        assert parse_response(body, "ListMetadataFormats").formats == formats
+        listing = vetted_payload(body, "ListMetadataFormats")
+        assert [
+            {name: entry.findtext(oai(name)) for name in formats[0]}
+            for entry in listing.findall(oai("metadataFormat"))
+        ] == formats
 
     def test_sets_round_trip(self):
         sets = [{"setSpec": "reports", "setName": "reports"}]
         body = serialize_list_sets(
             sets, base_url=BASE, request_args={"verb": "ListSets"}
         )
-        assert parse_response(body, "ListSets").sets == sets
+        listing = vetted_payload(body, "ListSets")
+        assert [
+            {name: entry.findtext(oai(name)) for name in sets[0]}
+            for entry in listing.findall(oai("set"))
+        ] == sets
 
 
 class TestErrors:

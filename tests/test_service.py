@@ -20,6 +20,8 @@ from simharvest import service as service_module
 from simharvest.exceptions import SimHarvestError, StalenessError
 from simharvest.harvester import HarvestSession, harvest
 from simharvest.oai_xml import (
+    DC_NS,
+    OAI_NS,
     SIMILARITY_NS,
     ResumptionToken,
     build_similarity_about,
@@ -85,11 +87,26 @@ def protocol_body(provider, args, method="GET"):
     return body
 
 
-def checked(provider, expected_verb, args, method="GET"):
-    """Request, validate conformance, and parse one protocol response."""
+def vetted(provider, args, method="GET"):
+    """Request one protocol response and return its conformant body."""
     body = protocol_body(provider, args, method=method)
     assert conformance_problems(body) == []
-    return parse_response(body, expected_verb)
+    return body
+
+
+def checked(provider, expected_verb, args, method="GET"):
+    """Request, validate conformance, and parse one protocol response."""
+    return parse_response(vetted(provider, args, method=method), expected_verb)
+
+
+def oai(tag):
+    return f"{{{OAI_NS}}}{tag}"
+
+
+def payload(provider, verb, extra=None):
+    """The <verb> element of one vetted response."""
+    body = vetted(provider, {"verb": verb, **(extra or {})})
+    return ET.fromstring(body).find(oai(verb))
 
 
 def error_codes(parsed):
@@ -149,36 +166,40 @@ ALL_IDS = LIVE_IDS + ["oai:repo.example:zz-gone"]
 
 class TestIdentify:
     def test_round_trip(self, provider):
-        parsed = checked(provider, "Identify", {"verb": "Identify"})
-        info = parsed.identify
-        assert info["repositoryName"] == "test aggregator"
-        assert info["baseURL"] == BASE
-        assert info["protocolVersion"] == "2.0"
-        assert info["adminEmail"] == ["oai@aggregator.example"]
-        assert info["earliestDatestamp"] == "2000-01-01T00:00:00Z"
-        assert info["deletedRecord"] == "transient"
-        assert info["granularity"] == "YYYY-MM-DDThh:mm:ssZ"
+        info = payload(provider, "Identify")
+        assert info.findtext(oai("repositoryName")) == "test aggregator"
+        assert info.findtext(oai("baseURL")) == BASE
+        assert info.findtext(oai("protocolVersion")) == "2.0"
+        assert [e.text for e in info.findall(oai("adminEmail"))] == [
+            "oai@aggregator.example"
+        ]
+        assert info.findtext(oai("earliestDatestamp")) == "2000-01-01T00:00:00Z"
+        assert info.findtext(oai("deletedRecord")) == "transient"
+        assert info.findtext(oai("granularity")) == "YYYY-MM-DDThh:mm:ssZ"
 
     def test_empty_store_uses_epoch_floor(self, tmp_path):
         empty = OaiProvider(RecordStore(tmp_path / "s"), ProviderConfig(base_url=BASE))
-        parsed = checked(empty, "Identify", {"verb": "Identify"})
-        assert parsed.identify["earliestDatestamp"] == "1970-01-01"
+        info = payload(empty, "Identify")
+        assert info.findtext(oai("earliestDatestamp")) == "1970-01-01"
 
 
 class TestListMetadataFormats:
+    @staticmethod
+    def prefixes(formats):
+        return [
+            f.findtext(oai("metadataPrefix"))
+            for f in formats.iter(oai("metadataFormat"))
+        ]
+
     def test_repository_wide(self, provider):
-        parsed = checked(
-            provider, "ListMetadataFormats", {"verb": "ListMetadataFormats"}
-        )
-        assert [f["metadataPrefix"] for f in parsed.formats] == ["oai_dc"]
+        formats = payload(provider, "ListMetadataFormats")
+        assert self.prefixes(formats) == ["oai_dc"]
 
     def test_per_item(self, provider):
-        parsed = checked(
-            provider,
-            "ListMetadataFormats",
-            {"verb": "ListMetadataFormats", "identifier": LIVE_IDS[0]},
+        formats = payload(
+            provider, "ListMetadataFormats", {"identifier": LIVE_IDS[0]}
         )
-        assert [f["metadataPrefix"] for f in parsed.formats] == ["oai_dc"]
+        assert self.prefixes(formats) == ["oai_dc"]
 
     def test_unknown_identifier(self, provider):
         parsed = checked(
@@ -191,8 +212,11 @@ class TestListMetadataFormats:
 
 class TestListSets:
     def test_sets_served(self, provider):
-        parsed = checked(provider, "ListSets", {"verb": "ListSets"})
-        assert [s["setSpec"] for s in parsed.sets] == ["aero", "struct"]
+        sets = payload(provider, "ListSets")
+        assert [s.findtext(oai("setSpec")) for s in sets.iter(oai("set"))] == [
+            "aero",
+            "struct",
+        ]
 
     def test_no_set_hierarchy_when_empty(self, tmp_path):
         empty = OaiProvider(RecordStore(tmp_path / "s"), ProviderConfig(base_url=BASE))
@@ -200,25 +224,37 @@ class TestListSets:
         assert error_codes(parsed) == ["noSetHierarchy"]
 
 
+def walk_bodies(provider, verb, extra=None):
+    """Follow resumption tokens to exhaustion, returning every vetted page."""
+    args = {"verb": verb, "metadataPrefix": "oai_dc", **(extra or {})}
+    bodies = [vetted(provider, args)]
+    token = parse_response(bodies[-1], verb).token
+    while token is not None and token.text:
+        bodies.append(vetted(provider, {"verb": verb, "resumptionToken": token.text}))
+        token = parse_response(bodies[-1], verb).token
+    return bodies
+
+
 def walk(provider, verb, extra=None):
     """Follow resumption tokens to exhaustion, returning every parsed page."""
-    args = {"verb": verb, "metadataPrefix": "oai_dc", **(extra or {})}
-    pages = [checked(provider, verb, args)]
-    while pages[-1].token is not None and pages[-1].token.text:
-        pages.append(
-            checked(
-                provider, verb, {"verb": verb, "resumptionToken": pages[-1].token.text}
-            )
-        )
-    return pages
+    return [parse_response(body, verb) for body in walk_bodies(provider, verb, extra)]
+
+
+def header_ids(body):
+    """The header identifiers of one page, in document order."""
+    return [
+        header.findtext(oai("identifier"))
+        for header in ET.fromstring(body).iter(oai("header"))
+    ]
 
 
 class TestListVerbsPaging:
     @pytest.mark.parametrize("verb", ["ListRecords", "ListIdentifiers"])
     def test_full_walk(self, provider, verb):
-        pages = walk(provider, verb)
-        assert [len(page.records) for page in pages] == [4, 4, 3]
-        harvested = [r.identifier for page in pages for r in page.records]
+        bodies = walk_bodies(provider, verb)
+        pages = [parse_response(body, verb) for body in bodies]
+        assert [len(header_ids(body)) for body in bodies] == [4, 4, 3]
+        harvested = [i for body in bodies for i in header_ids(body)]
         assert harvested == ALL_IDS
         assert pages[0].token.complete_list_size == 11
         assert pages[0].token.cursor == 0
@@ -233,19 +269,23 @@ class TestListVerbsPaging:
                 assert record == corpus_store.get_record(record.identifier)
 
     def test_list_identifiers_is_header_only(self, provider):
-        pages = walk(provider, "ListIdentifiers")
-        records = [r for page in pages for r in page.records]
-        assert all(r.dc_fields == () for r in records)
-        deleted = [r for r in records if r.deleted]
-        assert [r.identifier for r in deleted] == ["oai:repo.example:zz-gone"]
+        bodies = walk_bodies(provider, "ListIdentifiers")
+        elements = [e for body in bodies for e in ET.fromstring(body).iter()]
+        assert not any(e.tag.startswith(f"{{{DC_NS}}}") for e in elements)
+        deleted = [
+            e.findtext(oai("identifier"))
+            for e in elements
+            if e.tag == oai("header") and e.get("status") == "deleted"
+        ]
+        assert deleted == ["oai:repo.example:zz-gone"]
 
     def test_datestamp_window(self, provider):
-        pages = walk(
+        bodies = walk_bodies(
             provider,
             "ListIdentifiers",
             extra={"from": "2000-01-05", "until": "2000-01-08"},
         )
-        harvested = [r.identifier for page in pages for r in page.records]
+        harvested = [i for body in bodies for i in header_ids(body)]
         assert harvested == LIVE_IDS[4:8]
 
     def test_set_filter_pages_too(self, provider):
@@ -335,6 +375,24 @@ class TestResumptionTokenRejection:
         )
         assert error_codes(parsed) == ["badResumptionToken"]
         assert "out of range" in parsed.errors[0].message
+
+    @pytest.mark.parametrize(
+        "filters, problem",
+        [
+            (("bogus", None, None), "bad from datestamp 'bogus'"),
+            (("2000-01-01", "2000-12-31T00:00:00Z", None), "same granularity"),
+        ],
+    )
+    def test_forged_filters(self, provider, filters, problem):
+        # the filter digest is unkeyed, so a client can forge a matching one
+        token = provider._encode_token(4, filters)
+        parsed = checked(
+            provider,
+            "ListRecords",
+            {"verb": "ListRecords", "resumptionToken": token},
+        )
+        assert error_codes(parsed) == ["badResumptionToken"]
+        assert problem in parsed.errors[0].message
 
 
 class TestGetRecord:
@@ -488,6 +546,20 @@ class TestArgumentPolicing:
             {"verb": "ListRecords", "metadataPrefix": "oai_dc", "from": "20000105"},
         )
         assert error_codes(parsed) == ["badArgument"]
+
+    def test_mixed_granularity(self, provider):
+        parsed = checked(
+            provider,
+            "ListIdentifiers",
+            {
+                "verb": "ListIdentifiers",
+                "metadataPrefix": "oai_dc",
+                "from": "2000-01-01",
+                "until": "2000-12-31T00:00:00Z",
+            },
+        )
+        assert error_codes(parsed) == ["badArgument"]
+        assert "same granularity" in parsed.errors[0].message
 
     def test_multiple_errors_reported_together(self, provider):
         parsed = checked(
