@@ -28,6 +28,7 @@ from .exceptions import (
 )
 from .records import (
     DC_ELEMENTS,
+    Header,
     MetadataRecord,
     OaiError,
     SimilarityAbout,
@@ -206,7 +207,7 @@ def _to_bytes(root: ET.Element) -> bytes:
     return ET.tostring(root, encoding="utf-8", xml_declaration=True)
 
 
-def _header_element(record: MetadataRecord) -> ET.Element:
+def _header_element(record: MetadataRecord | Header) -> ET.Element:
     header = ET.Element(_q("header"))
     if record.deleted:
         header.set("status", "deleted")
@@ -321,7 +322,7 @@ def serialize_list_records(
 
 
 def serialize_list_identifiers(
-    records: Sequence[MetadataRecord],
+    records: Sequence[MetadataRecord | Header],
     *,
     base_url: str,
     request_args: Mapping[str, str],
@@ -451,12 +452,21 @@ def serialize_record_fragment(record: MetadataRecord) -> bytes:
     return _to_bytes(_record_element(record))
 
 
-def parse_record_fragment(data: bytes) -> MetadataRecord:
+def _record_document(data: bytes) -> ET.Element:
     element = _fromstring(data)
     if element.tag != _q("record"):
         raise ProtocolMismatchError(f"expected a record document, got {element.tag}")
-    record, _ = _parse_record(element)
+    return element
+
+
+def parse_record_fragment(data: bytes) -> MetadataRecord:
+    record, _ = _parse_record(_record_document(data))
     return record
+
+
+def parse_record_header(data: bytes) -> Header:
+    """The header of a stored record document; its metadata is left unread."""
+    return _parse_header(_record_document(data))
 
 
 # --- parsing ----------------------------------------------------------------
@@ -483,10 +493,8 @@ def _parse_similarity(element: ET.Element) -> SimilarityAbout:
     return SimilarityAbout(subject, computed, tuple(matches))
 
 
-def _parse_record(
-    element: ET.Element,
-) -> tuple[MetadataRecord, SimilarityAbout | None]:
-    header = element.find(_q("header"))
+def _parse_header(record: ET.Element) -> Header:
+    header = record.find(_q("header"))
     if header is None:
         raise RecordValidationError("record lacks a header")
     identifier = _element_text(header, "identifier")
@@ -496,6 +504,14 @@ def _parse_record(
     specs = tuple(
         el.text.strip() for el in header.findall(_q("setSpec")) if el.text
     )
+    return Header(identifier, datestamp, specs, header.get("status") == "deleted")
+
+
+def _parse_record(
+    element: ET.Element,
+) -> tuple[MetadataRecord, SimilarityAbout | None]:
+    header = _parse_header(element)
+    identifier = header.identifier
     dc_fields: list[tuple[str, str]] = []
     metadata = element.find(_q("metadata"))
     if metadata is not None:
@@ -527,11 +543,11 @@ def _parse_record(
             provenance.append(ET.tostring(child, encoding="unicode"))
     record = MetadataRecord(
         identifier=identifier,
-        datestamp=datestamp,
-        set_specs=specs,
+        datestamp=header.datestamp,
+        set_specs=header.set_specs,
         dc_fields=tuple(dc_fields),
         provenance=tuple(provenance),
-        deleted=header.get("status") == "deleted",
+        deleted=header.deleted,
     )
     return record, similarity
 

@@ -1,7 +1,8 @@
 """Domain objects: harvested records, similarity payloads, protocol errors.
 
-All types are frozen dataclasses validated on construction. Sequence fields
-are normalized to tuples so instances are safely shareable across threads.
+All types but Header are frozen dataclasses validated on construction; a
+Header only copies fields of a validated record. Sequence fields are
+normalized to tuples so instances are safely shareable across threads.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exceptions import RecordValidationError
 
@@ -172,6 +173,15 @@ class MetadataRecord:
         object.__setattr__(self, "provenance", tuple(canonical))
         if self.deleted and (self.dc_fields or self.provenance):
             raise RecordValidationError("deleted records carry no metadata or about parts")
+
+
+class Header(NamedTuple):
+    """A stored record's header: all that ListIdentifiers serves of it."""
+
+    identifier: str
+    datestamp: str
+    set_specs: tuple[str, ...]
+    deleted: bool
 
 
 @dataclass(frozen=True)

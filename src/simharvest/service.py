@@ -164,7 +164,9 @@ class OaiProvider:
             "baseURL": self.config.base_url,
             "protocolVersion": "2.0",
             "adminEmail": self.config.admin_email,
-            "earliestDatestamp": self.store.earliest_datestamp() or "1970-01-01",
+            "earliestDatestamp": (
+                self.store.earliest_datestamp() or "1970-01-01T00:00:00Z"
+            ),
             "deletedRecord": "transient",
             "granularity": "YYYY-MM-DDThh:mm:ssZ",
         }
@@ -215,16 +217,23 @@ class OaiProvider:
         )
 
     def _verb_list_records(self, flat: dict) -> bytes:
-        return self._list_response(flat, serialize_list_records)
+        return self._list_response(flat, serialize_list_records, read_records=True)
 
     def _verb_list_identifiers(self, flat: dict) -> bytes:
-        return self._list_response(flat, serialize_list_identifiers)
+        return self._list_response(flat, serialize_list_identifiers, read_records=False)
 
-    def _list_response(self, flat: dict, serialize: Callable) -> bytes:
+    def _list_response(
+        self, flat: dict, serialize: Callable, read_records: bool
+    ) -> bytes:
+        # one catalog snapshot answers the request: the page, completeListSize
+        # and the epoch the token is checked against and pinned to
+        catalog = self.store.catalog()
         token_text = flat.get("resumptionToken")
         if token_text is not None:
             try:
-                offset, filters = self._decode_token(token_text, flat["verb"])
+                offset, filters = self._decode_token(
+                    token_text, flat["verb"], catalog.epoch
+                )
             except SimHarvestError as error:
                 return self._error_response(
                     flat, [OaiError("badResumptionToken", str(error))]
@@ -232,31 +241,40 @@ class OaiProvider:
         else:
             offset = 0
             filters = (flat.get("from"), flat.get("until"), flat.get("set"))
-        identifiers = self.store.list_identifiers(*filters)
-        if not identifiers:
+        if filters[2] is not None and not catalog.set_specs:
+            return self._error_response(
+                flat, [OaiError("noSetHierarchy", "this repository defines no sets")]
+            )
+        headers = catalog.select(*filters)
+        if not headers:
             return self._error_response(
                 flat, [OaiError("noRecordsMatch", "no records satisfy the filters")]
             )
-        if token_text is not None and offset >= len(identifiers):
+        if token_text is not None and offset >= len(headers):
             return self._error_response(
                 flat,
                 [OaiError("badResumptionToken", "token cursor is out of range")],
             )
-        page = identifiers[offset : offset + self.config.page_size]
-        records = [self.store.get_record(identifier) for identifier in page]
+        page = headers[offset : offset + self.config.page_size]
+        if read_records:
+            page = [self.store.get_record(header.identifier) for header in page]
         next_offset = offset + len(page)
-        more = next_offset < len(identifiers)
+        more = next_offset < len(headers)
         token = None
         # OAI-PMH 2.0 section 3.5: the last page of a multi-page list carries
         # an empty token
         if more or offset > 0:
             token = ResumptionToken(
-                text=self._encode_token(next_offset, filters) if more else "",
-                complete_list_size=len(identifiers),
+                text=(
+                    self._encode_token(next_offset, filters, catalog.epoch)
+                    if more
+                    else ""
+                ),
+                complete_list_size=len(headers),
                 cursor=offset,
             )
         return serialize(
-            records,
+            page,
             base_url=self.config.base_url,
             request_args=flat,
             token=token,
@@ -269,9 +287,9 @@ class OaiProvider:
         text = "\x1f".join("" if part is None else part for part in filters)
         return hashlib.sha1(text.encode("utf-8")).hexdigest()[:8]
 
-    def _encode_token(self, offset: int, filters: tuple) -> str:
+    def _encode_token(self, offset: int, filters: tuple, epoch: int) -> str:
         parts = [
-            str(self.store.epoch()),
+            str(epoch),
             self._filter_hash(filters),
             str(offset),
             quote(filters[0] or "", safe=""),
@@ -280,13 +298,13 @@ class OaiProvider:
         ]
         return "!".join(parts)
 
-    def _decode_token(self, text: str, verb: str) -> tuple[int, tuple]:
+    def _decode_token(self, text: str, verb: str, epoch: int) -> tuple[int, tuple]:
         parts = text.split("!")
         if len(parts) != 6 or not parts[2].isdigit():
             raise SimHarvestError("malformed resumption token")
-        epoch, digest, offset = parts[0], parts[1], int(parts[2])
+        digest, offset = parts[1], int(parts[2])
         filters = tuple(unquote(part) or None for part in parts[3:6])
-        if epoch != str(self.store.epoch()):
+        if parts[0] != str(epoch):
             raise SimHarvestError(
                 "the collection changed since this token was issued"
             )

@@ -11,7 +11,11 @@ Layout under one root directory:
 
 Identifier-to-path mapping percent-encodes each segment, so it is reversible
 and two identifiers can never share a file. Every record change bumps the
-corpus epoch in .epoch before the record file is written. A derived tree is
+corpus epoch in .epoch before the record file is written, holding an
+exclusive flock on records/ across both steps. The serving side reads
+headers from an in-memory catalog stamped with the epoch it was built at;
+its build holds the same lock shared, so it never pairs a new epoch with
+the records from before the change. A derived tree is
 current exactly when its commit record carries that epoch:
 tf_metadata/.indexed_epoch for the tf tree, compute_meta.txt for the
 weights, pair and top-match outputs (see pipeline). .epoch, the records and
@@ -21,15 +25,22 @@ are never written anywhere: they exist only in memory while computing.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import re
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from urllib.parse import quote, unquote
 
 from .exceptions import NotFoundError, PathCollisionError, StorageError
-from .oai_xml import parse_record_fragment, serialize_record_fragment
-from .records import MetadataRecord, is_valid_datestamp
+from .oai_xml import (
+    parse_record_fragment,
+    parse_record_header,
+    serialize_record_fragment,
+)
+from .records import Header, MetadataRecord, is_valid_datestamp
 from .similarity import WeightedVector
 from .textpipe import TermFrequencyVector
 
@@ -98,6 +109,37 @@ class PutResult:
     replaced: MetadataRecord | None = None
 
 
+@dataclass(frozen=True)
+class Catalog:
+    """Every stored record's header at one epoch, ascending by identifier,
+    with the distinct setSpecs (ascending) and the earliest datestamp at
+    second granularity (None for an empty store)."""
+
+    epoch: int
+    headers: tuple[Header, ...]
+    set_specs: tuple[str, ...]
+    earliest: str | None
+
+    def select(
+        self, from_: str | None, until: str | None, set_spec: str | None
+    ) -> list[Header]:
+        """Headers in the datestamp range (inclusive, date-only bounds widen
+        to whole days) that carry set_spec; None leaves a filter off."""
+        low = _datestamp_key(from_, end=False) if from_ else None
+        high = _datestamp_key(until, end=True) if until else None
+        kept = []
+        for header in self.headers:
+            key = _datestamp_key(header.datestamp, end=False)
+            if low is not None and key < low:
+                continue
+            if high is not None and key > high:
+                continue
+            if set_spec is not None and set_spec not in header.set_specs:
+                continue
+            kept.append(header)
+        return kept
+
+
 class RecordStore:
     """Store facade. One instance per root; methods are individually atomic
     enough for the supported discipline (single writer, many readers)."""
@@ -114,6 +156,8 @@ class RecordStore:
         self.epoch_path = self.root / ".epoch"
         for directory in (self.records_dir, self.tf_dir, self.weights_dir):
             directory.mkdir(parents=True, exist_ok=True)
+        self._catalog: Catalog | None = None
+        self._catalog_lock = threading.Lock()
 
     # -- epoch -------------------------------------------------------------
 
@@ -125,6 +169,17 @@ class RecordStore:
 
     def _bump_epoch(self) -> None:
         write_atomic(self.epoch_path, str(self.epoch() + 1).encode("ascii"))
+
+    @contextmanager
+    def _records_locked(self, operation: int):
+        """Hold flock(operation) on the records/ directory; closing the
+        descriptor releases it."""
+        fd = os.open(self.records_dir, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, operation)
+            yield
+        finally:
+            os.close(fd)
 
     # -- records -----------------------------------------------------------
 
@@ -156,9 +211,12 @@ class RecordStore:
                     f"refusing to overwrite it with {record.identifier!r}"
                 )
             status = "replaced"
-        self._bump_epoch()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, payload)
+        # a catalog build between the bump and the write would stamp the new
+        # epoch on the old records, so the lock spans both
+        with self._records_locked(fcntl.LOCK_EX):
+            self._bump_epoch()
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_atomic(path, payload)
         return PutResult(path, status, previous)
 
     def get_record(self, identifier: str) -> MetadataRecord:
@@ -167,12 +225,19 @@ class RecordStore:
             data = path.read_bytes()
         except FileNotFoundError:
             raise NotFoundError(f"no record stored for {identifier!r}") from None
-        record = parse_record_fragment(data)
-        if record.identifier != identifier:
-            raise PathCollisionError(
-                f"file {path} holds {record.identifier!r}, expected {identifier!r}"
+        return _checked(parse_record_fragment(data), identifier, path)
+
+    def _record_files(self) -> list[tuple[str, Path]]:
+        """(identifier, record file) for every stored record, ascending."""
+        return sorted(
+            (
+                relpath_to_identifier(
+                    PurePosixPath(path.parent.name, path.name[: -len(RECORD_SUFFIX)])
+                ),
+                path,
             )
-        return record
+            for path in self.records_dir.glob(f"*/*{RECORD_SUFFIX}")
+        )
 
     def list_identifiers(
         self,
@@ -181,48 +246,54 @@ class RecordStore:
         set_spec: str | None = None,
     ) -> list[str]:
         """All stored identifiers, ascending, optionally filtered by datestamp
-        range (inclusive, date-only bounds widen to whole days) and setSpec."""
+        range (inclusive, date-only bounds widen to whole days) and setSpec.
+        Unfiltered, this globs records/ and parses nothing; filtered, it reads
+        the catalog."""
         for bound, name in ((from_, "from"), (until, "until")):
             if bound is not None and not is_valid_datestamp(bound):
                 raise StorageError(f"bad {name} datestamp {bound!r}")
-        identifiers = sorted(
-            relpath_to_identifier(
-                PurePosixPath(path.parent.name, path.name[: -len(RECORD_SUFFIX)])
-            )
-            for path in self.records_dir.glob(f"*/*{RECORD_SUFFIX}")
-        )
         if from_ is None and until is None and set_spec is None:
-            return identifiers
-        low = _datestamp_key(from_, end=False) if from_ else None
-        high = _datestamp_key(until, end=True) if until else None
-        kept = []
-        for identifier in identifiers:
-            record = self.get_record(identifier)
-            key = _datestamp_key(record.datestamp, end=False)
-            if low is not None and key < low:
-                continue
-            if high is not None and key > high:
-                continue
-            if set_spec is not None and set_spec not in record.set_specs:
-                continue
-            kept.append(identifier)
-        return kept
+            return [identifier for identifier, _ in self._record_files()]
+        selected = self.catalog().select(from_, until, set_spec)
+        return [header.identifier for header in selected]
 
     def set_specs(self) -> list[str]:
         """Distinct setSpec values across all stored records, ascending."""
-        specs: set[str] = set()
-        for identifier in self.list_identifiers():
-            specs.update(self.get_record(identifier).set_specs)
-        return sorted(specs)
+        return list(self.catalog().set_specs)
 
     def earliest_datestamp(self) -> str | None:
-        stamps = [
-            self.get_record(identifier).datestamp
-            for identifier in self.list_identifiers()
-        ]
-        if not stamps:
-            return None
-        return min(stamps, key=lambda s: _datestamp_key(s, end=False))
+        """The earliest stored datestamp at second granularity; None when
+        the store is empty."""
+        return self.catalog().earliest
+
+    # -- header catalog -----------------------------------------------------
+
+    def catalog(self) -> Catalog:
+        """The header catalog at the current epoch, rebuilt on first use
+        after the epoch moves. Harvests in other processes are seen through
+        the epoch alone."""
+        with self._catalog_lock:
+            if self._catalog is None or self._catalog.epoch != self.epoch():
+                self._catalog = self._build_catalog()
+            return self._catalog
+
+    def _build_catalog(self) -> Catalog:
+        # headers only: parsing a record's metadata would more than double this
+        with self._records_locked(fcntl.LOCK_SH):
+            epoch = self.epoch()
+            headers = [
+                _checked(parse_record_header(path.read_bytes()), identifier, path)
+                for identifier, path in self._record_files()
+            ]
+        return Catalog(
+            epoch,
+            tuple(headers),
+            tuple(sorted({spec for header in headers for spec in header.set_specs})),
+            min(
+                (_datestamp_key(header.datestamp, end=False) for header in headers),
+                default=None,
+            ),
+        )
 
     # -- term frequencies ---------------------------------------------------
 
@@ -277,6 +348,15 @@ class RecordStore:
 
     def top_path(self, identifier: str) -> Path:
         return self.top_dir / encode_flat(identifier)
+
+
+def _checked(parsed, identifier: str, path: Path):
+    """A record or header read from path, refused unless it names identifier."""
+    if parsed.identifier != identifier:
+        raise PathCollisionError(
+            f"file {path} holds {parsed.identifier!r}, expected {identifier!r}"
+        )
+    return parsed
 
 
 def _datestamp_key(stamp: str, end: bool) -> str:

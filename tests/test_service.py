@@ -8,6 +8,8 @@ the served XML.
 import dataclasses
 import io
 import random
+import sys
+import threading
 import xml.etree.ElementTree as ET
 from urllib.parse import urlencode, urlsplit
 
@@ -17,6 +19,7 @@ import oracle
 from conformance import conformance_problems, validate_similarity_container
 from simharvest import pipeline as pipeline_module
 from simharvest import service as service_module
+from simharvest import store as store_module
 from simharvest.exceptions import SimHarvestError, StalenessError
 from simharvest.harvester import HarvestSession, harvest
 from simharvest.oai_xml import (
@@ -180,7 +183,15 @@ class TestIdentify:
     def test_empty_store_uses_epoch_floor(self, tmp_path):
         empty = OaiProvider(RecordStore(tmp_path / "s"), ProviderConfig(base_url=BASE))
         info = payload(empty, "Identify")
-        assert info.findtext(oai("earliestDatestamp")) == "1970-01-01"
+        assert info.findtext(oai("earliestDatestamp")) == "1970-01-01T00:00:00Z"
+
+    def test_date_only_earliest_is_widened(self, tmp_path):
+        store = RecordStore(tmp_path / "s")
+        store.put_record(
+            MetadataRecord("oai:d.example:1", "2003-04-05", dc_fields=(("title", "x"),))
+        )
+        info = payload(OaiProvider(store, ProviderConfig(base_url=BASE)), "Identify")
+        assert info.findtext(oai("earliestDatestamp")) == "2003-04-05T00:00:00Z"
 
 
 class TestListMetadataFormats:
@@ -334,6 +345,14 @@ class TestListVerbsPaging:
         )
         assert error_codes(parsed) == ["noRecordsMatch"]
 
+    @pytest.mark.parametrize("verb", ["ListRecords", "ListIdentifiers"])
+    def test_set_on_a_store_without_sets(self, mutable, verb):
+        _, provider = mutable
+        parsed = checked(
+            provider, verb, {"verb": verb, "metadataPrefix": "oai_dc", "set": "aero"}
+        )
+        assert error_codes(parsed) == ["noSetHierarchy"]
+
 
 class TestResumptionTokenRejection:
     def test_malformed_token(self, provider):
@@ -366,8 +385,8 @@ class TestResumptionTokenRejection:
         assert error_codes(parsed) == ["badResumptionToken"]
         assert "tampered" in parsed.errors[0].message
 
-    def test_cursor_out_of_range(self, provider):
-        token = provider._encode_token(999, (None, None, None))
+    def test_cursor_out_of_range(self, provider, corpus_store):
+        token = provider._encode_token(999, (None, None, None), corpus_store.epoch())
         parsed = checked(
             provider,
             "ListIdentifiers",
@@ -383,9 +402,9 @@ class TestResumptionTokenRejection:
             (("2000-01-01", "2000-12-31T00:00:00Z", None), "same granularity"),
         ],
     )
-    def test_forged_filters(self, provider, filters, problem):
+    def test_forged_filters(self, provider, corpus_store, filters, problem):
         # the filter digest is unkeyed, so a client can forge a matching one
-        token = provider._encode_token(4, filters)
+        token = provider._encode_token(4, filters, corpus_store.epoch())
         parsed = checked(
             provider,
             "ListRecords",
@@ -734,6 +753,36 @@ class TestCollectionChange:
         assert error_codes(parsed) == ["badResumptionToken"]
         assert "collection changed" in parsed.errors[0].message
 
+    def test_token_is_pinned_to_its_page_epoch(self, mutable, monkeypatch):
+        store, provider = mutable
+        encode = provider._encode_token
+
+        def encode_after_a_harvest(*args):
+            # a harvest lands between the listing and the token
+            store.put_record(
+                MetadataRecord(
+                    identifier="oai:m.example:late",
+                    datestamp="2006-01-01T00:00:00Z",
+                    dc_fields=(("title", "late arrival"),),
+                )
+            )
+            monkeypatch.setattr(provider, "_encode_token", encode)
+            return encode(*args)
+
+        monkeypatch.setattr(provider, "_encode_token", encode_after_a_harvest)
+        token = checked(
+            provider,
+            "ListIdentifiers",
+            {"verb": "ListIdentifiers", "metadataPrefix": "oai_dc"},
+        ).token.text
+        parsed = checked(
+            provider,
+            "ListIdentifiers",
+            {"verb": "ListIdentifiers", "resumptionToken": token},
+        )
+        assert error_codes(parsed) == ["badResumptionToken"]
+        assert "collection changed" in parsed.errors[0].message
+
     def test_before_any_compute(self, tmp_path):
         store = RecordStore(tmp_path / "store")
         rng = random.Random(6)
@@ -823,3 +872,133 @@ class TestDuplicateReport:
     def test_threshold_range_enforced(self, dup_store, threshold):
         with pytest.raises(SimHarvestError):
             duplicate_report(dup_store, threshold)
+
+
+class TestHeaderCatalogConsistency:
+    @staticmethod
+    def record(number, datestamp, spec):
+        return MetadataRecord(
+            identifier=f"oai:c.example:{number:03d}",
+            datestamp=datestamp,
+            set_specs=(spec,),
+            dc_fields=(("title", f"record {number}"),),
+        )
+
+    def test_requests_during_a_put_do_not_hide_its_record(self, tmp_path, monkeypatch):
+        store = RecordStore(tmp_path / "store")
+        store.put_record(self.record(1, "2001-01-01T00:00:00Z", "old"))
+        provider = OaiProvider(store, ProviderConfig(base_url=BASE))
+        payload(provider, "Identify")  # the catalog now stands at the first epoch
+        late = self.record(2, "1999-05-05T00:00:00Z", "new")
+        target = store.record_path(late.identifier)
+        real_write = store_module.write_atomic
+        inside, threads = [], []
+
+        def requests():
+            for verb in ("Identify", "ListSets", "ListIdentifiers"):
+                args = {"verb": [verb]}
+                if verb == "ListIdentifiers":
+                    args["metadataPrefix"] = ["oai_dc"]
+                inside.append(provider.handle_request(args))
+
+        def write_atomic(path, data):
+            if path == target:
+                # the epoch is bumped and the record not yet written: serve
+                # from another thread, and give up waiting if it is held off
+                threads.append(threading.Thread(target=requests))
+                threads[0].start()
+                threads[0].join(timeout=0.5)
+            real_write(path, data)
+
+        monkeypatch.setattr(store_module, "write_atomic", write_atomic)
+        store.put_record(late)
+        threads[0].join(timeout=30)
+        assert not threads[0].is_alive() and len(inside) == 3
+
+        info = payload(provider, "Identify")
+        assert info.findtext(oai("earliestDatestamp")) == "1999-05-05T00:00:00Z"
+        sets = payload(provider, "ListSets")
+        assert [s.findtext(oai("setSpec")) for s in sets.iter(oai("set"))] == [
+            "new",
+            "old",
+        ]
+        listed = payload(provider, "ListIdentifiers", {"metadataPrefix": "oai_dc"})
+        headers = list(listed)
+        assert [h.findtext(oai("identifier")) for h in headers] == [
+            "oai:c.example:001",
+            "oai:c.example:002",
+        ]
+        assert headers[1].findtext(oai("datestamp")) == "1999-05-05T00:00:00Z"
+        assert headers[1].findtext(oai("setSpec")) == "new"
+
+    def test_walks_beside_a_harvest_are_complete_or_refused(self, tmp_path):
+        store = RecordStore(tmp_path / "store")
+        records = [
+            self.record(n, f"2001-01-{n % 28 + 1:02d}T00:00:00Z", f"s{n % 3}")
+            for n in range(40)
+        ]
+        for record in records[:10]:
+            store.put_record(record)
+        start_epoch = store.epoch()
+        provider = OaiProvider(store, ProviderConfig(base_url=BASE, page_size=3))
+        ids = [record.identifier for record in records]
+        harvesting = threading.Event()
+        harvesting.set()
+        outcomes, failures = [], []
+
+        def walk_once():
+            args = {"verb": ["ListIdentifiers"], "metadataPrefix": ["oai_dc"]}
+            seen, epoch = [], None
+            while True:
+                root = ET.fromstring(provider.handle_request(args))
+                error = root.find(oai("error"))
+                if error is not None:
+                    return "refused", seen, epoch, error.get("code")
+                page = root.find(oai("ListIdentifiers"))
+                headers = page.iter(oai("header"))
+                seen += [header.findtext(oai("identifier")) for header in headers]
+                token = page.findtext(oai("resumptionToken"))
+                if not token:
+                    return "complete", seen, epoch, None
+                epoch = epoch if epoch is not None else int(token.split("!")[0])
+                args = {"verb": ["ListIdentifiers"], "resumptionToken": [token]}
+
+        def reader():
+            try:
+                while harvesting.is_set():
+                    for verb in ("Identify", "ListSets"):
+                        body = provider.handle_request({"verb": [verb]})
+                        assert ET.fromstring(body).find(oai("error")) is None
+                    outcomes.append(walk_once())
+            except Exception as error:  # reported by the main thread
+                failures.append(error)
+
+        def writer():
+            try:
+                for record in records[10:]:
+                    store.put_record(record)
+            finally:
+                harvesting.clear()
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside requests too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert outcomes
+        for outcome, seen, epoch, code in outcomes:
+            # every put adds one record and bumps the epoch by one
+            listed = ids[: epoch - start_epoch + 10]
+            if outcome == "refused":
+                assert code == "badResumptionToken"
+                assert seen == listed[: len(seen)]
+            else:
+                assert seen == listed

@@ -23,7 +23,7 @@ from simharvest.pipeline import (
     load_top_matches,
 )
 from simharvest import store as store_module
-from simharvest.records import MetadataRecord
+from simharvest.records import Header, MetadataRecord
 from simharvest.similarity import collection_stats, weight_vector
 from simharvest.store import (
     RecordStore,
@@ -281,6 +281,53 @@ class TestListing:
         assert store.list_identifiers() == []
         assert store.set_specs() == []
         assert store.earliest_datestamp() is None
+
+    def test_date_only_earliest_widens_to_seconds(self, store):
+        store.put_record(make_record("oai:a.example:1", "2001-01-10T00:00:01Z"))
+        store.put_record(make_record("oai:a.example:2", "2001-01-10"))
+        assert store.earliest_datestamp() == "2001-01-10T00:00:00Z"
+
+    def test_unfiltered_listing_parses_nothing(self, store, monkeypatch):
+        self.setup_store(store)
+
+        def refuse(data):
+            raise AssertionError("an unfiltered listing parsed a record")
+
+        monkeypatch.setattr(store_module, "parse_record_fragment", refuse)
+        monkeypatch.setattr(store_module, "parse_record_header", refuse)
+        assert len(store.list_identifiers()) == 3
+
+
+class TestCatalog:
+    def test_rebuilt_only_when_the_epoch_moves(self, store):
+        record = make_record("oai:a.example:1", set_specs=("x",))
+        store.put_record(record)
+        first = store.catalog()
+        assert first.epoch == store.epoch()
+        assert store.catalog() is first
+        assert store.put_record(record).status == "unchanged"
+        assert store.catalog() is first
+        gone = make_record(
+            "oai:a.example:2", "2000-02-02", set_specs=("y",), dc_fields=(), deleted=True
+        )
+        store.put_record(gone)
+        second = store.catalog()
+        assert second.epoch == first.epoch + 1
+        assert second.headers == (
+            Header("oai:a.example:1", "2001-06-15T12:00:00Z", ("x",), False),
+            Header("oai:a.example:2", "2000-02-02", ("y",), True),
+        )
+        assert second.set_specs == ("x", "y")
+        assert second.earliest == "2000-02-02T00:00:00Z"
+
+    def test_another_writer_is_seen_through_the_epoch(self, store):
+        store.put_record(make_record("oai:a.example:1"))
+        assert store.set_specs() == []
+        RecordStore(store.root).put_record(
+            make_record("oai:a.example:2", set_specs=("z",))
+        )
+        assert store.set_specs() == ["z"]
+        assert store.list_identifiers(set_spec="z") == ["oai:a.example:2"]
 
 
 class TestTermFrequencies:
