@@ -66,7 +66,6 @@ class HarvestSession:
     until: str | None = None
     set_spec: str | None = None
     cursor: str | None = None  # resumption token to continue from
-    records_received: int = 0
 
     def __post_init__(self):
         if not self.base_url:
@@ -99,7 +98,6 @@ class HarvestReport:
     pages_fetched: int = 0
     retries: int = 0
     duplicate_identifiers: list[str] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
 
 
 def default_fetch(url: str, headers: dict) -> tuple[int, dict, bytes]:
@@ -134,8 +132,6 @@ def harvest(
     *,
     fetch: Callable[[str, dict], tuple[int, dict, bytes]] | None = None,
     sleep: Callable[[float], None] = time.sleep,
-    max_attempts: int = MAX_ATTEMPTS,
-    backoff_cap: float = BACKOFF_CAP,
     user_agent: str = USER_AGENT,
     from_email: str | None = None,
 ) -> HarvestReport:
@@ -160,13 +156,10 @@ def harvest(
         else:
             arguments = session.first_page_arguments()
         url = build_request_url(session.base_url, "ListRecords", arguments)
-        body = _fetch_page(
-            fetch, url, headers, sleep, max_attempts, backoff_cap, report, session
-        )
+        body = _fetch_page(fetch, url, headers, sleep, report, session.cursor)
         parsed = parse_response(body, "ListRecords")
         if parsed.errors:
             codes = {error.code for error in parsed.errors}
-            report.errors.extend(f"{e.code}: {e.message}" for e in parsed.errors)
             if "noRecordsMatch" in codes and token_text is None:
                 log.info("harvest of %s matched no records", session.base_url)
                 return report
@@ -186,7 +179,6 @@ def harvest(
             seen.add(record.identifier)
             sink(record)
             report.records_received += 1
-            session.records_received += 1
         if parsed.token is None or not parsed.token.text:
             return report
         if parsed.token.text == token_text:
@@ -202,12 +194,10 @@ def harvest(
         session.cursor = token_text
 
 
-def _fetch_page(
-    fetch, url, headers, sleep, max_attempts, backoff_cap, report, session
-) -> bytes:
+def _fetch_page(fetch, url, headers, sleep, report, cursor) -> bytes:
     delay = 1.0
     failure = "unreachable"
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
             status, response_headers, body = fetch(url, headers)
         except Exception as error:  # transport-level failure
@@ -223,14 +213,14 @@ def _fetch_page(
                 wait = delay
             else:
                 raise HarvestError(f"{url} answered HTTP {status}")
-        if attempt == max_attempts:
+        if attempt == MAX_ATTEMPTS:
             break
         report.retries += 1
         log.warning("retrying %s after %s (attempt %d)", url, failure, attempt)
-        sleep(min(wait, backoff_cap))
-        delay = min(delay * 2.0, backoff_cap)
+        sleep(min(wait, BACKOFF_CAP))
+        delay = min(delay * 2.0, BACKOFF_CAP)
     raise ResumableHarvestError(
-        f"giving up on {url} after {max_attempts} attempts ({failure}); "
+        f"giving up on {url} after {MAX_ATTEMPTS} attempts ({failure}); "
         f"resume with the recorded cursor",
-        cursor=session.cursor,
+        cursor=cursor,
     )

@@ -5,7 +5,7 @@ similarity ranking travels inside a record's optional <about> container as a
 <similarity> element (own namespace) holding <match identifier score/>
 children, score rendered with exactly four decimals.
 
-parse_response reads the envelope, errors and resumptionToken of any
+parse_response reads the errors and the resumptionToken text of any
 response, but records only from a ListRecords page (what the harvester
 fetches) or a GetRecord answer; other verbs' payloads are not parsed.
 
@@ -121,7 +121,8 @@ def format_score(score: float) -> str:
 
 @dataclass(frozen=True)
 class ResumptionToken:
-    """Flow-control token of a list response; empty text means 'list done'."""
+    """Flow-control token of a list response; empty text means 'list done'.
+    parse_response fills in the text alone."""
 
     text: str
     complete_list_size: int | None = None
@@ -133,8 +134,6 @@ class ParsedResponse:
     """What parse_response extracts from one response body."""
 
     verb: str
-    response_date: str | None = None
-    request_attrs: dict = field(default_factory=dict)
     errors: list[OaiError] = field(default_factory=list)
     records: list[MetadataRecord] = field(default_factory=list)
     similarity: dict[str, SimilarityAbout] = field(default_factory=dict)
@@ -521,8 +520,8 @@ def _parse_record(
                 f"record {identifier} metadata is not unqualified Dublin Core"
             )
         for child in dc:
-            namespace, name = child.tag[1:].split("}", 1)
-            if namespace != DC_NS or name not in DC_ELEMENTS:
+            name = _local(child.tag)  # an un-namespaced tag has no "}"
+            if child.tag != f"{{{DC_NS}}}{name}" or name not in DC_ELEMENTS:
                 raise RecordValidationError(
                     f"record {identifier} carries non-DC element {child.tag}"
                 )
@@ -553,16 +552,12 @@ def _parse_record(
 
 
 def _parse_token(parent: ET.Element) -> ResumptionToken | None:
+    # completeListSize and cursor are optional (section 3.5) and the harvester
+    # needs neither, so a malformed one cannot abort a harvest
     element = parent.find(_q("resumptionToken"))
     if element is None:
         return None
-    size = element.get("completeListSize")
-    cursor = element.get("cursor")
-    return ResumptionToken(
-        text=(element.text or "").strip(),
-        complete_list_size=int(size) if size is not None else None,
-        cursor=int(cursor) if cursor is not None else None,
-    )
+    return ResumptionToken((element.text or "").strip())
 
 
 def parse_response(data: bytes | str, expected_verb: str) -> ParsedResponse:
@@ -578,10 +573,6 @@ def parse_response(data: bytes | str, expected_verb: str) -> ParsedResponse:
     if root.tag != _q("OAI-PMH"):
         raise ProtocolMismatchError(f"root element is {root.tag}, not OAI-PMH")
     parsed = ParsedResponse(verb=expected_verb)
-    parsed.response_date = _element_text(root, "responseDate")
-    request = root.find(_q("request"))
-    if request is not None:
-        parsed.request_attrs = dict(request.attrib)
     for error in root.findall(_q("error")):
         parsed.errors.append(
             OaiError(code=error.get("code", ""), message=(error.text or "").strip())

@@ -300,7 +300,8 @@ class OaiProvider:
 
     def _decode_token(self, text: str, verb: str, epoch: int) -> tuple[int, tuple]:
         parts = text.split("!")
-        if len(parts) != 6 or not parts[2].isdigit():
+        # isdigit() alone admits digits such as '²' that int() refuses
+        if len(parts) != 6 or not (parts[2].isascii() and parts[2].isdigit()):
             raise SimHarvestError("malformed resumption token")
         digest, offset = parts[1], int(parts[2])
         filters = tuple(unquote(part) or None for part in parts[3:6])

@@ -40,7 +40,7 @@ from .oai_xml import (
     parse_record_header,
     serialize_record_fragment,
 )
-from .records import Header, MetadataRecord, is_valid_datestamp
+from .records import Header, MetadataRecord
 from .similarity import WeightedVector
 from .textpipe import TermFrequencyVector
 
@@ -239,23 +239,10 @@ class RecordStore:
             for path in self.records_dir.glob(f"*/*{RECORD_SUFFIX}")
         )
 
-    def list_identifiers(
-        self,
-        from_: str | None = None,
-        until: str | None = None,
-        set_spec: str | None = None,
-    ) -> list[str]:
-        """All stored identifiers, ascending, optionally filtered by datestamp
-        range (inclusive, date-only bounds widen to whole days) and setSpec.
-        Unfiltered, this globs records/ and parses nothing; filtered, it reads
-        the catalog."""
-        for bound, name in ((from_, "from"), (until, "until")):
-            if bound is not None and not is_valid_datestamp(bound):
-                raise StorageError(f"bad {name} datestamp {bound!r}")
-        if from_ is None and until is None and set_spec is None:
-            return [identifier for identifier, _ in self._record_files()]
-        selected = self.catalog().select(from_, until, set_spec)
-        return [header.identifier for header in selected]
+    def list_identifiers(self) -> list[str]:
+        """All stored identifiers, ascending. This globs records/ and parses
+        nothing; filtered listing is catalog().select(...)."""
+        return [identifier for identifier, _ in self._record_files()]
 
     def set_specs(self) -> list[str]:
         """Distinct setSpec values across all stored records, ascending."""

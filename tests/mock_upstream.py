@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from typing import Callable
 from urllib.parse import parse_qs
 from wsgiref.simple_server import WSGIServer, make_server
 from socketserver import ThreadingMixIn
@@ -35,6 +36,8 @@ class MockUpstream:
         self.fail_first: dict[int, int] = {}
         self.retry_after = "1"
         self.repeat_token_page: int | None = None
+        # edits each ListRecords page body, to stand in for a faulty upstream
+        self.rewrite_page: Callable[[bytes], bytes] | None = None
         self._failed: dict[int, int] = {}
 
     def page_count(self) -> int:
@@ -97,6 +100,8 @@ class MockUpstream:
             )
         elif verb == "ListRecords":
             body = self._body(page, {"verb": verb, **args})
+            if self.rewrite_page is not None:
+                body = self.rewrite_page(body)
         else:
             body = serialize_error(
                 OaiError("badVerb", f"unsupported verb {verb!r}"),

@@ -1,11 +1,14 @@
 """Command-line interface tests: outputs, exit codes, and configuration."""
 
+import os
+import pkgutil
 import random
 import re
 import subprocess
 import sys
 import urllib.request
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ import conftest
 import oracle
 from conformance import conformance_problems
 from mock_upstream import MockUpstream, http_server
+import simharvest
 from simharvest import cli
 from simharvest.oai_xml import OAI_NS, parse_response
 from simharvest.pipeline import (
@@ -38,6 +42,35 @@ def populate(root, n, seed=7, prefix="oai:c.example:doc"):
     for record in oracle.synthetic_records(rng, n, id_prefix=prefix):
         store.put_record(record)
     return store
+
+
+def fresh_python(*args):
+    """Run a new interpreter that imports the simharvest these tests import."""
+    env = dict(os.environ, PYTHONPATH=str(Path(simharvest.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+class TestPackage:
+    # the package re-exports nothing, so no module may lean on another
+    # having been imported first
+    @pytest.mark.parametrize(
+        "module",
+        [
+            info.name
+            for info in pkgutil.iter_modules(simharvest.__path__)
+            if info.name != "__main__"
+        ],
+    )
+    def test_each_module_imports_alone(self, module):
+        result = fresh_python("-c", f"import simharvest.{module}")
+        assert result.returncode == 0, result.stderr
+
+    def test_module_entry_point_lists_the_commands(self):
+        result = fresh_python("-m", "simharvest", "--help")
+        assert result.returncode == 0, result.stderr
+        assert "{harvest,index,compute,top,serve,estimate,dup-report}" in result.stdout
 
 
 def test_exit_code_vocabulary():
@@ -508,6 +541,17 @@ class TestHarvestCommand:
             code, _, err = run_cli(capsys, "harvest", "--base-url", url, "--store", root)
         assert code == 2
         assert "resumption token" in err
+
+    def test_non_dc_element_in_a_page_is_a_runtime_failure(self, tmp_path, capsys):
+        upstream = MockUpstream(oracle.synthetic_records(random.Random(23), 3))
+        upstream.rewrite_page = lambda body: body.replace(
+            b"</oai_dc:dc>", b'<title xmlns="">x</title></oai_dc:dc>', 1
+        )
+        root = str(tmp_path / "store")
+        with http_server(upstream.wsgi) as url:
+            code, _, err = run_cli(capsys, "harvest", "--base-url", url, "--store", root)
+        assert code == 2
+        assert "non-DC element title" in err
 
 
 class TestServeCommand:

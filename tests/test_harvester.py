@@ -1,11 +1,13 @@
 """Harvest client: URL building, paging, politeness, failure recovery."""
 
+import re
 from urllib.parse import parse_qs, urlparse
 
 import pytest
 
 import oracle
 from mock_upstream import MockUpstream, http_server
+from simharvest import harvester
 from simharvest.exceptions import (
     HarvestError,
     RequestArgumentError,
@@ -237,7 +239,7 @@ class TestHarvestErrors:
         fetch = ScriptedFetch([(200, {}, error_body("noRecordsMatch", "none"))])
         report = harvest(HarvestSession(base_url=BASE), lambda r: None, fetch=fetch)
         assert report.records_received == 0
-        assert report.errors == ["noRecordsMatch: none"]
+        assert report.pages_fetched == 0
 
     def test_bad_resumption_token_requires_restart(self, corpus):
         fetch = ScriptedFetch(
@@ -281,19 +283,13 @@ class TestRetries:
         assert report.retries == 1
         assert report.records_received == 7
 
-    def test_5xx_backs_off_exponentially_with_cap(self):
+    def test_5xx_backs_off_exponentially_with_cap(self, monkeypatch):
+        monkeypatch.setattr(harvester, "BACKOFF_CAP", 5.0)
         sleeps = []
         fetch = ScriptedFetch([(500, {}, b"")] * 5)
         session = HarvestSession(base_url=BASE)
         with pytest.raises(ResumableHarvestError) as info:
-            harvest(
-                session,
-                lambda r: None,
-                fetch=fetch,
-                sleep=sleeps.append,
-                max_attempts=5,
-                backoff_cap=5.0,
-            )
+            harvest(session, lambda r: None, fetch=fetch, sleep=sleeps.append)
         assert sleeps == [1.0, 2.0, 4.0, 5.0]
         assert info.value.cursor is None  # nothing fetched yet
 
@@ -315,11 +311,12 @@ class TestRetries:
             [(200, {}, page_body(corpus[:2], "t1"))] + [OSError("nope")] * 5
         )
         session = HarvestSession(base_url=BASE)
+        received = []
         with pytest.raises(ResumableHarvestError) as info:
-            harvest(session, lambda r: None, fetch=fetch, sleep=lambda s: None)
+            harvest(session, received.append, fetch=fetch, sleep=lambda s: None)
         assert info.value.cursor == "t1"
         assert session.cursor == "t1"
-        assert session.records_received == 2
+        assert len(received) == 2
 
     def test_4xx_fails_immediately(self):
         fetch = ScriptedFetch([(404, {}, b"gone")])
@@ -368,3 +365,17 @@ class TestOverHttp:
         assert report.records_received == 20
         assert report.retries == 1
         assert len(upstream.requests) == 3  # page 0, failed page 1, retried page 1
+
+    def test_malformed_optional_token_attributes_are_ignored(self, rng):
+        records = oracle.synthetic_records(rng, 20)
+        upstream = MockUpstream(records, page_size=10)
+        upstream.rewrite_page = lambda body: re.sub(
+            rb"<resumptionToken [^>]*>",
+            b'<resumptionToken completeListSize="about 1000" cursor="">',
+            body,
+        )
+        received = []
+        with http_server(upstream.wsgi) as url:
+            report = harvest(HarvestSession(base_url=f"{url}/oai"), received.append)
+        assert [r.identifier for r in received] == [r.identifier for r in records]
+        assert report.pages_fetched == 2

@@ -48,6 +48,12 @@ def oai(tag):
     return f"{{{OAI_NS}}}{tag}"
 
 
+def envelope(body):
+    """(responseDate text, <request> attributes) of a response body."""
+    root = ET.fromstring(body)
+    return root.findtext(oai("responseDate")), dict(root.find(oai("request")).attrib)
+
+
 def vetted_payload(body, verb):
     """The <verb> element of a body that passes the conformance validator."""
     assert conformance_problems(body) == []
@@ -102,12 +108,14 @@ class TestGetRecord:
         parsed = parse_response(body, "GetRecord")
         assert parsed.records == [record]
         assert parsed.similarity[record.identifier] == about
-        assert parsed.response_date == DATE
-        assert parsed.request_attrs == {
-            "verb": "GetRecord",
-            "identifier": record.identifier,
-            "metadataPrefix": "oai_dc",
-        }
+        assert envelope(body) == (
+            DATE,
+            {
+                "verb": "GetRecord",
+                "identifier": record.identifier,
+                "metadataPrefix": "oai_dc",
+            },
+        )
 
     def test_serialization_is_deterministic(self):
         record = sample_record()
@@ -132,12 +140,13 @@ class TestGetRecord:
             response_date=DATE,
         )
         parsed = parse_response(body, "GetRecord")
+        response_date, request_args = envelope(body)
         again = serialize_get_record(
             parsed.records[0],
             parsed.similarity[record.identifier],
             base_url=BASE,
-            request_args=parsed.request_attrs,
-            response_date=parsed.response_date,
+            request_args=request_args,
+            response_date=response_date,
         )
         assert again == body
 
@@ -225,7 +234,9 @@ class TestListVerbs:
         )
         parsed = parse_response(body, "ListRecords")
         assert parsed.records == records
-        assert parsed.token == token
+        assert parsed.token == ResumptionToken("page:2")
+        element = vetted_payload(body, "ListRecords").find(oai("resumptionToken"))
+        assert element.attrib == {"completeListSize": "25", "cursor": "10"}
 
     def test_final_page_has_no_token(self, rng):
         import oracle
@@ -266,11 +277,13 @@ class TestListVerbs:
             parsed = parse_response(page, "ListRecords")
             collected.extend(parsed.records)
             if parsed.token:
-                tokens.append(parsed.token)
+                element = ET.fromstring(page).find(f".//{oai('resumptionToken')}")
+                tokens.append((parsed.token.text, dict(element.attrib)))
         assert collected == records
-        assert [t.text for t in tokens] == ["page:1", "page:2"]
-        assert all(t.complete_list_size == 25 for t in tokens)
-        assert [t.cursor for t in tokens] == [0, 10]
+        assert tokens == [
+            ("page:1", {"completeListSize": "25", "cursor": "0"}),
+            ("page:2", {"completeListSize": "25", "cursor": "10"}),
+        ]
 
     def test_list_identifiers_round_trip(self, rng):
         import oracle
@@ -370,7 +383,7 @@ class TestErrors:
         parsed = parse_response(body, "GetRecord")
         assert parsed.errors == [OaiError("idDoesNotExist", "no such record")]
         assert parsed.records == []
-        assert parsed.request_attrs["identifier"] == "oai:x:nope"
+        assert envelope(body)[1]["identifier"] == "oai:x:nope"
 
     def test_bad_verb_and_bad_argument_suppress_echo(self):
         for code in ("badVerb", "badArgument"):
@@ -381,7 +394,7 @@ class TestErrors:
                 response_date=DATE,
             )
             parsed = parse_response(body, "GetRecord")
-            assert parsed.request_attrs == {}
+            assert envelope(body)[1] == {}
             assert parsed.errors[0].code == code
 
     def test_multiple_errors(self):

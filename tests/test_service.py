@@ -26,7 +26,6 @@ from simharvest.oai_xml import (
     DC_NS,
     OAI_NS,
     SIMILARITY_NS,
-    ResumptionToken,
     build_similarity_about,
     parse_response,
 )
@@ -114,6 +113,17 @@ def payload(provider, verb, extra=None):
 
 def error_codes(parsed):
     return [error.code for error in parsed.errors]
+
+
+def echoed(body):
+    """The request arguments a response echoes in its <request> element."""
+    return ET.fromstring(body).find(oai("request")).attrib
+
+
+def token_of(body, verb):
+    """(text, completeListSize, cursor) of a list page's resumptionToken."""
+    token = ET.fromstring(body).find(oai(verb)).find(oai("resumptionToken"))
+    return token.text or "", token.get("completeListSize"), token.get("cursor")
 
 
 def provenance_block(base_url, names_identifier):
@@ -263,15 +273,16 @@ class TestListVerbsPaging:
     @pytest.mark.parametrize("verb", ["ListRecords", "ListIdentifiers"])
     def test_full_walk(self, provider, verb):
         bodies = walk_bodies(provider, verb)
-        pages = [parse_response(body, verb) for body in bodies]
         assert [len(header_ids(body)) for body in bodies] == [4, 4, 3]
         harvested = [i for body in bodies for i in header_ids(body)]
         assert harvested == ALL_IDS
-        assert pages[0].token.complete_list_size == 11
-        assert pages[0].token.cursor == 0
-        assert pages[1].token.complete_list_size == 11
-        assert pages[1].token.cursor == 4
-        assert pages[2].token == ResumptionToken("", complete_list_size=11, cursor=8)
+        tokens = [token_of(body, verb) for body in bodies]
+        assert [(size, cursor) for _, size, cursor in tokens] == [
+            ("11", "0"),
+            ("11", "4"),
+            ("11", "8"),
+        ]
+        assert tokens[2][0] == ""
 
     def test_list_records_round_trips_content(self, provider, corpus_store):
         pages = walk(provider, "ListRecords")
@@ -300,20 +311,21 @@ class TestListVerbsPaging:
         assert harvested == LIVE_IDS[4:8]
 
     def test_set_filter_pages_too(self, provider):
-        pages = walk(provider, "ListRecords", extra={"set": "aero"})
+        bodies = walk_bodies(provider, "ListRecords", extra={"set": "aero"})
+        pages = [parse_response(body, "ListRecords") for body in bodies]
         harvested = [r.identifier for page in pages for r in page.records]
         assert harvested == LIVE_IDS[0::2]
         assert [len(page.records) for page in pages] == [4, 1]
-        assert pages[0].token.complete_list_size == 5
+        assert token_of(bodies[0], "ListRecords")[1] == "5"
 
     def test_last_page_carries_an_empty_token(self, tmp_path):
         store = RecordStore(tmp_path / "store")
         for record in oracle.synthetic_records(random.Random(5), 5):
             store.put_record(record)
         small = OaiProvider(store, ProviderConfig(base_url=BASE, page_size=2))
-        pages = walk(small, "ListRecords")
-        assert [len(page.records) for page in pages] == [2, 2, 1]
-        assert pages[2].token == ResumptionToken("", complete_list_size=5, cursor=4)
+        bodies = walk_bodies(small, "ListRecords")
+        assert [len(header_ids(body)) for body in bodies] == [2, 2, 1]
+        assert token_of(bodies[2], "ListRecords") == ("", "5", "4")
 
         def fetch(url, headers):
             status, _, body = wsgi_call(small, query=urlsplit(url).query)
@@ -324,9 +336,8 @@ class TestListVerbsPaging:
         assert report.records_received == 5
 
     def test_no_records_match(self, provider):
-        parsed = checked(
+        body = vetted(
             provider,
-            "ListRecords",
             {
                 "verb": "ListRecords",
                 "metadataPrefix": "oai_dc",
@@ -334,8 +345,8 @@ class TestListVerbsPaging:
                 "until": "1999-12-31",
             },
         )
-        assert error_codes(parsed) == ["noRecordsMatch"]
-        assert parsed.request_attrs["from"] == "1999-01-01"
+        assert error_codes(parse_response(body, "ListRecords")) == ["noRecordsMatch"]
+        assert echoed(body)["from"] == "1999-01-01"
 
     def test_unknown_set_is_no_records_match(self, provider):
         parsed = checked(
@@ -369,6 +380,19 @@ class TestResumptionTokenRejection:
             provider,
             "ListRecords",
             {"verb": "ListRecords", "resumptionToken": "1!abcd1234!x!!!"},
+        )
+        assert error_codes(parsed) == ["badResumptionToken"]
+        assert "malformed" in parsed.errors[0].message
+
+    def test_non_ascii_digit_offset(self, provider, corpus_store):
+        # '\u00b2'.isdigit() is True, but int() refuses it
+        parsed = checked(
+            provider,
+            "ListRecords",
+            {
+                "verb": "ListRecords",
+                "resumptionToken": f"{corpus_store.epoch()}!00000000!\u00b2!!!",
+            },
         )
         assert error_codes(parsed) == ["badResumptionToken"]
         assert "malformed" in parsed.errors[0].message
@@ -518,19 +542,20 @@ class TestGetRecord:
 
 class TestArgumentPolicing:
     def test_unknown_verb(self, provider):
-        parsed = checked(provider, "GetRecord", {"verb": "Frobnicate"})
-        assert error_codes(parsed) == ["badVerb"]
-        assert parsed.request_attrs == {}  # echo suppressed
+        body = vetted(provider, {"verb": "Frobnicate"})
+        assert error_codes(parse_response(body, "GetRecord")) == ["badVerb"]
+        assert echoed(body) == {}  # echo suppressed
 
     def test_missing_verb(self, provider):
         parsed = checked(provider, "GetRecord", {})
         assert error_codes(parsed) == ["badVerb"]
 
     def test_missing_required_argument(self, provider):
-        parsed = checked(provider, "ListRecords", {"verb": "ListRecords"})
+        body = vetted(provider, {"verb": "ListRecords"})
+        parsed = parse_response(body, "ListRecords")
         assert error_codes(parsed) == ["badArgument"]
         assert "metadataPrefix" in parsed.errors[0].message
-        assert parsed.request_attrs == {}
+        assert echoed(body) == {}
 
     def test_unexpected_argument(self, provider):
         parsed = checked(provider, "Identify", {"verb": "Identify", "set": "aero"})
@@ -589,17 +614,17 @@ class TestArgumentPolicing:
         assert sorted(error_codes(parsed)) == ["badArgument", "badArgument"]
 
     def test_unsupported_prefix(self, provider):
-        parsed = checked(
+        body = vetted(
             provider,
-            "GetRecord",
             {
                 "verb": "GetRecord",
                 "metadataPrefix": "marcxml",
                 "identifier": LIVE_IDS[0],
             },
         )
+        parsed = parse_response(body, "GetRecord")
         assert error_codes(parsed) == ["cannotDisseminateFormat"]
-        assert parsed.request_attrs["metadataPrefix"] == "marcxml"  # echo kept
+        assert echoed(body)["metadataPrefix"] == "marcxml"  # echo kept
 
 
 class TestAuxiliaryRoutes:
