@@ -24,7 +24,7 @@ from .exceptions import (
     ResumableHarvestError,
     TokenLoopError,
 )
-from .oai_xml import argument_problems, parse_response
+from .oai_xml import METADATA_PREFIX, argument_problems, parse_response
 from .records import MetadataRecord
 
 log = logging.getLogger(__name__)
@@ -70,11 +70,7 @@ class HarvestSession:
     def __post_init__(self):
         if not self.base_url:
             raise RequestArgumentError("base_url must be non-empty")
-        arguments = {"metadataPrefix": "oai_dc"}
-        for name, value in (("from", self.from_), ("until", self.until)):
-            if value is not None:
-                arguments[name] = value
-        problems = argument_problems("ListRecords", arguments)
+        problems = argument_problems("ListRecords", self.first_page_arguments())
         if problems:
             raise RequestArgumentError(problems[0])
         # one granularity for both bounds, so they compare as strings
@@ -82,14 +78,10 @@ class HarvestSession:
             raise RequestArgumentError("from datestamp is after until")
 
     def first_page_arguments(self) -> dict:
-        arguments = {"metadataPrefix": "oai_dc"}
-        if self.from_:
-            arguments["from"] = self.from_
-        if self.until:
-            arguments["until"] = self.until
-        if self.set_spec:
-            arguments["set"] = self.set_spec
-        return arguments
+        optional = {"from": self.from_, "until": self.until, "set": self.set_spec}
+        return {"metadataPrefix": METADATA_PREFIX} | {
+            name: value for name, value in optional.items() if value is not None
+        }
 
 
 @dataclass

@@ -43,10 +43,12 @@ DC_NS = "http://purl.org/dc/elements/1.1/"
 XSI_NS = "http://www.w3.org/2001/XMLSchema-instance"
 SIMILARITY_NS = "urn:simharvest:similarity"
 
+#: The one metadata format this repository harvests and serves.
+METADATA_PREFIX = "oai_dc"
+OAI_DC_SCHEMA_URL = "http://www.openarchives.org/OAI/2.0/oai_dc.xsd"
+
 OAI_SCHEMA_LOCATION = f"{OAI_NS} http://www.openarchives.org/OAI/2.0/OAI-PMH.xsd"
-OAI_DC_SCHEMA_LOCATION = (
-    f"{OAI_DC_NS} http://www.openarchives.org/OAI/2.0/oai_dc.xsd"
-)
+OAI_DC_SCHEMA_LOCATION = f"{OAI_DC_NS} {OAI_DC_SCHEMA_URL}"
 DEFAULT_SIMILARITY_SCHEMA_URL = "/schema/similarity.xsd"
 
 #: verb -> (required argument names, optional argument names), besides verb
@@ -133,7 +135,6 @@ class ResumptionToken:
 class ParsedResponse:
     """What parse_response extracts from one response body."""
 
-    verb: str
     errors: list[OaiError] = field(default_factory=list)
     records: list[MetadataRecord] = field(default_factory=list)
     similarity: dict[str, SimilarityAbout] = field(default_factory=dict)
@@ -338,84 +339,73 @@ def serialize_list_identifiers(
 
 
 def serialize_identify(
-    info: Mapping[str, object],
+    repository_name: str,
+    admin_email: str,
+    earliest_datestamp: str,
     *,
     base_url: str,
     request_args: Mapping[str, str],
     response_date: str | None = None,
 ) -> bytes:
-    """Identify response. info supplies the seven required repository fields."""
+    """Identify response; base_url is the repository's baseURL, and the
+    protocol version, deleted-record policy and granularity are fixed."""
     root = _response_root(base_url, request_args, response_date, True)
     payload = ET.SubElement(root, _q("Identify"))
-    ET.SubElement(payload, _q("repositoryName")).text = str(info["repositoryName"])
-    ET.SubElement(payload, _q("baseURL")).text = str(info["baseURL"])
-    ET.SubElement(payload, _q("protocolVersion")).text = str(
-        info.get("protocolVersion", "2.0")
-    )
-    emails = info["adminEmail"]
-    if isinstance(emails, str):
-        emails = [emails]
-    for email in emails:
-        ET.SubElement(payload, _q("adminEmail")).text = str(email)
-    ET.SubElement(payload, _q("earliestDatestamp")).text = str(
-        info["earliestDatestamp"]
-    )
-    ET.SubElement(payload, _q("deletedRecord")).text = str(
-        info.get("deletedRecord", "transient")
-    )
-    ET.SubElement(payload, _q("granularity")).text = str(
-        info.get("granularity", "YYYY-MM-DDThh:mm:ssZ")
-    )
+    for name, text in (
+        ("repositoryName", repository_name),
+        ("baseURL", base_url),
+        ("protocolVersion", "2.0"),
+        ("adminEmail", admin_email),
+        ("earliestDatestamp", earliest_datestamp),
+        ("deletedRecord", "transient"),
+        ("granularity", "YYYY-MM-DDThh:mm:ssZ"),
+    ):
+        ET.SubElement(payload, _q(name)).text = text
     return _to_bytes(root)
 
 
 def serialize_list_metadata_formats(
-    formats: Sequence[Mapping[str, str]],
     *,
     base_url: str,
     request_args: Mapping[str, str],
     response_date: str | None = None,
 ) -> bytes:
+    """The one format served: unqualified Dublin Core."""
     root = _response_root(base_url, request_args, response_date, True)
-    payload = ET.SubElement(root, _q("ListMetadataFormats"))
-    for entry in formats:
-        element = ET.SubElement(payload, _q("metadataFormat"))
-        ET.SubElement(element, _q("metadataPrefix")).text = entry["metadataPrefix"]
-        ET.SubElement(element, _q("schema")).text = entry["schema"]
-        ET.SubElement(element, _q("metadataNamespace")).text = entry[
-            "metadataNamespace"
-        ]
+    element = ET.SubElement(
+        ET.SubElement(root, _q("ListMetadataFormats")), _q("metadataFormat")
+    )
+    ET.SubElement(element, _q("metadataPrefix")).text = METADATA_PREFIX
+    ET.SubElement(element, _q("schema")).text = OAI_DC_SCHEMA_URL
+    ET.SubElement(element, _q("metadataNamespace")).text = OAI_DC_NS
     return _to_bytes(root)
 
 
 def serialize_list_sets(
-    sets: Sequence[Mapping[str, str]],
+    specs: Sequence[str],
     *,
     base_url: str,
     request_args: Mapping[str, str],
     response_date: str | None = None,
 ) -> bytes:
+    """One set per spec, named by its spec."""
     root = _response_root(base_url, request_args, response_date, True)
     payload = ET.SubElement(root, _q("ListSets"))
-    for entry in sets:
+    for spec in specs:
         element = ET.SubElement(payload, _q("set"))
-        ET.SubElement(element, _q("setSpec")).text = entry["setSpec"]
-        ET.SubElement(element, _q("setName")).text = entry.get(
-            "setName", entry["setSpec"]
-        )
+        ET.SubElement(element, _q("setSpec")).text = spec
+        ET.SubElement(element, _q("setName")).text = spec
     return _to_bytes(root)
 
 
 def serialize_error(
-    errors: OaiError | Sequence[OaiError],
+    errors: Sequence[OaiError],
     *,
     base_url: str,
     request_args: Mapping[str, str],
     response_date: str | None = None,
 ) -> bytes:
     """Protocol error response. badVerb/badArgument suppress argument echoing."""
-    if isinstance(errors, OaiError):
-        errors = [errors]
     if not errors:
         raise RecordValidationError("an error response needs at least one error")
     echo = not any(e.code in ("badVerb", "badArgument") for e in errors)
@@ -430,17 +420,11 @@ def serialize_error(
 def build_similarity_about(
     subject_identifier: str,
     matches: Iterable[SimilarityMatch],
-    k: int,
-    computed_at: str | None = None,
+    computed_at: str,
 ) -> SimilarityAbout:
-    """Rank matches for one subject: score desc, id asc, self removed, k kept."""
-    if k < 0:
-        raise RecordValidationError("k must be non-negative")
-    candidates = [m for m in matches if m.identifier != subject_identifier]
-    candidates.sort(key=lambda m: (-m.score, m.identifier))
-    return SimilarityAbout(
-        subject_identifier, computed_at or utc_now_string(), tuple(candidates[:k])
-    )
+    """One subject's similarity container, its matches kept in the order
+    given: the ranking is compute's (see load_top_matches)."""
+    return SimilarityAbout(subject_identifier, computed_at, tuple(matches))
 
 
 # --- record fragments (store file format) -----------------------------------
@@ -525,6 +509,10 @@ def _parse_record(
                 raise RecordValidationError(
                     f"record {identifier} carries non-DC element {child.tag}"
                 )
+            if len(child):  # only child.text would be kept: refuse, do not cut
+                raise RecordValidationError(
+                    f"record {identifier} has mixed content in DC element {name}"
+                )
             dc_fields.append((name, child.text or ""))
     provenance: list[str] = []
     similarity: SimilarityAbout | None = None
@@ -572,7 +560,7 @@ def parse_response(data: bytes | str, expected_verb: str) -> ParsedResponse:
     root = _fromstring(data)
     if root.tag != _q("OAI-PMH"):
         raise ProtocolMismatchError(f"root element is {root.tag}, not OAI-PMH")
-    parsed = ParsedResponse(verb=expected_verb)
+    parsed = ParsedResponse()
     for error in root.findall(_q("error")):
         parsed.errors.append(
             OaiError(code=error.get("code", ""), message=(error.text or "").strip())

@@ -24,7 +24,7 @@ from .exceptions import NotFoundError, RecordValidationError, StalenessError
 from .oai_xml import format_score
 from .records import SimilarityMatch, utc_now_string
 from .similarity import VectorSpaceModel, pair_count
-from .store import RecordStore, write_atomic
+from .store import RecordStore, storable, write_atomic
 from .textpipe import DEFAULT_FIELDS, load_stopwords, record_to_tf
 
 
@@ -245,9 +245,11 @@ def load_top_matches(
     """
     path = store.top_path(identifier)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8") if storable(identifier) else None
     except FileNotFoundError:
-        raise NotFoundError(f"no top matches stored for {identifier!r}") from None
+        text = None
+    if text is None:
+        raise NotFoundError(f"no top matches stored for {identifier!r}")
     matches = []
     for line in text.splitlines():
         other, _, score = line.partition("\t")

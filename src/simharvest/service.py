@@ -14,18 +14,15 @@ Protocol error conditions are HTTP 200 with an <error> body, per protocol.
 from __future__ import annotations
 
 import hashlib
-import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
 from urllib.parse import parse_qs, quote, unquote, urlparse
 
 from .exceptions import ConfigError, NotFoundError, SimHarvestError, StalenessError
 from .oai_xml import (
     DEFAULT_SIMILARITY_SCHEMA_URL,
-    OAI_DC_NS,
-    VERB_ARGUMENTS,
+    METADATA_PREFIX,
     ResumptionToken,
     argument_problems,
     build_similarity_about,
@@ -43,7 +40,6 @@ from .records import OaiError, SimilarityAbout
 from .store import RecordStore
 
 XML_CONTENT_TYPE = "text/xml; charset=utf-8"
-DC_SCHEMA_URL = "http://www.openarchives.org/OAI/2.0/oai_dc.xsd"
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,8 @@ class OaiProvider:
                 errors.append(OaiError("badArgument", f"argument {name} repeated"))
             flat[name] = values[0]
         verb = flat.get("verb")
-        if verb not in VERB_ARGUMENTS:
+        handler = self._VERB_HANDLERS.get(verb)
+        if handler is None:
             return self._error_response(
                 flat, [OaiError("badVerb", f"unknown or missing verb {verb!r}")]
             )
@@ -135,19 +132,13 @@ class OaiProvider:
         if errors:
             return self._error_response(flat, errors)
         prefix = flat.get("metadataPrefix")
-        if prefix is not None and prefix != "oai_dc":
+        if prefix is not None and prefix != METADATA_PREFIX:
+            problem = f"only {METADATA_PREFIX} is supported, not {prefix!r}"
             return self._error_response(
-                flat,
-                [
-                    OaiError(
-                        "cannotDisseminateFormat",
-                        f"only oai_dc is supported, not {prefix!r}",
-                    )
-                ],
+                flat, [OaiError("cannotDisseminateFormat", problem)]
             )
-        handler = getattr(self, f"_verb_{_snake(verb)}")
         try:
-            return handler(flat)
+            return handler(self, flat)
         except NotFoundError as error:
             return self._error_response(flat, [OaiError("idDoesNotExist", str(error))])
 
@@ -159,34 +150,20 @@ class OaiProvider:
     # -- verbs ------------------------------------------------------------
 
     def _verb_identify(self, flat: dict) -> bytes:
-        info = {
-            "repositoryName": self.config.repository_name,
-            "baseURL": self.config.base_url,
-            "protocolVersion": "2.0",
-            "adminEmail": self.config.admin_email,
-            "earliestDatestamp": (
-                self.store.earliest_datestamp() or "1970-01-01T00:00:00Z"
-            ),
-            "deletedRecord": "transient",
-            "granularity": "YYYY-MM-DDThh:mm:ssZ",
-        }
         return serialize_identify(
-            info, base_url=self.config.base_url, request_args=flat
+            self.config.repository_name,
+            self.config.admin_email,
+            self.store.earliest_datestamp() or "1970-01-01T00:00:00Z",
+            base_url=self.config.base_url,
+            request_args=flat,
         )
 
     def _verb_list_metadata_formats(self, flat: dict) -> bytes:
         identifier = flat.get("identifier")
         if identifier is not None and not self.store.has_record(identifier):
             raise NotFoundError(f"unknown identifier {identifier!r}")
-        formats = [
-            {
-                "metadataPrefix": "oai_dc",
-                "schema": DC_SCHEMA_URL,
-                "metadataNamespace": OAI_DC_NS,
-            }
-        ]
         return serialize_list_metadata_formats(
-            formats, base_url=self.config.base_url, request_args=flat
+            base_url=self.config.base_url, request_args=flat
         )
 
     def _verb_list_sets(self, flat: dict) -> bytes:
@@ -195,9 +172,8 @@ class OaiProvider:
             return self._error_response(
                 flat, [OaiError("noSetHierarchy", "this repository defines no sets")]
             )
-        sets = [{"setSpec": spec, "setName": spec} for spec in specs]
         return serialize_list_sets(
-            sets, base_url=self.config.base_url, request_args=flat
+            specs, base_url=self.config.base_url, request_args=flat
         )
 
     def _verb_get_record(self, flat: dict) -> bytes:
@@ -216,15 +192,8 @@ class OaiProvider:
             schema_url=self.config.schema_url,
         )
 
-    def _verb_list_records(self, flat: dict) -> bytes:
-        return self._list_response(flat, serialize_list_records, read_records=True)
-
-    def _verb_list_identifiers(self, flat: dict) -> bytes:
-        return self._list_response(flat, serialize_list_identifiers, read_records=False)
-
-    def _list_response(
-        self, flat: dict, serialize: Callable, read_records: bool
-    ) -> bytes:
+    def _list_response(self, flat: dict) -> bytes:
+        """One page of ListRecords or ListIdentifiers, as flat["verb"] asks."""
         # one catalog snapshot answers the request: the page, completeListSize
         # and the epoch the token is checked against and pinned to
         catalog = self.store.catalog()
@@ -256,8 +225,10 @@ class OaiProvider:
                 [OaiError("badResumptionToken", "token cursor is out of range")],
             )
         page = headers[offset : offset + self.config.page_size]
-        if read_records:
+        serialize = serialize_list_identifiers
+        if flat["verb"] == "ListRecords":
             page = [self.store.get_record(header.identifier) for header in page]
+            serialize = serialize_list_records
         next_offset = offset + len(page)
         more = next_offset < len(headers)
         token = None
@@ -279,6 +250,15 @@ class OaiProvider:
             request_args=flat,
             token=token,
         )
+
+    _VERB_HANDLERS = {
+        "Identify": _verb_identify,
+        "ListMetadataFormats": _verb_list_metadata_formats,
+        "ListSets": _verb_list_sets,
+        "GetRecord": _verb_get_record,
+        "ListRecords": _list_response,
+        "ListIdentifiers": _list_response,
+    }
 
     # -- resumption tokens ----------------------------------------------------
 
@@ -313,7 +293,7 @@ class OaiProvider:
             raise SimHarvestError("token filters were tampered with")
         # the digest is unkeyed, so a client can forge one: the pinned filters
         # pass the same rule as a fresh request's
-        arguments = {"metadataPrefix": "oai_dc"}
+        arguments = {"metadataPrefix": METADATA_PREFIX}
         for name, value in zip(("from", "until", "set"), filters):
             if value is not None:
                 arguments[name] = value
@@ -355,18 +335,13 @@ class OaiProvider:
         """The subject's top-k container for GetRecord and /similar; raises
         StalenessError or NotFoundError when there are no fresh results."""
         meta = check_results_fresh(self.store)
-        matches = load_top_matches(self.store, identifier, k)
         return build_similarity_about(
-            identifier, matches, k, computed_at=meta.get("computed_at")
+            identifier, load_top_matches(self.store, identifier, k), meta["computed_at"]
         )
 
 
 def _plain(status: str, message: str) -> tuple[str, str, bytes]:
     return status, "text/plain; charset=utf-8", (message + "\n").encode("utf-8")
-
-
-def _snake(verb: str) -> str:
-    return re.sub(r"(?<!^)(?=[A-Z])", "_", verb).lower()
 
 
 # -- duplicate reporting ----------------------------------------------------------

@@ -10,9 +10,11 @@ Layout under one root directory:
     compute_meta.txt                     bookkeeping for the last compute run
 
 Identifier-to-path mapping percent-encodes each segment, so it is reversible
-and two identifiers can never share a file. Every record change bumps the
-corpus epoch in .epoch before the record file is written, holding an
-exclusive flock on records/ across both steps. The serving side reads
+and two identifiers can never share a file. An identifier is storable only
+when every file name derived from it fits in NAME_MAX bytes; the store
+refuses any other and treats it as absent on lookup. Every record change
+bumps the corpus epoch in .epoch before the record file is written, holding
+an exclusive flock on records/ across both steps. The serving side reads
 headers from an in-memory catalog stamped with the epoch it was built at;
 its build holds the same lock shared, so it never pairs a new epoch with
 the records from before the change. A derived tree is
@@ -34,7 +36,12 @@ from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from urllib.parse import quote, unquote
 
-from .exceptions import NotFoundError, PathCollisionError, StorageError
+from .exceptions import (
+    NotFoundError,
+    PathCollisionError,
+    RecordValidationError,
+    StorageError,
+)
 from .oai_xml import (
     parse_record_fragment,
     parse_record_header,
@@ -47,6 +54,8 @@ from .textpipe import TermFrequencyVector
 RECORD_SUFFIX = ".xml"
 TF_SUFFIX = ".tf"
 WEIGHTS_SUFFIX = ".w"
+#: The longest file name, in bytes, that common filesystems accept.
+NAME_MAX = 255
 
 _RAW_BUCKET = "%raw"
 _OAI_ID_RE = re.compile(r"^oai:([^:]+):(.+)$", re.DOTALL)
@@ -92,6 +101,17 @@ def relpath_to_identifier(relpath: PurePosixPath | str) -> str:
 def encode_flat(identifier: str) -> str:
     """Single-segment encoding used for top-match file names."""
     return _encode_segment(identifier)
+
+
+def storable(identifier: str) -> bool:
+    """Whether every file name derived from identifier fits in NAME_MAX
+    bytes: the record file and its write_atomic temporary (longer than the
+    .tf and .w names), and the flat top-match file. Encoded names are ASCII."""
+    suffixes = len(RECORD_SUFFIX + ".tmp")
+    if 3 * len(identifier.encode("utf-8")) + suffixes <= NAME_MAX:
+        return True  # percent-encoding at most triples a name's bytes
+    name = identifier_to_relpath(identifier).name
+    return max(len(name) + suffixes, len(encode_flat(identifier))) <= NAME_MAX
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -188,12 +208,18 @@ class RecordStore:
         return self.records_dir / rel.parent / (rel.name + RECORD_SUFFIX)
 
     def has_record(self, identifier: str) -> bool:
-        return self.record_path(identifier).is_file()
+        return storable(identifier) and self.record_path(identifier).is_file()
 
     def put_record(self, record: MetadataRecord) -> PutResult:
         """Write one record; identical content is a no-op. A change bumps the
         corpus epoch first, so a write that never lands still leaves every
-        derived tree stale."""
+        derived tree stale. An identifier that is not storable is refused
+        with RecordValidationError before anything is written."""
+        if not storable(record.identifier):
+            raise RecordValidationError(
+                f"identifier {record.identifier[:80]!r}... is too long to store: "
+                f"a file name derived from it exceeds {NAME_MAX} bytes"
+            )
         path = self.record_path(record.identifier)
         payload = serialize_record_fragment(record)
         previous = None
@@ -222,14 +248,18 @@ class RecordStore:
     def get_record(self, identifier: str) -> MetadataRecord:
         path = self.record_path(identifier)
         try:
-            data = path.read_bytes()
+            data = path.read_bytes() if storable(identifier) else None
         except FileNotFoundError:
-            raise NotFoundError(f"no record stored for {identifier!r}") from None
+            data = None
+        if data is None:
+            raise NotFoundError(f"no record stored for {identifier!r}")
         return _checked(parse_record_fragment(data), identifier, path)
 
     def _record_files(self) -> list[tuple[str, Path]]:
-        """(identifier, record file) for every stored record, ascending."""
-        return sorted(
+        """(identifier, record file) for every stored record, ascending. A
+        file an older store wrote for an identifier that is not storable is
+        left out, as lookups treat that identifier as absent."""
+        files = (
             (
                 relpath_to_identifier(
                     PurePosixPath(path.parent.name, path.name[: -len(RECORD_SUFFIX)])
@@ -238,6 +268,7 @@ class RecordStore:
             )
             for path in self.records_dir.glob(f"*/*{RECORD_SUFFIX}")
         )
+        return sorted(entry for entry in files if storable(entry[0]))
 
     def list_identifiers(self) -> list[str]:
         """All stored identifiers, ascending. This globs records/ and parses

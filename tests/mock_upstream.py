@@ -49,7 +49,7 @@ class MockUpstream:
         chunk = self.records[start : start + self.page_size]
         if not chunk:
             return serialize_error(
-                OaiError("badResumptionToken", "page out of range"),
+                [OaiError("badResumptionToken", "page out of range")],
                 base_url=self.base_url,
                 request_args={"verb": "ListRecords", **request_args},
             )
@@ -86,15 +86,9 @@ class MockUpstream:
             return [b"busy, retry later"]
         if verb == "Identify":
             body = serialize_identify(
-                {
-                    "repositoryName": "mock upstream",
-                    "baseURL": self.base_url,
-                    "protocolVersion": "2.0",
-                    "adminEmail": ["admin@upstream.example"],
-                    "earliestDatestamp": "2000-01-01T00:00:00Z",
-                    "deletedRecord": "transient",
-                    "granularity": "YYYY-MM-DDThh:mm:ssZ",
-                },
+                "mock upstream",
+                "admin@upstream.example",
+                "2000-01-01T00:00:00Z",
                 base_url=self.base_url,
                 request_args={},
             )
@@ -104,7 +98,7 @@ class MockUpstream:
                 body = self.rewrite_page(body)
         else:
             body = serialize_error(
-                OaiError("badVerb", f"unsupported verb {verb!r}"),
+                [OaiError("badVerb", f"unsupported verb {verb!r}")],
                 base_url=self.base_url,
                 request_args={},
             )

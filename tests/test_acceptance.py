@@ -181,8 +181,7 @@ def test_criterion_5_round_trip_and_conformance():
                         SimilarityMatch(records[(i + 1) % 1000].identifier, 0.9871),
                         SimilarityMatch(records[(i + 2) % 1000].identifier, 0.1234),
                     ],
-                    k=10,
-                    computed_at="2006-04-19T12:00:00Z",
+                    "2006-04-19T12:00:00Z",
                 )
             body = serialize_get_record(
                 record,
@@ -233,7 +232,7 @@ def test_criterion_5_round_trip_and_conformance():
                 else {"verb": "ListRecords", "metadataPrefix": "oai_dc"}
             )
             body = serialize_error(
-                OaiError(code, f"synthetic {code} condition"),
+                [OaiError(code, f"synthetic {code} condition")],
                 base_url=BASE,
                 request_args=args,
             )

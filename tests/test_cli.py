@@ -216,6 +216,20 @@ class TestIndexComputeTop:
         assert code == 2
         assert "no top matches" in err
 
+    @pytest.mark.parametrize("length", [300, 5000])
+    def test_top_identifier_too_long_to_store(self, tmp_path, capsys, length):
+        root = str(tmp_path / "store")
+        populate(root, 3)
+        cli.main(["index", "--store", root])
+        cli.main(["compute", "--store", root])
+        capsys.readouterr()
+        identifier = "oai:c.example:" + "a" * length
+        code, _, err = run_cli(
+            capsys, "top", "--identifier", identifier, "--store", root
+        )
+        assert code == 2
+        assert "no top matches" in err
+
 
 class TestBadFlagValues:
     """A flag value out of range is a usage error (exit 1), refused before
@@ -552,6 +566,32 @@ class TestHarvestCommand:
             code, _, err = run_cli(capsys, "harvest", "--base-url", url, "--store", root)
         assert code == 2
         assert "non-DC element title" in err
+
+    def test_mixed_content_in_a_page_is_a_runtime_failure(self, tmp_path, capsys):
+        upstream = MockUpstream(oracle.synthetic_records(random.Random(23), 3))
+        upstream.rewrite_page = lambda body: body.replace(
+            b"</dc:title>", b'<b xmlns="">x</b>tail</dc:title>', 1
+        )
+        root = str(tmp_path / "store")
+        with http_server(upstream.wsgi) as url:
+            code, _, err = run_cli(capsys, "harvest", "--base-url", url, "--store", root)
+        assert code == 2
+        assert "mixed content in DC element title" in err
+        assert RecordStore(root).list_identifiers() == []
+
+    def test_identifier_too_long_to_store_is_a_runtime_failure(self, tmp_path, capsys):
+        # the record file's write_atomic temporary would need a 258-byte name
+        long_record = MetadataRecord(
+            "oai:x:" + "b" * 250, "2004-04-04T04:04:04Z", dc_fields=(("title", "t"),)
+        )
+        root = str(tmp_path / "store")
+        with http_server(MockUpstream([long_record]).wsgi) as url:
+            code, _, err = run_cli(capsys, "harvest", "--base-url", url, "--store", root)
+        assert code == 2
+        assert "too long to store" in err
+        store = RecordStore(root)
+        assert store.list_identifiers() == []
+        assert store.epoch() == 0
 
 
 class TestServeCommand:

@@ -40,6 +40,14 @@ CLEAN_GET_RECORD = serialize_get_record(
     response_date=DATE,
 )
 
+IDENTIFY = serialize_identify(
+    "x",
+    "a@example.org",
+    "2000-01-01",
+    base_url=BASE,
+    request_args={"verb": "Identify"},
+)
+
 
 def problems_for(mutate):
     """Apply one mutation to the clean GetRecord body and validate the result."""
@@ -69,39 +77,20 @@ class TestCleanBodiesPass:
                 base_url=BASE,
                 request_args={"verb": "ListIdentifiers", "metadataPrefix": "oai_dc"},
             ),
-            serialize_identify(
-                {
-                    "repositoryName": "x",
-                    "baseURL": BASE,
-                    "adminEmail": "a@example.org",
-                    "earliestDatestamp": "2000-01-01",
-                },
-                base_url=BASE,
-                request_args={"verb": "Identify"},
-            ),
+            IDENTIFY,
             serialize_list_metadata_formats(
-                [
-                    {
-                        "metadataPrefix": "oai_dc",
-                        "schema": "http://www.openarchives.org/OAI/2.0/oai_dc.xsd",
-                        "metadataNamespace": "http://www.openarchives.org/OAI/2.0/oai_dc/",
-                    }
-                ],
-                base_url=BASE,
-                request_args={"verb": "ListMetadataFormats"},
+                base_url=BASE, request_args={"verb": "ListMetadataFormats"}
             ),
             serialize_list_sets(
-                [{"setSpec": "reports", "setName": "reports"}],
-                base_url=BASE,
-                request_args={"verb": "ListSets"},
+                ["reports"], base_url=BASE, request_args={"verb": "ListSets"}
             ),
             serialize_error(
-                OaiError("noRecordsMatch", "nothing in range"),
+                [OaiError("noRecordsMatch", "nothing in range")],
                 base_url=BASE,
                 request_args={"verb": "ListRecords", "metadataPrefix": "oai_dc"},
             ),
             serialize_error(
-                OaiError("badVerb", "no such verb"),
+                [OaiError("badVerb", "no such verb")],
                 base_url=BASE,
                 request_args={"verb": "Frobnicate"},
             ),
@@ -308,32 +297,17 @@ class TestViolationsAreCaught:
         assert any("out of schema order" in p for p in problems)
 
     def test_identify_missing_required_field(self):
-        body = serialize_identify(
-            {
-                "repositoryName": "x",
-                "baseURL": BASE,
-                "adminEmail": "a@example.org",
-                "earliestDatestamp": "2000-01-01",
-            },
-            base_url=BASE,
-            request_args={"verb": "Identify"},
-        ).decode("utf-8")
+        body = IDENTIFY.decode("utf-8")
         problems = conformance_problems(
             re.sub(r"<granularity>[^<]*</granularity>", "", body)
         )
         assert any("missing granularity" in p for p in problems)
 
     def test_identify_bad_protocol_version(self):
-        body = serialize_identify(
-            {
-                "repositoryName": "x",
-                "baseURL": BASE,
-                "protocolVersion": "1.1",
-                "adminEmail": "a@example.org",
-                "earliestDatestamp": "2000-01-01",
-            },
-            base_url=BASE,
-            request_args={"verb": "Identify"},
+        body = re.sub(
+            r"<protocolVersion>[^<]*</protocolVersion>",
+            "<protocolVersion>1.1</protocolVersion>",
+            IDENTIFY.decode("utf-8"),
         )
         problems = conformance_problems(body)
         assert any("protocolVersion must be 2.0" in p for p in problems)

@@ -98,6 +98,8 @@ class TestHarvestSession:
         with pytest.raises(RequestArgumentError):
             HarvestSession(base_url=BASE, from_="2002-13-01")
         with pytest.raises(RequestArgumentError):
+            HarvestSession(base_url=BASE, from_="")
+        with pytest.raises(RequestArgumentError):
             HarvestSession(base_url=BASE, from_="2003-01-01", until="2002-01-01")
 
     def test_mixed_granularity_refused(self):
@@ -155,7 +157,7 @@ def page_body(records, token_text=None, request_args=None):
 def error_body(code, message="", echo=True):
     args = {"verb": "ListRecords", "metadataPrefix": "oai_dc"} if echo else {}
     return serialize_error(
-        OaiError(code, message), base_url=BASE, request_args=args
+        [OaiError(code, message)], base_url=BASE, request_args=args
     )
 
 

@@ -18,6 +18,7 @@ from simharvest.exceptions import (
 from simharvest.oai_xml import (
     DC_NS,
     DEFAULT_SIMILARITY_SCHEMA_URL,
+    METADATA_PREFIX,
     OAI_NS,
     ResumptionToken,
     build_similarity_about,
@@ -32,6 +33,7 @@ from simharvest.oai_xml import (
     serialize_list_records,
     serialize_list_sets,
     serialize_record_fragment,
+    serialize_similarity,
 )
 from simharvest.records import (
     MetadataRecord,
@@ -52,6 +54,11 @@ def envelope(body):
     """(responseDate text, <request> attributes) of a response body."""
     root = ET.fromstring(body)
     return root.findtext(oai("responseDate")), dict(root.find(oai("request")).attrib)
+
+
+def fields(element):
+    """(local name, text) of each child of an element."""
+    return [(child.tag.rsplit("}", 1)[-1], child.text) for child in element]
 
 
 def vetted_payload(body, verb):
@@ -318,63 +325,60 @@ class TestListVerbs:
         assert not any(e.tag.startswith(f"{{{DC_NS}}}") for e in listing.iter())
 
 
-class TestIdentifyAndFriends:
-    INFO = {
-        "repositoryName": "test aggregator",
-        "baseURL": BASE,
-        "protocolVersion": "2.0",
-        "adminEmail": ["one@example.org", "two@example.org"],
-        "earliestDatestamp": "2000-01-01T00:00:00Z",
-        "deletedRecord": "transient",
-        "granularity": "YYYY-MM-DDThh:mm:ssZ",
-    }
+def identify_body(**kwargs) -> bytes:
+    return serialize_identify(
+        "test aggregator",
+        "one@example.org",
+        "2000-01-01T00:00:00Z",
+        base_url=BASE,
+        request_args={"verb": "Identify"},
+        **kwargs,
+    )
 
+
+class TestIdentifyAndFriends:
     def test_identify_round_trip(self):
-        body = serialize_identify(
-            self.INFO, base_url=BASE, request_args={"verb": "Identify"},
-            response_date=DATE,
-        )
-        identify = vetted_payload(body, "Identify")
-        assert identify.findtext(oai("repositoryName")) == "test aggregator"
-        assert [e.text for e in identify.findall(oai("adminEmail"))] == [
-            "one@example.org",
-            "two@example.org",
+        identify = vetted_payload(identify_body(response_date=DATE), "Identify")
+        assert fields(identify) == [
+            ("repositoryName", "test aggregator"),
+            ("baseURL", BASE),
+            ("protocolVersion", "2.0"),
+            ("adminEmail", "one@example.org"),
+            ("earliestDatestamp", "2000-01-01T00:00:00Z"),
+            ("deletedRecord", "transient"),
+            ("granularity", "YYYY-MM-DDThh:mm:ssZ"),
         ]
-        assert identify.findtext(oai("granularity")) == "YYYY-MM-DDThh:mm:ssZ"
 
     def test_formats_round_trip(self):
-        formats = [
-            {
-                "metadataPrefix": "oai_dc",
-                "schema": "http://www.openarchives.org/OAI/2.0/oai_dc.xsd",
-                "metadataNamespace": "http://www.openarchives.org/OAI/2.0/oai_dc/",
-            }
-        ]
         body = serialize_list_metadata_formats(
-            formats, base_url=BASE, request_args={"verb": "ListMetadataFormats"}
+            base_url=BASE, request_args={"verb": "ListMetadataFormats"}
         )
         listing = vetted_payload(body, "ListMetadataFormats")
         assert [
-            {name: entry.findtext(oai(name)) for name in formats[0]}
-            for entry in listing.findall(oai("metadataFormat"))
-        ] == formats
+            fields(entry) for entry in listing.findall(oai("metadataFormat"))
+        ] == [
+            [
+                ("metadataPrefix", METADATA_PREFIX),
+                ("schema", "http://www.openarchives.org/OAI/2.0/oai_dc.xsd"),
+                ("metadataNamespace", "http://www.openarchives.org/OAI/2.0/oai_dc/"),
+            ]
+        ]
 
     def test_sets_round_trip(self):
-        sets = [{"setSpec": "reports", "setName": "reports"}]
         body = serialize_list_sets(
-            sets, base_url=BASE, request_args={"verb": "ListSets"}
+            ["reports", "space"], base_url=BASE, request_args={"verb": "ListSets"}
         )
         listing = vetted_payload(body, "ListSets")
         assert [
-            {name: entry.findtext(oai(name)) for name in sets[0]}
+            (entry.findtext(oai("setSpec")), entry.findtext(oai("setName")))
             for entry in listing.findall(oai("set"))
-        ] == sets
+        ] == [("reports", "reports"), ("space", "space")]
 
 
 class TestErrors:
     def test_error_parsed_not_raised(self):
         body = serialize_error(
-            OaiError("idDoesNotExist", "no such record"),
+            [OaiError("idDoesNotExist", "no such record")],
             base_url=BASE,
             request_args={"verb": "GetRecord", "identifier": "oai:x:nope",
                           "metadataPrefix": "oai_dc"},
@@ -388,7 +392,7 @@ class TestErrors:
     def test_bad_verb_and_bad_argument_suppress_echo(self):
         for code in ("badVerb", "badArgument"):
             body = serialize_error(
-                OaiError(code, "rejected"),
+                [OaiError(code, "rejected")],
                 base_url=BASE,
                 request_args={"verb": "GetRecord", "identifier": "oai:x:1"},
                 response_date=DATE,
@@ -423,11 +427,7 @@ class TestParseFailures:
             parse_response(b"<html><body>salmon</body></html>", "GetRecord")
 
     def test_wrong_payload_verb(self):
-        body = serialize_identify(
-            TestIdentifyAndFriends.INFO,
-            base_url=BASE,
-            request_args={"verb": "Identify"},
-        )
+        body = identify_body()
         with pytest.raises(ProtocolMismatchError):
             parse_response(body, "ListRecords")
 
@@ -443,6 +443,13 @@ class TestParseFailures:
         )
         with pytest.raises(ProtocolMismatchError):
             parse_response(data, "GetRecord")
+
+    def test_mixed_content_in_a_dc_element_is_refused(self):
+        body = serialize_get_record(
+            sample_record(), base_url=BASE, request_args={"verb": "GetRecord"}
+        ).replace(b"</dc:title>", b'<b xmlns="">x</b>tail</dc:title>', 1)
+        with pytest.raises(RecordValidationError, match="mixed content in DC"):
+            parse_response(body, "GetRecord")
 
 
 class TestScoresAndRanking:
@@ -467,22 +474,27 @@ class TestScoresAndRanking:
         assert scores == ["0.9812", "0.4401"]
         assert all(re.fullmatch(r"[01]\.\d{4}", s) for s in scores)
 
-    def test_build_similarity_about_ranks_and_truncates(self):
+    def test_build_similarity_about_keeps_the_stored_order(self):
+        # compute's order: exact score descending, so two matches that render
+        # alike may stand against identifier order; nothing is re-ranked
         matches = [
-            SimilarityMatch("oai:x:c", 0.5),
-            SimilarityMatch("oai:x:subject", 1.0),  # self, dropped
-            SimilarityMatch("oai:x:a", 0.9),
-            SimilarityMatch("oai:x:b", 0.9),
-            SimilarityMatch("oai:x:d", 0.2),
+            SimilarityMatch("oai:x:c", 0.9),
+            SimilarityMatch("oai:x:b", 0.04751),
+            SimilarityMatch("oai:x:a", 0.04749),
         ]
-        about = build_similarity_about("oai:x:subject", matches, 3, computed_at=DATE)
-        assert [m.identifier for m in about.matches] == ["oai:x:a", "oai:x:b", "oai:x:c"]
+        about = build_similarity_about("oai:x:subject", matches, DATE)
+        assert about.matches == tuple(matches)
         assert about.subject_identifier == "oai:x:subject"
         assert about.computed_at == DATE
-
-    def test_build_similarity_about_defaults_computed_at(self):
-        about = build_similarity_about("oai:x:s", [], 5)
-        assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", about.computed_at)
+        body = serialize_similarity(about, DEFAULT_SIMILARITY_SCHEMA_URL)
+        assert re.findall(rb'identifier="oai:x:(\w)" score="([\d.]+)"', body) == [
+            (b"c", b"0.9000"),
+            (b"b", b"0.0475"),
+            (b"a", b"0.0475"),
+        ]
+        # a list out of rank order is refused, not re-ranked
+        with pytest.raises(RecordValidationError):
+            build_similarity_about("oai:x:subject", matches[::-1], DATE)
 
 
 class TestRecordFragments:

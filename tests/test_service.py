@@ -17,6 +17,7 @@ import pytest
 
 import oracle
 from conformance import conformance_problems, validate_similarity_container
+from simharvest import cli
 from simharvest import pipeline as pipeline_module
 from simharvest import service as service_module
 from simharvest import store as store_module
@@ -175,6 +176,12 @@ def provider(corpus_store):
 
 LIVE_IDS = [f"oai:repo.example:item{i:05d}" for i in range(10)]
 ALL_IDS = LIVE_IDS + ["oai:repo.example:zz-gone"]
+# no file name derived from these fits in 255 bytes, so none can be stored
+too_long_ids = pytest.mark.parametrize(
+    "identifier",
+    ["oai:repo.example:" + "a" * length for length in (300, 5000)],
+    ids=("300", "5000"),
+)
 
 
 class TestIdentify:
@@ -227,6 +234,15 @@ class TestListMetadataFormats:
             provider,
             "ListMetadataFormats",
             {"verb": "ListMetadataFormats", "identifier": "oai:repo.example:nope"},
+        )
+        assert error_codes(parsed) == ["idDoesNotExist"]
+
+    @too_long_ids
+    def test_identifier_too_long_to_store(self, provider, identifier):
+        parsed = checked(
+            provider,
+            "ListMetadataFormats",
+            {"verb": "ListMetadataFormats", "identifier": identifier},
         )
         assert error_codes(parsed) == ["idDoesNotExist"]
 
@@ -454,8 +470,7 @@ class TestGetRecord:
         expected = build_similarity_about(
             identifier,
             load_top_matches(corpus_store, identifier, 5),
-            5,
-            computed_at=meta["computed_at"],
+            meta["computed_at"],
         )
         parsed = checked(
             provider,
@@ -503,6 +518,15 @@ class TestGetRecord:
                 "metadataPrefix": "oai_dc",
                 "identifier": "oai:repo.example:nope",
             },
+        )
+        assert error_codes(parsed) == ["idDoesNotExist"]
+
+    @too_long_ids
+    def test_identifier_too_long_to_store(self, provider, identifier):
+        parsed = checked(
+            provider,
+            "GetRecord",
+            {"verb": "GetRecord", "metadataPrefix": "oai_dc", "identifier": identifier},
         )
         assert error_codes(parsed) == ["idDoesNotExist"]
 
@@ -676,6 +700,14 @@ class TestAuxiliaryRoutes:
         assert status == "404 Not Found"
         assert b"unknown identifier" in body
 
+    @too_long_ids
+    def test_similar_identifier_too_long_to_store(self, provider, identifier):
+        status, _, body = wsgi_call(
+            provider, path="/similar", query=urlencode({"identifier": identifier})
+        )
+        assert status == "404 Not Found"
+        assert b"unknown identifier" in body
+
     def test_other_methods_rejected(self, provider):
         status, headers, _ = wsgi_call(provider, method="PUT", query="verb=Identify")
         assert status == "405 Method Not Allowed"
@@ -686,6 +718,64 @@ class TestAuxiliaryRoutes:
             ProviderConfig(k=-1)
         with pytest.raises(SimHarvestError):
             ProviderConfig(page_size=0)
+
+
+class TestOneRanking:
+    """GetRecord's <about>, /similar, `simharvest top` and the top file list
+    each subject's matches in one order: compute's, by exact score."""
+
+    @pytest.fixture(scope="class")
+    def ranked_store(self, tmp_path_factory):
+        # seed 12 puts two matches with equal four-decimal scores in an
+        # order that runs against identifier order
+        store = RecordStore(tmp_path_factory.mktemp("ranking") / "store")
+        for record in oracle.synthetic_records(random.Random(12), 10):
+            store.put_record(record)
+        index_store(store)
+        compute_store(store, k=10)
+        return store
+
+    @staticmethod
+    def matches(body: bytes) -> list[tuple[str, str]]:
+        element = ET.fromstring(body)
+        return [
+            (match.get("identifier"), match.get("score"))
+            for match in element.iter(f"{{{SIMILARITY_NS}}}match")
+        ]
+
+    def test_four_lists_agree_for_every_subject(self, ranked_store, capsys):
+        provider = OaiProvider(ranked_store, ProviderConfig(base_url=BASE, k=10))
+        root = str(ranked_store.root)
+        against_id_order = 0
+        for identifier in ranked_store.list_identifiers():
+            text = ranked_store.top_path(identifier).read_text(encoding="utf-8")
+            top_file = [tuple(line.split("\t")) for line in text.splitlines()]
+            against_id_order += sum(
+                a[1] == b[1] and a[0] > b[0] for a, b in zip(top_file, top_file[1:])
+            )
+            get_record = self.matches(
+                vetted(
+                    provider,
+                    {
+                        "verb": "GetRecord",
+                        "metadataPrefix": "oai_dc",
+                        "identifier": identifier,
+                    },
+                )
+            )
+            status, _, body = wsgi_call(
+                provider, path="/similar", query=urlencode({"identifier": identifier})
+            )
+            assert status == "200 OK"
+            capsys.readouterr()
+            assert cli.main(["top", "--identifier", identifier, "--store", root]) == 0
+            out = capsys.readouterr().out
+            top = [tuple(line.split("\t")) for line in out.splitlines()]
+            assert len(top_file) == 9
+            assert get_record == top_file
+            assert self.matches(body) == top_file
+            assert top == top_file
+        assert against_id_order > 0  # the corpus still holds the case
 
 
 @pytest.fixture

@@ -13,9 +13,11 @@ import oracle
 from simharvest.exceptions import (
     NotFoundError,
     PathCollisionError,
+    RecordValidationError,
     StalenessError,
     StorageError,
 )
+from simharvest.oai_xml import serialize_record_fragment
 from simharvest.pipeline import (
     check_results_fresh,
     compute_store,
@@ -191,6 +193,43 @@ class TestRecords:
     def test_get_missing_record(self, store):
         with pytest.raises(NotFoundError):
             store.get_record("oai:a.example:absent")
+
+    def test_identifier_too_long_for_its_top_file_is_refused(self, store):
+        # the record file name fits; the flat top-match name would be 257 bytes
+        store.put_record(make_record("oai:x:1"))
+        store.put_record(make_record("oai:x:2", dc_fields=(("title", "friction"),)))
+        too_long = make_record("oai:x:" + "b" * 247)
+        assert len(encode_flat(too_long.identifier)) == 257
+        epoch = store.epoch()
+        with pytest.raises(RecordValidationError, match="too long to store"):
+            store.put_record(too_long)
+        assert store.epoch() == epoch
+        assert store.list_identifiers() == ["oai:x:1", "oai:x:2"]
+        assert not store.has_record(too_long.identifier)
+        with pytest.raises(NotFoundError):
+            store.get_record(too_long.identifier)
+        index_store(store)
+        compute_store(store, k=2)
+        check_results_fresh(store)
+
+    def test_unstorable_record_file_from_an_older_store_is_not_listed(self, store):
+        store.put_record(make_record("oai:x:1"))
+        too_long = make_record("oai:x:" + "b" * 247)
+        path = store.record_path(too_long.identifier)  # its own name still fits
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(serialize_record_fragment(too_long))
+        assert store.list_identifiers() == ["oai:x:1"]
+        assert [h.identifier for h in store.catalog().headers] == ["oai:x:1"]
+
+    def test_longest_storable_identifier_goes_through_compute(self, store):
+        longest = make_record("oai:x:" + "b" * 245)  # flat top-match name: 255
+        store.put_record(longest)
+        store.put_record(make_record("oai:x:2"))
+        index_store(store)
+        compute_store(store, k=2)
+        assert [m.identifier for m in load_top_matches(store, "oai:x:2")] == [
+            longest.identifier
+        ]
 
     def test_collision_detected(self, store):
         record = make_record(identifier="oai:a.example:1")
