@@ -97,6 +97,9 @@ def argument_problems(verb: str, arguments: Mapping[str, str]) -> list[str]:
         problems += [
             f"{verb} requires {name}" for name in required if name not in arguments
         ]
+    # setSpec has one or more characters
+    if arguments.get("set") == "":
+        problems.append("set must be non-empty")
     stamps = []
     for name in ("from", "until"):
         if name in arguments:
@@ -288,12 +291,12 @@ def _token_element(token: ResumptionToken) -> ET.Element:
 
 def serialize_get_record(
     record: MetadataRecord,
-    about: SimilarityAbout | None = None,
+    about: SimilarityAbout | None,
     *,
     base_url: str,
     request_args: Mapping[str, str],
     response_date: str | None = None,
-    schema_url: str = DEFAULT_SIMILARITY_SCHEMA_URL,
+    schema_url: str,
 ) -> bytes:
     """One-record response; the similarity container rides in its own <about>."""
     if about is not None and record.deleted:

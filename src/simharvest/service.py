@@ -355,20 +355,63 @@ class DuplicatePair:
     provenance_linked: bool
 
 
+def _top_file_rows(
+    store: RecordStore, threshold: float
+) -> list[tuple[str, str, float]] | None:
+    """The (id_a, id_b, score) pairs of the pair file scoring at or above the
+    threshold, read from the top files alone; None when they might miss one.
+
+    Rendering is monotone, so a record's top file holds every pair of it
+    rendering at or above the threshold whenever its k-th score renders
+    below it; a k-th score equal to the threshold may have lost a tie. A
+    threshold one rendering step above a nonzero score floor keeps out the
+    pairs just below the floor that render onto it, which the pair file
+    leaves out and the top files keep.
+    """
+    meta = check_results_fresh(store)
+    k = int(meta["k"])
+    floor = float(meta["score_floor"])
+    if k == 0 or (floor != 0.0 and threshold < floor + 1e-4):
+        return None
+    identifiers = store.list_identifiers()
+    rows = set()
+    for identifier in identifiers:
+        try:
+            matches = load_top_matches(store, identifier)
+        except NotFoundError:
+            return None
+        # a shorter file must hold every other record
+        if len(matches) != min(k, len(identifiers) - 1) or (
+            len(matches) == k and matches[-1].score >= threshold
+        ):
+            return None
+        for match in matches:
+            if match.score < threshold:
+                break  # ranked best first
+            other = match.identifier
+            pair = (identifier, other) if identifier < other else (other, identifier)
+            rows.add((*pair, match.score))
+    return list(rows)
+
+
 def duplicate_report(store: RecordStore, threshold: float) -> list[DuplicatePair]:
     """All stored pairs scoring at or above the threshold, best first.
 
-    Each pair is flagged provenance-linked when one record's provenance names
-    the other's identifier, or both share an origin baseURL. Raises
-    StalenessError when there are no fresh results.
+    The pairs come from the per-record top files when those provably hold
+    every one (see _top_file_rows), and from similarities.txt otherwise; the
+    report is the same either way. Each pair is flagged provenance-linked
+    when one record's provenance names the other's identifier, or both share
+    an origin baseURL. Raises StalenessError when there are no fresh results.
     """
     if not (0.0 <= threshold <= 1.01):
         raise SimHarvestError("threshold must lie in [0, 1] (1.01 to mean 'none')")
-    rows = [
-        (id_a, id_b, score)
-        for id_a, id_b, score in iter_similarity_lines(store)
-        if score >= threshold
-    ]
+    rows = _top_file_rows(store, threshold)
+    if rows is None:
+        rows = [
+            (id_a, id_b, score)
+            for id_a, id_b, score in iter_similarity_lines(store)
+            if score >= threshold
+        ]
     rows.sort(key=lambda row: (-row[2], row[0], row[1]))
     origins: dict[str, tuple[set[str], set[str]]] = {}
 

@@ -25,6 +25,7 @@ from simharvest.cli import main as cli_main
 from simharvest.exceptions import StalenessError
 from simharvest.harvester import HarvestSession, harvest
 from simharvest.oai_xml import (
+    DEFAULT_SIMILARITY_SCHEMA_URL,
     ResumptionToken,
     build_similarity_about,
     parse_response,
@@ -192,6 +193,7 @@ def test_criterion_5_round_trip_and_conformance():
                     "metadataPrefix": "oai_dc",
                     "identifier": record.identifier,
                 },
+                schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
             )
             assert conformance_problems(body) == []
             parsed = parse_response(body, "GetRecord")

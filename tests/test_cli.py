@@ -547,6 +547,15 @@ class TestHarvestCommand:
         assert code == 1
         assert "--base-url" in err
 
+    def test_empty_set_is_a_usage_error(self, tmp_path, capsys):
+        root = str(tmp_path / "store")
+        code, _, err = run_cli(
+            capsys, "harvest", "--base-url", "http://localhost:9/oai", "--store", root,
+            "--set", "",
+        )
+        assert code == 1
+        assert "set must be non-empty" in err
+
     def test_upstream_protocol_error_is_runtime_failure(self, tmp_path, capsys):
         # the mock answers an empty collection with badResumptionToken
         upstream = MockUpstream([])

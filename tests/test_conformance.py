@@ -14,6 +14,7 @@ from conformance import (
     validate_similarity_container,
 )
 from simharvest.oai_xml import (
+    DEFAULT_SIMILARITY_SCHEMA_URL,
     ResumptionToken,
     serialize_error,
     serialize_get_record,
@@ -38,6 +39,7 @@ CLEAN_GET_RECORD = serialize_get_record(
         "metadataPrefix": "oai_dc",
     },
     response_date=DATE,
+    schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
 )
 
 IDENTIFY = serialize_identify(

@@ -99,6 +99,8 @@ class TestHarvestSession:
             HarvestSession(base_url=BASE, from_="2002-13-01")
         with pytest.raises(RequestArgumentError):
             HarvestSession(base_url=BASE, from_="")
+        with pytest.raises(RequestArgumentError, match="set must be non-empty"):
+            HarvestSession(base_url=BASE, set_spec="")
         with pytest.raises(RequestArgumentError):
             HarvestSession(base_url=BASE, from_="2003-01-01", until="2002-01-01")
 

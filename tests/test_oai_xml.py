@@ -111,6 +111,7 @@ class TestGetRecord:
             request_args={"verb": "GetRecord", "identifier": record.identifier,
                           "metadataPrefix": "oai_dc"},
             response_date=DATE,
+            schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         parsed = parse_response(body, "GetRecord")
         assert parsed.records == [record]
@@ -131,10 +132,12 @@ class TestGetRecord:
         first = serialize_get_record(
             record, sample_about(), base_url=BASE, request_args=args,
             response_date=DATE,
+            schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         second = serialize_get_record(
             record, sample_about(), base_url=BASE, request_args=args,
             response_date=DATE,
+            schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         assert first == second
 
@@ -145,6 +148,7 @@ class TestGetRecord:
         body = serialize_get_record(
             record, sample_about(), base_url=BASE, request_args=args,
             response_date=DATE,
+            schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         parsed = parse_response(body, "GetRecord")
         response_date, request_args = envelope(body)
@@ -154,6 +158,7 @@ class TestGetRecord:
             base_url=BASE,
             request_args=request_args,
             response_date=response_date,
+            schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         assert again == body
 
@@ -164,6 +169,7 @@ class TestGetRecord:
             base_url=BASE,
             request_args={"verb": "GetRecord"},
             response_date=DATE,
+            schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         ).decode("utf-8")
         assert body.rindex("similarity") > body.rindex("originDescription")
         assert "metadata>" in body
@@ -184,8 +190,9 @@ class TestGetRecord:
             identifier="oai:x:gone", datestamp="2002-05-05", deleted=True
         )
         body = serialize_get_record(
-            record, base_url=BASE, request_args={"verb": "GetRecord"},
+            record, None, base_url=BASE, request_args={"verb": "GetRecord"},
             response_date=DATE,
+            schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         text = body.decode("utf-8")
         assert 'status="deleted"' in text
@@ -203,6 +210,7 @@ class TestGetRecord:
                 sample_about("oai:x:gone"),
                 base_url=BASE,
                 request_args={"verb": "GetRecord"},
+                schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
             )
 
     def test_subject_mismatch_rejected(self):
@@ -212,6 +220,7 @@ class TestGetRecord:
                 sample_about("oai:other.example:not-the-subject"),
                 base_url=BASE,
                 request_args={"verb": "GetRecord"},
+                schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
             )
 
     @settings(max_examples=60, deadline=None)
@@ -219,9 +228,11 @@ class TestGetRecord:
     def test_round_trip_any_record(self, record):
         body = serialize_get_record(
             record,
+            None,
             base_url=BASE,
             request_args={"verb": "GetRecord", "identifier": record.identifier},
             response_date=DATE,
+            schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         assert parse_response(body, "GetRecord").records == [record]
 
@@ -446,7 +457,11 @@ class TestParseFailures:
 
     def test_mixed_content_in_a_dc_element_is_refused(self):
         body = serialize_get_record(
-            sample_record(), base_url=BASE, request_args={"verb": "GetRecord"}
+            sample_record(),
+            None,
+            base_url=BASE,
+            request_args={"verb": "GetRecord"},
+            schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         ).replace(b"</dc:title>", b'<b xmlns="">x</b>tail</dc:title>', 1)
         with pytest.raises(RecordValidationError, match="mixed content in DC"):
             parse_response(body, "GetRecord")
@@ -469,6 +484,7 @@ class TestScoresAndRanking:
             sample_about(),
             base_url=BASE,
             request_args={"verb": "GetRecord"},
+            schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         ).decode("utf-8")
         scores = re.findall(r'score="([^"]+)"', body)
         assert scores == ["0.9812", "0.4401"]

@@ -9,11 +9,15 @@ import dataclasses
 import io
 import random
 import sys
+import tempfile
 import threading
 import xml.etree.ElementTree as ET
+from unittest import mock
 from urllib.parse import urlencode, urlsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from conformance import conformance_problems, validate_similarity_container
@@ -37,7 +41,7 @@ from simharvest.pipeline import (
     load_top_matches,
     read_compute_meta,
 )
-from simharvest.records import MetadataRecord
+from simharvest.records import MetadataRecord, SimilarityMatch
 from simharvest.service import (
     DuplicatePair,
     OaiProvider,
@@ -45,7 +49,9 @@ from simharvest.service import (
     duplicate_report,
     similarity_schema_text,
 )
+from simharvest.similarity import VectorSpaceModel
 from simharvest.store import RecordStore
+from test_similarity import score_blocks
 
 BASE = "http://aggregator.example/oai"
 
@@ -371,6 +377,14 @@ class TestListVerbsPaging:
             {"verb": "ListIdentifiers", "metadataPrefix": "oai_dc", "set": "nope"},
         )
         assert error_codes(parsed) == ["noRecordsMatch"]
+
+    @pytest.mark.parametrize("verb", ["ListRecords", "ListIdentifiers"])
+    def test_empty_set_is_a_bad_argument(self, provider, verb):
+        parsed = checked(
+            provider, verb, {"verb": verb, "metadataPrefix": "oai_dc", "set": ""}
+        )
+        assert error_codes(parsed) == ["badArgument"]
+        assert "set must be non-empty" in parsed.errors[0].message
 
     @pytest.mark.parametrize("verb", ["ListRecords", "ListIdentifiers"])
     def test_set_on_a_store_without_sets(self, mutable, verb):
@@ -987,6 +1001,207 @@ class TestDuplicateReport:
     def test_threshold_range_enforced(self, dup_store, threshold):
         with pytest.raises(SimHarvestError):
             duplicate_report(dup_store, threshold)
+
+
+def text_store(root, texts, k, score_floor=0.0):
+    """A computed store of one record per name, titled with its text."""
+    store = RecordStore(root)
+    for name, text in texts.items():
+        store.put_record(
+            MetadataRecord(
+                identifier=f"oai:p.example:{name}",
+                datestamp="2005-01-01T00:00:00Z",
+                dc_fields=(("title", text),),
+            )
+        )
+    index_store(store)
+    compute_store(store, k=k, score_floor=score_floor)
+    return store
+
+
+def pair_file_report(store, threshold):
+    """The report as the pair file alone gives it."""
+    with mock.patch.object(service_module, "_top_file_rows", return_value=None):
+        return duplicate_report(store, threshold)
+
+
+def assert_paths_agree(store, threshold, fast):
+    """The report equals the pair-file report; fast says whether the top
+    files answered it."""
+    assert duplicate_report(store, threshold) == pair_file_report(store, threshold)
+    answered = service_module._top_file_rows(store, threshold) is not None
+    assert answered is fast
+
+
+def p_id(name):
+    return f"oai:p.example:{name}"
+
+
+#: wind and tunnel in all but f, so they carry weight; b..e are identical
+TIED = {
+    "a": "wind tunnel heating",
+    "b": "wind tunnel mach",
+    "c": "wind tunnel mach",
+    "d": "wind tunnel mach",
+    "e": "wind tunnel mach",
+    "f": "reentry orbiter",
+}
+
+REPORT_WORDS = ("wind", "tunnel", "mach", "heating", "reentry", "orbiter")
+REPORT_NAMES = ("a", "b", "B", "c", "a0", "Z", "b1", "zz")
+
+
+class TestDuplicateReportPaths:
+    """The top-file path and the pair-file path give the same report."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.dictionaries(
+            st.sampled_from(REPORT_NAMES),
+            st.lists(st.sampled_from(REPORT_WORDS), min_size=1, max_size=5).map(
+                " ".join
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        k=st.integers(0, 9),  # above 7, no top file is full
+        score_floor=st.one_of(
+            st.just(0.0), st.sampled_from([0.1, 0.3, 0.5]), st.floats(0.0, 1.0)
+        ),
+        data=st.data(),
+    )
+    def test_paths_agree_on_drawn_corpora(self, texts, k, score_floor, data):
+        with tempfile.TemporaryDirectory() as root:
+            store = text_store(root, texts, k, score_floor)
+            rendered = sorted(
+                {
+                    match.score
+                    for identifier in store.list_identifiers()
+                    for match in load_top_matches(store, identifier)
+                }
+            )
+            near = [score_floor, score_floor + 1e-4] + [
+                score + offset
+                for score in rendered
+                for offset in (-1e-4, -5e-5, 0.0, 5e-5, 1e-4)
+            ]
+            threshold = data.draw(
+                st.one_of(
+                    st.floats(0.0, 1.01),
+                    st.sampled_from([t for t in near if 0.0 <= t <= 1.01]),
+                )
+            )
+            assert duplicate_report(store, threshold) == pair_file_report(
+                store, threshold
+            )
+
+    def test_kth_score_at_the_threshold_falls_back(self, tmp_path):
+        # every two records share one term of their own, so all six pairs
+        # score 1/3; x and y each rank a and b first and drop each other
+        texts = {
+            "a": "tab tax tay",
+            "b": "tab tbx tby",
+            "x": "tax tbx txy",
+            "y": "tay tby txy",
+        }
+        store = text_store(tmp_path / "store", texts, k=2)
+        kth = load_top_matches(store, p_id("x"))[-1].score
+        assert kth == 0.3333
+        assert_paths_agree(store, kth, fast=False)
+        pairs = {(pair.id_a, pair.id_b) for pair in duplicate_report(store, kth)}
+        assert (p_id("x"), p_id("y")) in pairs
+
+    def test_ties_across_the_k_boundary_fall_back(self, tmp_path):
+        store = text_store(tmp_path / "store", TIED, k=3)
+        ranked = load_top_matches(store, p_id("a"))
+        # a ties with b..e; the fourth of them lost the tie-break
+        assert [match.identifier for match in ranked] == [p_id(n) for n in "bcd"]
+        tied = ranked[-1].score
+        assert 0.0 < tied < 1.0
+        for threshold in (tied, tied - 0.01):
+            assert_paths_agree(store, threshold, fast=False)
+            report = duplicate_report(store, threshold)
+            assert (p_id("a"), p_id("e")) in {(p.id_a, p.id_b) for p in report}
+
+    def test_score_just_below_the_floor_that_renders_onto_it(self, tmp_path):
+        records = oracle.synthetic_records(random.Random(11), 6)
+        texts = {
+            str(i): dict(record.dc_fields)["description"]
+            for i, record in enumerate(records)
+        }
+        store = text_store(tmp_path / "probe", texts, k=0)
+        model = VectorSpaceModel().fit(
+            store.get_tf(identifier) for identifier in store.list_identifiers()
+        )
+        _, scores, _ = score_blocks(model, str(tmp_path), k=len(texts))
+        # a pair whose score rounds up, as 0.29996 renders 0.3000
+        (id_a, id_b), raw = next(
+            (pair, score)
+            for pair, score in sorted(scores.items())
+            if 0.0 < score < float(f"{score:.4f}")
+        )
+        floor = float(f"{raw:.4f}")
+        store = text_store(tmp_path / "store", texts, k=len(texts), score_floor=floor)
+        # the top file keeps the pair at the floor; the pair file leaves it out
+        assert SimilarityMatch(id_b, floor) in load_top_matches(store, id_a)
+        lines = {(a, b) for a, b, _ in pipeline_module.iter_similarity_lines(store)}
+        assert (id_a, id_b) not in lines
+        assert_paths_agree(store, floor, fast=False)
+        assert_paths_agree(store, floor + 1e-4, fast=True)
+
+    def test_threshold_below_the_floor_falls_back(self, tmp_path):
+        store = text_store(tmp_path / "store", TIED, k=10, score_floor=0.5)
+        assert_paths_agree(store, 0.2, fast=False)
+        assert_paths_agree(store, 0.5, fast=False)
+        assert_paths_agree(store, 0.6, fast=True)
+
+    def test_k_zero_falls_back(self, tmp_path):
+        store = text_store(tmp_path / "store", TIED, k=0)
+        assert_paths_agree(store, 0.5, fast=False)
+
+    def test_fewer_records_than_k(self, tmp_path):
+        texts = {name: TIED[name] for name in "abcf"}
+        store = text_store(tmp_path / "store", texts, k=10)
+        assert_paths_agree(store, 0.0, fast=True)
+        assert len(duplicate_report(store, 0.0)) == 6  # C(4, 2)
+        assert_paths_agree(store, 0.5, fast=True)
+
+    def test_sentinel_threshold_reads_the_top_files(self, tmp_path):
+        store = text_store(tmp_path / "store", TIED, k=2)
+        assert_paths_agree(store, 1.01, fast=True)
+        assert duplicate_report(store, 1.01) == []
+
+    def test_deleted_top_file_falls_back(self, tmp_path):
+        store = text_store(tmp_path / "store", TIED, k=10)
+        store.top_path(p_id("c")).unlink()
+        assert_paths_agree(store, 0.5, fast=False)
+
+    def test_truncated_top_file_falls_back(self, tmp_path):
+        store = text_store(tmp_path / "store", TIED, k=10)
+        path = store.top_path(p_id("a"))
+        path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\n")
+        assert_paths_agree(store, 0.5, fast=False)
+
+    def test_top_files_answer_without_the_pair_file(self, tmp_path):
+        store = text_store(tmp_path / "store", TIED, k=10)
+        report = duplicate_report(store, 0.5)
+        assert report
+        store.similarities_path.unlink()
+        assert duplicate_report(store, 0.5) == report
+        with pytest.raises(StalenessError):
+            pair_file_report(store, 0.5)
+
+    def test_fallback_reads_through_iter_similarity_lines(self, tmp_path, monkeypatch):
+        store = text_store(tmp_path / "store", TIED, k=0)
+        calls = []
+
+        def recording(store):
+            calls.append(store)
+            return pipeline_module.iter_similarity_lines(store)
+
+        monkeypatch.setattr(service_module, "iter_similarity_lines", recording)
+        assert duplicate_report(store, 0.5)
+        assert calls == [store]
 
 
 class TestHeaderCatalogConsistency:
