@@ -1,6 +1,8 @@
 """OAI-PMH 2.0 wire format: parsing and serialization.
 
-Responses are built with ElementTree against the protocol namespaces. The
+Responses are built with ElementTree against the protocol namespaces; a
+ListRecords page may instead be spliced from the stored record fragments
+into the same bytes (splice_list_records). The
 similarity ranking travels inside a record's optional <about> container as a
 <similarity> element (own namespace) holding <match identifier score/>
 children, score rendered with exactly four decimals.
@@ -20,6 +22,8 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+from xml.parsers import expat
+from xml.sax.saxutils import escape
 
 from .exceptions import (
     ProtocolMismatchError,
@@ -28,6 +32,7 @@ from .exceptions import (
 )
 from .records import (
     DC_ELEMENTS,
+    NAMESPACE_PREFIXES,
     Header,
     MetadataRecord,
     OaiError,
@@ -453,6 +458,103 @@ def parse_record_fragment(data: bytes) -> MetadataRecord:
 def parse_record_header(data: bytes) -> Header:
     """The header of a stored record document; its metadata is left unread."""
     return _parse_header(_record_document(data))
+
+
+# --- ListRecords pages spliced from record fragments ------------------------
+
+_FRAGMENT_START = re.compile(
+    rb"<\?xml version='1\.0' encoding='utf-8'\?>\n"
+    rb'<record xmlns="%s"((?: xmlns:[^=]*="[^"]*")*)>' % OAI_NS.encode()
+    + rb'\n  <header(?: status="deleted")?>\n    <identifier>([^<]*)</identifier>'
+)
+_FRAGMENT_DECLARATION = re.compile(rb' xmlns:[^=]*="[^"]*"')
+# markup serialize_record_fragment never writes after the start tag: siblings
+# without indentation, comments, CDATA, processing instructions, raw carriage
+# returns and namespace declarations below <record>
+_UNWRITTEN_MARKUP = re.compile(rb"><|<[!?]|\r|xmlns")
+#: prefix -> its namespace declaration, for the prefixes registered
+#: process-wide; any other prefix is numbered per document, so it cannot be
+#: spliced
+_DECLARATIONS = {
+    prefix: f' xmlns{":" if prefix else ""}{prefix}="{uri}"'.encode()
+    for prefix, uri in NAMESPACE_PREFIXES.items()
+}
+_DECLARED_PREFIXES = {
+    declaration: prefix for prefix, declaration in _DECLARATIONS.items()
+}
+_RECORD_INDENT = b"    "  # a page holds its records two levels deep
+# a newline run between two tags is indentation, except as the text of a leaf
+# element: start tag, run, end tag. Text never holds a raw < or >.
+_TAG_NEWLINE = re.compile(rb"<(/?)[^<>]*?(/?)>\n(?= *<(/?))")
+
+
+def _shift_indentation(match: re.Match) -> bytes:
+    leaf_text = not match[1] and not match[2] and match[3]
+    return match[0] if leaf_text else match[0] + _RECORD_INDENT
+
+
+def _fragment_body(identifier: str, data: bytes, prefixes: set[str]) -> bytes | None:
+    """The <record> element of a stored fragment as a ListRecords page
+    carries it, its namespace prefixes added to prefixes; None unless data
+    is well-formed, names identifier and has the shape and the registered
+    prefixes serialize_record_fragment writes."""
+    start = _FRAGMENT_START.match(data)
+    if (
+        start is None
+        # escape() escapes &, < and > in text, as ElementTree does
+        or start[2] != escape(identifier).encode("utf-8")
+        or not data.endswith(b"\n</record>")
+        or _UNWRITTEN_MARKUP.search(data, start.end()) is not None
+    ):
+        return None
+    for declaration in _FRAGMENT_DECLARATION.findall(start[1]):
+        if declaration not in _DECLARED_PREFIXES:
+            return None
+        prefixes.add(_DECLARED_PREFIXES[declaration])
+    try:
+        expat.ParserCreate(namespace_separator="}").Parse(data, True)
+    except expat.ExpatError:
+        return None
+    body = b"<record>" + data[start.end(1) + 1 :]
+    return _TAG_NEWLINE.sub(_shift_indentation, body)
+
+
+def splice_list_records(
+    fragments: Sequence[tuple[str, bytes]],
+    *,
+    base_url: str,
+    request_args: Mapping[str, str],
+    token: ResumptionToken | None,
+) -> bytes | None:
+    """The page serialize_list_records writes for the records stored as
+    these (identifier, fragment bytes) pairs, one or more, built from the
+    bytes without parsing a record into a tree. None when any fragment is
+    not one serialize_record_fragment wrote for its identifier with
+    registered prefixes alone, or is not well-formed: parse those the long
+    way."""
+    prefixes = {"", "xsi"}
+    bodies = []
+    for identifier, data in fragments:
+        body = _fragment_body(identifier, data, prefixes)
+        if body is None:
+            return None
+        bodies.append(body)
+    root = _response_root(base_url, request_args, None, True)
+    payload = ET.SubElement(root, _q("ListRecords"))
+    ET.SubElement(payload, _q("record"))  # stands in for the records
+    if token is not None:
+        payload.append(_token_element(token))
+    # ElementTree declares the envelope's own two namespaces on the root, and
+    # escaping leaves no other raw "<record />" in the envelope
+    return (
+        _to_bytes(root)
+        .replace(
+            _DECLARATIONS[""] + _DECLARATIONS["xsi"],
+            b"".join(_DECLARATIONS[prefix] for prefix in sorted(prefixes)),
+            1,
+        )
+        .replace(b"<record />", (b"\n" + _RECORD_INDENT).join(bodies), 1)
+    )
 
 
 # --- parsing ----------------------------------------------------------------

@@ -17,7 +17,7 @@ from .exceptions import RecordValidationError
 
 # Stable serialization prefixes, registered once for the whole process so a
 # canonical XML block renders identically wherever it is produced.
-_NAMESPACE_PREFIXES = {
+NAMESPACE_PREFIXES = {
     "": "http://www.openarchives.org/OAI/2.0/",
     "oai_dc": "http://www.openarchives.org/OAI/2.0/oai_dc/",
     "dc": "http://purl.org/dc/elements/1.1/",
@@ -25,7 +25,7 @@ _NAMESPACE_PREFIXES = {
     "provenance": "http://www.openarchives.org/OAI/2.0/provenance",
     "sim": "urn:simharvest:similarity",
 }
-for _prefix, _uri in _NAMESPACE_PREFIXES.items():
+for _prefix, _uri in NAMESPACE_PREFIXES.items():
     ET.register_namespace(_prefix, _uri)
 
 #: The fifteen unqualified Dublin Core element names.

@@ -34,9 +34,10 @@ from .oai_xml import (
     serialize_list_records,
     serialize_list_sets,
     serialize_similarity,
+    splice_list_records,
 )
 from .pipeline import check_results_fresh, iter_similarity_lines, load_top_matches
-from .records import OaiError, SimilarityAbout
+from .records import Header, OaiError, SimilarityAbout
 from .store import RecordStore
 
 XML_CONTENT_TYPE = "text/xml; charset=utf-8"
@@ -116,7 +117,9 @@ class OaiProvider:
         errors: list[OaiError] = []
         for name, values in params.items():
             if len(values) > 1:
-                errors.append(OaiError("badArgument", f"argument {name} repeated"))
+                # OAI-PMH 2.0 section 3.6: a repeated verb is a badVerb
+                code = "badVerb" if name == "verb" else "badArgument"
+                errors.append(OaiError(code, f"argument {name} repeated"))
             flat[name] = values[0]
         verb = flat.get("verb")
         handler = self._VERB_HANDLERS.get(verb)
@@ -167,6 +170,12 @@ class OaiProvider:
         )
 
     def _verb_list_sets(self, flat: dict) -> bytes:
+        if "resumptionToken" in flat:
+            # the set list always fits one page, so no token was ever issued
+            problem = "ListSets issues no resumption tokens"
+            return self._error_response(
+                flat, [OaiError("badResumptionToken", problem)]
+            )
         specs = self.store.set_specs()
         if not specs:
             return self._error_response(
@@ -225,10 +234,6 @@ class OaiProvider:
                 [OaiError("badResumptionToken", "token cursor is out of range")],
             )
         page = headers[offset : offset + self.config.page_size]
-        serialize = serialize_list_identifiers
-        if flat["verb"] == "ListRecords":
-            page = [self.store.get_record(header.identifier) for header in page]
-            serialize = serialize_list_records
         next_offset = offset + len(page)
         more = next_offset < len(headers)
         token = None
@@ -244,11 +249,36 @@ class OaiProvider:
                 complete_list_size=len(headers),
                 cursor=offset,
             )
+        serialize = serialize_list_identifiers
+        if flat["verb"] == "ListRecords":
+            body = self._spliced_records(page, flat, token)
+            if body is not None:
+                return body
+            # the long way raises what a missing, corrupt or misplaced file
+            # raises on GetRecord
+            page = [self.store.get_record(header.identifier) for header in page]
+            serialize = serialize_list_records
         return serialize(
             page,
             base_url=self.config.base_url,
             request_args=flat,
             token=token,
+        )
+
+    def _spliced_records(
+        self, page: list[Header], flat: dict, token: ResumptionToken | None
+    ) -> bytes | None:
+        """A ListRecords page cut from its records' stored bytes; None when
+        one of them must be parsed instead (see splice_list_records)."""
+        fragments = []
+        for header in page:
+            path = self.store.record_path(header.identifier)
+            try:
+                fragments.append((header.identifier, path.read_bytes()))
+            except FileNotFoundError:
+                return None
+        return splice_list_records(
+            fragments, base_url=self.config.base_url, request_args=flat, token=token
         )
 
     _VERB_HANDLERS = {

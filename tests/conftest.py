@@ -36,12 +36,21 @@ token_text = st.text(
 
 # Element text: anything XML 1.0 can carry, minus carriage returns, which
 # parsers fold into newlines and so cannot round-trip.
-element_text = st.text(
+_any_text = st.text(
     alphabet=st.one_of(
         st.characters(blacklist_categories=("Cc", "Cs")),
         st.sampled_from("\t\n"),
     ),
     max_size=60,
+)
+# whitespace alone, and text opening or closing with a newline, look like the
+# indentation around them
+element_text = st.one_of(
+    _any_text,
+    st.text(alphabet=" \t\n", min_size=1, max_size=8),
+    st.tuples(
+        st.sampled_from(("\n", "", "\n  ")), _any_text, st.sampled_from(("\n", ""))
+    ).map("".join),
 )
 
 identifiers = st.one_of(
@@ -70,17 +79,42 @@ _prov_text = st.text(
     ),
     max_size=20,
 )
+# multi-line text, and whitespace that may or may not be indentation
+_prov_lines = st.text(
+    alphabet=st.one_of(
+        st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters="<&\r"),
+        st.sampled_from("\n \t"),
+    ),
+    max_size=20,
+)
+#: the namespace of the about blocks no prefix is registered for
+FOREIGN_NS = "urn:example:rights"
 
 
 @st.composite
 def provenance_blocks(draw):
+    """An OAI provenance block, or a foreign about block. The provenance may
+    carry a note with multi-line text, or mixed content."""
+    if draw(st.integers(0, 3)) == 0:
+        holder = draw(_prov_lines)
+        return f'<rights xmlns="{FOREIGN_NS}"><holder>{holder}</holder></rights>'
     url = draw(_prov_text)
     upstream_id = draw(_prov_text)
     altered = draw(st.sampled_from(("true", "false")))
+    text = [draw(_prov_lines) for _ in range(3)]
+    note = draw(
+        st.sampled_from(
+            (
+                "",
+                f"<note>{text[0]}</note>",
+                f"<note>{text[0]}<em>{text[1]}</em>{text[2]}</note>",
+            )
+        )
+    )
     return (
         '<provenance xmlns="http://www.openarchives.org/OAI/2.0/provenance">'
         f'<originDescription harvestDate="2002-02-02T00:00:00Z" altered="{altered}">'
-        f"<baseURL>{url}</baseURL><identifier>{upstream_id}</identifier>"
+        f"<baseURL>{url}</baseURL><identifier>{upstream_id}</identifier>{note}"
         "</originDescription></provenance>"
     )
 

@@ -8,6 +8,7 @@ the served XML.
 import dataclasses
 import io
 import random
+import re
 import sys
 import tempfile
 import threading
@@ -16,16 +17,22 @@ from unittest import mock
 from urllib.parse import urlencode, urlsplit
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 import oracle
 from conformance import conformance_problems, validate_similarity_container
 from simharvest import cli
 from simharvest import pipeline as pipeline_module
 from simharvest import service as service_module
 from simharvest import store as store_module
-from simharvest.exceptions import SimHarvestError, StalenessError
+from simharvest.exceptions import (
+    PathCollisionError,
+    SimHarvestError,
+    StalenessError,
+    XmlParseError,
+)
 from simharvest.harvester import HarvestSession, harvest
 from simharvest.oai_xml import (
     DC_NS,
@@ -265,6 +272,13 @@ class TestListSets:
         empty = OaiProvider(RecordStore(tmp_path / "s"), ProviderConfig(base_url=BASE))
         parsed = checked(empty, "ListSets", {"verb": "ListSets"})
         assert error_codes(parsed) == ["noSetHierarchy"]
+
+    def test_any_token_is_a_bad_resumption_token(self, provider):
+        # the set list is one page, so no ListSets token was ever issued
+        body = vetted(provider, {"verb": "ListSets", "resumptionToken": "bogus"})
+        parsed = parse_response(body, "ListSets")
+        assert error_codes(parsed) == ["badResumptionToken"]
+        assert echoed(body) == {"verb": "ListSets", "resumptionToken": "bogus"}
 
 
 def walk_bodies(provider, verb, extra=None):
@@ -607,6 +621,15 @@ class TestArgumentPolicing:
         assert conformance_problems(body) == []
         parsed = parse_response(body, "ListRecords")
         assert error_codes(parsed) == ["badArgument"]
+        assert "repeated" in parsed.errors[0].message
+
+    def test_repeated_verb_is_a_bad_verb(self, provider):
+        # OAI-PMH 2.0 section 3.6: badVerb covers a repeated verb argument
+        status, _, body = wsgi_call(provider, query="verb=Identify&verb=Identify")
+        assert status == "200 OK"
+        assert conformance_problems(body) == []
+        parsed = parse_response(body, "Identify")
+        assert error_codes(parsed) == ["badVerb"]
         assert "repeated" in parsed.errors[0].message
 
     def test_token_must_travel_alone(self, provider):
@@ -1332,3 +1355,191 @@ class TestHeaderCatalogConsistency:
                 assert seen == listed[: len(seen)]
             else:
                 assert seen == listed
+
+
+RESPONSE_DATE = re.compile(rb"<responseDate>[^<]*</responseDate>")
+
+
+def list_records_pages(provider, extra):
+    """Every page of one ListRecords walk, responseDate blanked."""
+    args = {"verb": ["ListRecords"], "metadataPrefix": ["oai_dc"]}
+    args.update((name, [value]) for name, value in extra.items())
+    pages = []
+    while True:
+        body = provider.handle_request(args)
+        pages.append(RESPONSE_DATE.sub(b"<responseDate />", body))
+        token = ET.fromstring(body).findtext(
+            f"{oai('ListRecords')}/{oai('resumptionToken')}"
+        )
+        if not token:
+            return pages
+        args = {"verb": ["ListRecords"], "resumptionToken": [token]}
+
+
+def element_tree_pages(provider, extra):
+    """The same walk with every page built from parsed records."""
+    with mock.patch.object(
+        service_module, "splice_list_records", lambda fragments, **kwargs: None
+    ):
+        return list_records_pages(provider, extra)
+
+
+def spliced_pages(provider, extra):
+    """The walk as served, and for each ListRecords page built: its
+    identifiers and whether it was cut from the stored bytes."""
+    real = service_module.splice_list_records
+    outcomes = []
+
+    def splice(fragments, **kwargs):
+        body = real(fragments, **kwargs)
+        outcomes.append(([identifier for identifier, _ in fragments], body is not None))
+        return body
+
+    with mock.patch.object(service_module, "splice_list_records", splice):
+        return list_records_pages(provider, extra), outcomes
+
+
+PROVENANCE_OPEN = (
+    f'<provenance xmlns="{PROVENANCE_NS}">'
+    '<originDescription harvestDate="2005-01-01T00:00:00Z" altered="true">'
+)
+PROVENANCE_CLOSE = "</originDescription></provenance>"
+# values that look like indentation: whitespace alone, or a newline at an end
+TRICKY_DC = (
+    ("title", "line one\nline two"),
+    ("creator", "\n"),
+    ("subject", " \n\t "),
+    ("subject", "\n        "),
+    ("description", "\nopens with a newline"),
+    ("rights", "closes with a newline\n"),
+    ("coverage", ""),
+)
+TRICKY_PROVENANCE = (
+    PROVENANCE_OPEN
+    + "<baseURL>http://a.example/oai\n  continued</baseURL>"
+    + "<identifier>\n</identifier>"
+    + "<note>mixed<em>\n</em>\n  content\n</note>"
+    + "<note>\n  <em>x</em>tail</note>"
+    + PROVENANCE_CLOSE
+)
+FOREIGN_BLOCK = f'<rights xmlns="{conftest.FOREIGN_NS}"><holder>h</holder></rights>'
+
+
+def spliced_record(name, **fields):
+    return MetadataRecord(
+        identifier=f"oai:e.example:{name}",
+        datestamp="2003-03-03T03:03:03Z",
+        **fields,
+    )
+
+
+class TestListRecordsSplice:
+    """ListRecords pages cut from the stored bytes are the pages ElementTree
+    builds from the parsed records, byte for byte."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        batch=conftest.record_batches(),
+        page_size=st.integers(1, 5),
+        from_pick=st.none() | st.integers(0, 7),
+        until_pick=st.none() | st.integers(0, 7),
+        set_pick=st.none() | st.integers(0, 7),
+        day=st.booleans(),
+    )
+    @example(
+        batch=[
+            spliced_record("a", dc_fields=TRICKY_DC, provenance=(TRICKY_PROVENANCE,)),
+            spliced_record("b", deleted=True),
+            spliced_record("c", dc_fields=TRICKY_DC, provenance=(FOREIGN_BLOCK,)),
+            spliced_record("d", set_specs=("s",), dc_fields=(("title", "t"),)),
+        ],
+        page_size=2,
+        from_pick=None,
+        until_pick=None,
+        set_pick=None,
+        day=False,
+    )
+    @example(
+        batch=[spliced_record(name, deleted=True) for name in "ab"],
+        page_size=2,
+        from_pick=None,
+        until_pick=None,
+        set_pick=None,
+        day=False,
+    )
+    def test_pages_match_element_tree(
+        self, batch, page_size, from_pick, until_pick, set_pick, day
+    ):
+        stamps = sorted(record.datestamp for record in batch)
+        specs = sorted({spec for record in batch for spec in record.set_specs})
+
+        def bound(pick):
+            stamp = stamps[pick % len(stamps)]
+            if day:
+                return stamp[:10]
+            return stamp if len(stamp) > 10 else stamp + "T12:00:00Z"
+
+        extra = {}
+        if from_pick is not None:
+            extra["from"] = bound(from_pick)
+        if until_pick is not None:
+            extra["until"] = bound(until_pick)
+        if set_pick is not None and specs:
+            extra["set"] = specs[set_pick % len(specs)]
+        with tempfile.TemporaryDirectory() as root:
+            store = RecordStore(root)
+            for record in batch:
+                store.put_record(record)
+            config = ProviderConfig(base_url=BASE, page_size=page_size)
+            provider = OaiProvider(store, config)
+            pages, outcomes = spliced_pages(provider, extra)
+            assert pages == element_tree_pages(provider, extra)
+        # only a foreign namespace, numbered per document, takes the long way
+        by_id = {record.identifier: record for record in batch}
+        for page, (identifiers, spliced) in zip(pages, outcomes):
+            blocks = [block for i in identifiers for block in by_id[i].provenance]
+            assert spliced == all(conftest.FOREIGN_NS not in block for block in blocks)
+            if all(by_id[i].deleted for i in identifiers):
+                # a page of deleted records carries no metadata namespaces
+                root_tag = page.split(b">", 2)[1]
+                assert b"xmlns:dc=" not in root_tag
+                assert b"xmlns:oai_dc=" not in root_tag
+
+    @pytest.fixture
+    def served(self, tmp_path):
+        """A provider over two records whose catalog is already built, so a
+        file changed behind the store's back is read only by ListRecords."""
+        store = RecordStore(tmp_path / "store")
+        for name in "ab":
+            store.put_record(spliced_record(name, dc_fields=(("title", name),)))
+        provider = OaiProvider(store, ProviderConfig(base_url=BASE))
+        payload(provider, "Identify")
+        return store, provider
+
+    def test_file_naming_another_identifier_is_refused(self, served):
+        store, provider = served
+        a_path = store.record_path("oai:e.example:a")
+        store.record_path("oai:e.example:b").write_bytes(a_path.read_bytes())
+        with pytest.raises(PathCollisionError):
+            list_records_pages(provider, {})
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: data[: len(data) // 2],
+            lambda data: data.replace(b"</dc:title>", b"</dc:titel>"),
+        ],
+        ids=["truncated", "mismatched-tag"],
+    )
+    def test_corrupt_file_is_an_xml_parse_error(self, served, corrupt):
+        store, provider = served
+        path = store.record_path("oai:e.example:b")
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(XmlParseError):
+            list_records_pages(provider, {})
+
+    def test_missing_file_is_id_does_not_exist(self, served):
+        store, provider = served
+        store.record_path("oai:e.example:b").unlink()
+        (page,) = list_records_pages(provider, {})
+        assert error_codes(parse_response(page, "ListRecords")) == ["idDoesNotExist"]
