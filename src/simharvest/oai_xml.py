@@ -1,8 +1,11 @@
 """OAI-PMH 2.0 wire format: parsing and serialization.
 
-Responses are built with ElementTree against the protocol namespaces; a
-ListRecords page may instead be spliced from the stored record fragments
-into the same bytes (splice_list_records). The
+Responses are built with ElementTree against the protocol namespaces. One
+envelope builder writes what every response shares: the OAI-PMH root, a
+responseDate of the current time, the <request> echo and the verb's payload
+element; each serializer hands it only the payload's children. A ListRecords
+page may instead be spliced from the stored record fragments into the same
+bytes (splice_list_records). The
 similarity ranking travels inside a record's optional <about> container as a
 <similarity> element (own namespace) holding <match identifier score/>
 children, score rendered with exactly four decimals.
@@ -190,24 +193,53 @@ def _element_text(parent: ET.Element, tag: str) -> str | None:
 # --- serialization ----------------------------------------------------------
 
 
-def _response_root(
+def _leaf(tag: str, text: str | None, **attrib: str) -> ET.Element:
+    element = ET.Element(_q(tag), **attrib)
+    element.text = text
+    return element
+
+
+def _branch(tag: str, leaves: Iterable[tuple[str, str]]) -> ET.Element:
+    element = ET.Element(_q(tag))
+    element.extend(_leaf(name, text) for name, text in leaves)
+    return element
+
+
+def _response(
+    verb: str | None,
+    children: Iterable[ET.Element],
     base_url: str,
     request_args: Mapping[str, str],
-    response_date: str | None,
-    echo_attributes: bool,
-) -> ET.Element:
+    token: ResumptionToken | None = None,
+) -> bytes:
+    """One whole response: the OAI-PMH root, its responseDate (now) and
+    <request> echo, then the verb's payload element holding children and
+    the token last. An error response (verb None) carries its <error>
+    children on the root and echoes no argument after badVerb or
+    badArgument."""
     root = ET.Element(
         _q("OAI-PMH"), {f"{{{XSI_NS}}}schemaLocation": OAI_SCHEMA_LOCATION}
     )
-    date = ET.SubElement(root, _q("responseDate"))
-    date.text = response_date or utc_now_string()
+    ET.SubElement(root, _q("responseDate")).text = utc_now_string()
     request = ET.SubElement(root, _q("request"))
-    if echo_attributes:
-        for key in ("verb",) + REQUEST_ARGUMENTS:
-            if key in request_args and request_args[key] is not None:
-                request.set(key, str(request_args[key]))
     request.text = base_url
-    return root
+    payload = root if verb is None else ET.SubElement(root, _q(verb))
+    payload.extend(children)
+    codes = {error.get("code") for error in root.findall(_q("error"))}
+    if not codes & {"badVerb", "badArgument"}:
+        for key in ("verb",) + REQUEST_ARGUMENTS:
+            if request_args.get(key) is not None:
+                request.set(key, str(request_args[key]))
+    if token is not None:
+        element = _leaf("resumptionToken", token.text)
+        for name, value in (
+            ("completeListSize", token.complete_list_size),
+            ("cursor", token.cursor),
+        ):
+            if value is not None:
+                element.set(name, str(value))
+        payload.append(element)
+    return _to_bytes(root)
 
 
 def _to_bytes(root: ET.Element) -> bytes:
@@ -284,32 +316,19 @@ def _record_element(
     return element
 
 
-def _token_element(token: ResumptionToken) -> ET.Element:
-    element = ET.Element(_q("resumptionToken"))
-    if token.complete_list_size is not None:
-        element.set("completeListSize", str(token.complete_list_size))
-    if token.cursor is not None:
-        element.set("cursor", str(token.cursor))
-    element.text = token.text
-    return element
-
-
 def serialize_get_record(
     record: MetadataRecord,
     about: SimilarityAbout | None,
     *,
     base_url: str,
     request_args: Mapping[str, str],
-    response_date: str | None = None,
     schema_url: str,
 ) -> bytes:
     """One-record response; the similarity container rides in its own <about>."""
     if about is not None and record.deleted:
         raise RecordValidationError("deleted records cannot carry a similarity about")
-    root = _response_root(base_url, request_args, response_date, True)
-    payload = ET.SubElement(root, _q("GetRecord"))
-    payload.append(_record_element(record, about, schema_url))
-    return _to_bytes(root)
+    children = [_record_element(record, about, schema_url)]
+    return _response("GetRecord", children, base_url, request_args)
 
 
 def serialize_list_records(
@@ -318,15 +337,9 @@ def serialize_list_records(
     base_url: str,
     request_args: Mapping[str, str],
     token: ResumptionToken | None = None,
-    response_date: str | None = None,
 ) -> bytes:
-    root = _response_root(base_url, request_args, response_date, True)
-    payload = ET.SubElement(root, _q("ListRecords"))
-    for record in records:
-        payload.append(_record_element(record))
-    if token is not None:
-        payload.append(_token_element(token))
-    return _to_bytes(root)
+    children = map(_record_element, records)
+    return _response("ListRecords", children, base_url, request_args, token)
 
 
 def serialize_list_identifiers(
@@ -335,15 +348,9 @@ def serialize_list_identifiers(
     base_url: str,
     request_args: Mapping[str, str],
     token: ResumptionToken | None = None,
-    response_date: str | None = None,
 ) -> bytes:
-    root = _response_root(base_url, request_args, response_date, True)
-    payload = ET.SubElement(root, _q("ListIdentifiers"))
-    for record in records:
-        payload.append(_header_element(record))
-    if token is not None:
-        payload.append(_token_element(token))
-    return _to_bytes(root)
+    children = map(_header_element, records)
+    return _response("ListIdentifiers", children, base_url, request_args, token)
 
 
 def serialize_identify(
@@ -353,13 +360,10 @@ def serialize_identify(
     *,
     base_url: str,
     request_args: Mapping[str, str],
-    response_date: str | None = None,
 ) -> bytes:
     """Identify response; base_url is the repository's baseURL, and the
     protocol version, deleted-record policy and granularity are fixed."""
-    root = _response_root(base_url, request_args, response_date, True)
-    payload = ET.SubElement(root, _q("Identify"))
-    for name, text in (
+    leaves = (
         ("repositoryName", repository_name),
         ("baseURL", base_url),
         ("protocolVersion", "2.0"),
@@ -367,62 +371,40 @@ def serialize_identify(
         ("earliestDatestamp", earliest_datestamp),
         ("deletedRecord", "transient"),
         ("granularity", "YYYY-MM-DDThh:mm:ssZ"),
-    ):
-        ET.SubElement(payload, _q(name)).text = text
-    return _to_bytes(root)
+    )
+    children = [_leaf(name, text) for name, text in leaves]
+    return _response("Identify", children, base_url, request_args)
 
 
 def serialize_list_metadata_formats(
-    *,
-    base_url: str,
-    request_args: Mapping[str, str],
-    response_date: str | None = None,
+    *, base_url: str, request_args: Mapping[str, str]
 ) -> bytes:
     """The one format served: unqualified Dublin Core."""
-    root = _response_root(base_url, request_args, response_date, True)
-    element = ET.SubElement(
-        ET.SubElement(root, _q("ListMetadataFormats")), _q("metadataFormat")
+    leaves = (
+        ("metadataPrefix", METADATA_PREFIX),
+        ("schema", OAI_DC_SCHEMA_URL),
+        ("metadataNamespace", OAI_DC_NS),
     )
-    ET.SubElement(element, _q("metadataPrefix")).text = METADATA_PREFIX
-    ET.SubElement(element, _q("schema")).text = OAI_DC_SCHEMA_URL
-    ET.SubElement(element, _q("metadataNamespace")).text = OAI_DC_NS
-    return _to_bytes(root)
+    children = [_branch("metadataFormat", leaves)]
+    return _response("ListMetadataFormats", children, base_url, request_args)
 
 
 def serialize_list_sets(
-    specs: Sequence[str],
-    *,
-    base_url: str,
-    request_args: Mapping[str, str],
-    response_date: str | None = None,
+    specs: Sequence[str], *, base_url: str, request_args: Mapping[str, str]
 ) -> bytes:
     """One set per spec, named by its spec."""
-    root = _response_root(base_url, request_args, response_date, True)
-    payload = ET.SubElement(root, _q("ListSets"))
-    for spec in specs:
-        element = ET.SubElement(payload, _q("set"))
-        ET.SubElement(element, _q("setSpec")).text = spec
-        ET.SubElement(element, _q("setName")).text = spec
-    return _to_bytes(root)
+    children = [_branch("set", (("setSpec", s), ("setName", s))) for s in specs]
+    return _response("ListSets", children, base_url, request_args)
 
 
 def serialize_error(
-    errors: Sequence[OaiError],
-    *,
-    base_url: str,
-    request_args: Mapping[str, str],
-    response_date: str | None = None,
+    errors: Sequence[OaiError], *, base_url: str, request_args: Mapping[str, str]
 ) -> bytes:
     """Protocol error response. badVerb/badArgument suppress argument echoing."""
     if not errors:
         raise RecordValidationError("an error response needs at least one error")
-    echo = not any(e.code in ("badVerb", "badArgument") for e in errors)
-    root = _response_root(base_url, request_args, response_date, echo)
-    for error in errors:
-        element = ET.SubElement(root, _q("error"), {"code": error.code})
-        if error.message:
-            element.text = error.message
-    return _to_bytes(root)
+    children = [_leaf("error", e.message or None, code=e.code) for e in errors]
+    return _response(None, children, base_url, request_args)
 
 
 def build_similarity_about(
@@ -539,15 +521,13 @@ def splice_list_records(
         if body is None:
             return None
         bodies.append(body)
-    root = _response_root(base_url, request_args, None, True)
-    payload = ET.SubElement(root, _q("ListRecords"))
-    ET.SubElement(payload, _q("record"))  # stands in for the records
-    if token is not None:
-        payload.append(_token_element(token))
-    # ElementTree declares the envelope's own two namespaces on the root, and
-    # escaping leaves no other raw "<record />" in the envelope
+    # an empty <record /> stands in for the records; ElementTree declares the
+    # envelope's own two namespaces on the root, and escaping leaves no other
+    # raw "<record />" in the envelope
+    placeholder = [ET.Element(_q("record"))]
+    envelope = _response("ListRecords", placeholder, base_url, request_args, token)
     return (
-        _to_bytes(root)
+        envelope
         .replace(
             _DECLARATIONS[""] + _DECLARATIONS["xsi"],
             b"".join(_DECLARATIONS[prefix] for prefix in sorted(prefixes)),

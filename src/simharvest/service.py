@@ -41,6 +41,12 @@ from .records import Header, OaiError, SimilarityAbout
 from .store import RecordStore
 
 XML_CONTENT_TYPE = "text/xml; charset=utf-8"
+_NO_SETS = ("noSetHierarchy", "this repository defines no sets")
+
+
+class _Refusal(Exception):
+    """A protocol error condition a verb handler answers with (OAI-PMH 2.0
+    section 3.6); its args are the error code and message."""
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,8 @@ class OaiProvider:
     def _parameters(environ, method: str) -> dict[str, list[str]]:
         if method == "POST":
             try:
-                length = int(environ.get("CONTENT_LENGTH") or 0)
+                # a negative length would read until the client closes
+                length = max(int(environ.get("CONTENT_LENGTH") or 0), 0)
             except ValueError:
                 length = 0
             raw = environ["wsgi.input"].read(length).decode("utf-8", "replace")
@@ -124,31 +131,25 @@ class OaiProvider:
         verb = flat.get("verb")
         handler = self._VERB_HANDLERS.get(verb)
         if handler is None:
-            return self._error_response(
-                flat, [OaiError("badVerb", f"unknown or missing verb {verb!r}")]
-            )
-        arguments = {name: value for name, value in flat.items() if name != "verb"}
-        errors += [
-            OaiError("badArgument", problem)
-            for problem in argument_problems(verb, arguments)
-        ]
-        if errors:
-            return self._error_response(flat, errors)
+            errors = [OaiError("badVerb", f"unknown or missing verb {verb!r}")]
+        else:
+            arguments = {name: value for name, value in flat.items() if name != "verb"}
+            errors += [
+                OaiError("badArgument", problem)
+                for problem in argument_problems(verb, arguments)
+            ]
         prefix = flat.get("metadataPrefix")
-        if prefix is not None and prefix != METADATA_PREFIX:
+        if not errors and prefix is not None and prefix != METADATA_PREFIX:
             problem = f"only {METADATA_PREFIX} is supported, not {prefix!r}"
-            return self._error_response(
-                flat, [OaiError("cannotDisseminateFormat", problem)]
-            )
-        try:
-            return handler(self, flat)
-        except NotFoundError as error:
-            return self._error_response(flat, [OaiError("idDoesNotExist", str(error))])
-
-    def _error_response(self, flat: dict, errors: list[OaiError]) -> bytes:
-        return serialize_error(
-            errors, base_url=self.config.base_url, request_args=flat
-        )
+            errors = [OaiError("cannotDisseminateFormat", problem)]
+        if not errors:
+            try:
+                return handler(self, flat)
+            except _Refusal as refusal:
+                errors = [OaiError(*refusal.args)]
+            except NotFoundError as error:
+                errors = [OaiError("idDoesNotExist", str(error))]
+        return serialize_error(errors, base_url=self.config.base_url, request_args=flat)
 
     # -- verbs ------------------------------------------------------------
 
@@ -172,15 +173,10 @@ class OaiProvider:
     def _verb_list_sets(self, flat: dict) -> bytes:
         if "resumptionToken" in flat:
             # the set list always fits one page, so no token was ever issued
-            problem = "ListSets issues no resumption tokens"
-            return self._error_response(
-                flat, [OaiError("badResumptionToken", problem)]
-            )
+            raise _Refusal("badResumptionToken", "ListSets issues no resumption tokens")
         specs = self.store.set_specs()
         if not specs:
-            return self._error_response(
-                flat, [OaiError("noSetHierarchy", "this repository defines no sets")]
-            )
+            raise _Refusal(*_NO_SETS)
         return serialize_list_sets(
             specs, base_url=self.config.base_url, request_args=flat
         )
@@ -208,31 +204,19 @@ class OaiProvider:
         catalog = self.store.catalog()
         token_text = flat.get("resumptionToken")
         if token_text is not None:
-            try:
-                offset, filters = self._decode_token(
-                    token_text, flat["verb"], catalog.epoch
-                )
-            except SimHarvestError as error:
-                return self._error_response(
-                    flat, [OaiError("badResumptionToken", str(error))]
-                )
+            offset, filters = self._decode_token(
+                token_text, flat["verb"], catalog.epoch
+            )
         else:
             offset = 0
             filters = (flat.get("from"), flat.get("until"), flat.get("set"))
         if filters[2] is not None and not catalog.set_specs:
-            return self._error_response(
-                flat, [OaiError("noSetHierarchy", "this repository defines no sets")]
-            )
+            raise _Refusal(*_NO_SETS)
         headers = catalog.select(*filters)
         if not headers:
-            return self._error_response(
-                flat, [OaiError("noRecordsMatch", "no records satisfy the filters")]
-            )
+            raise _Refusal("noRecordsMatch", "no records satisfy the filters")
         if token_text is not None and offset >= len(headers):
-            return self._error_response(
-                flat,
-                [OaiError("badResumptionToken", "token cursor is out of range")],
-            )
+            raise _Refusal("badResumptionToken", "token cursor is out of range")
         page = headers[offset : offset + self.config.page_size]
         next_offset = offset + len(page)
         more = next_offset < len(headers)
@@ -270,13 +254,13 @@ class OaiProvider:
     ) -> bytes | None:
         """A ListRecords page cut from its records' stored bytes; None when
         one of them must be parsed instead (see splice_list_records)."""
-        fragments = []
-        for header in page:
-            path = self.store.record_path(header.identifier)
-            try:
-                fragments.append((header.identifier, path.read_bytes()))
-            except FileNotFoundError:
-                return None
+        try:
+            fragments = [
+                (header.identifier, self.store.record_bytes(header.identifier))
+                for header in page
+            ]
+        except NotFoundError:
+            return None
         return splice_list_records(
             fragments, base_url=self.config.base_url, request_args=flat, token=token
         )
@@ -309,18 +293,13 @@ class OaiProvider:
         return "!".join(parts)
 
     def _decode_token(self, text: str, verb: str, epoch: int) -> tuple[int, tuple]:
+        """(offset, filters) a token pins; any other token is refused with
+        badResumptionToken."""
         parts = text.split("!")
         # isdigit() alone admits digits such as '²' that int() refuses
         if len(parts) != 6 or not (parts[2].isascii() and parts[2].isdigit()):
-            raise SimHarvestError("malformed resumption token")
-        digest, offset = parts[1], int(parts[2])
+            raise _Refusal("badResumptionToken", "malformed resumption token")
         filters = tuple(unquote(part) or None for part in parts[3:6])
-        if parts[0] != str(epoch):
-            raise SimHarvestError(
-                "the collection changed since this token was issued"
-            )
-        if digest != self._filter_hash(filters):
-            raise SimHarvestError("token filters were tampered with")
         # the digest is unkeyed, so a client can forge one: the pinned filters
         # pass the same rule as a fresh request's
         arguments = {"metadataPrefix": METADATA_PREFIX}
@@ -328,9 +307,15 @@ class OaiProvider:
             if value is not None:
                 arguments[name] = value
         problems = argument_problems(verb, arguments)
-        if problems:
-            raise SimHarvestError(f"token filters are illegal: {problems[0]}")
-        return offset, filters
+        if parts[0] != str(epoch):
+            problem = "the collection changed since this token was issued"
+        elif parts[1] != self._filter_hash(filters):
+            problem = "token filters were tampered with"
+        elif problems:
+            problem = f"token filters are illegal: {problems[0]}"
+        else:
+            return int(parts[2]), filters
+        raise _Refusal("badResumptionToken", problem)
 
     # -- auxiliary endpoints -----------------------------------------------------
 

@@ -75,16 +75,24 @@ def _decode_segment(text: str) -> str:
     return unquote(text)
 
 
-def identifier_to_relpath(identifier: str) -> PurePosixPath:
-    """Deterministic two-level relative path (no suffix) for an identifier."""
+def _relname(identifier: str) -> str:
+    """identifier_to_relpath as a string: "<bucket>/<name>"."""
     match = _OAI_ID_RE.match(identifier)
     if match:
-        return PurePosixPath(
-            _encode_segment(match.group(1)), _encode_segment(match.group(2))
-        )
+        return f"{_encode_segment(match.group(1))}/{_encode_segment(match.group(2))}"
     # Non-oai identifiers live in a reserved bucket; '%' is never produced
     # unencoded by the encoder, so the bucket cannot clash with a namespace.
-    return PurePosixPath(_RAW_BUCKET, _encode_segment(identifier))
+    return f"{_RAW_BUCKET}/{_encode_segment(identifier)}"
+
+
+def identifier_to_relpath(identifier: str) -> PurePosixPath:
+    """Deterministic two-level relative path (no suffix) for an identifier."""
+    return PurePosixPath(_relname(identifier))
+
+
+def _tree_file(tree: Path, identifier: str, suffix: str) -> Path:
+    """identifier's file in a two-level tree, built from one string."""
+    return Path(f"{tree}/{_relname(identifier)}{suffix}")
 
 
 def relpath_to_identifier(relpath: PurePosixPath | str) -> str:
@@ -124,7 +132,6 @@ def write_atomic(path: Path, data: bytes) -> None:
 
 @dataclass(frozen=True)
 class PutResult:
-    path: Path
     status: str  # created | unchanged | replaced
     replaced: MetadataRecord | None = None
 
@@ -204,8 +211,7 @@ class RecordStore:
     # -- records -----------------------------------------------------------
 
     def record_path(self, identifier: str) -> Path:
-        rel = identifier_to_relpath(identifier)
-        return self.records_dir / rel.parent / (rel.name + RECORD_SUFFIX)
+        return _tree_file(self.records_dir, identifier, RECORD_SUFFIX)
 
     def has_record(self, identifier: str) -> bool:
         return storable(identifier) and self.record_path(identifier).is_file()
@@ -229,7 +235,7 @@ class RecordStore:
             status = "created"
         else:
             if existing == payload:  # equal bytes hold the same identifier
-                return PutResult(path, "unchanged", None)
+                return PutResult("unchanged")
             previous = parse_record_fragment(existing)
             if previous.identifier != record.identifier:
                 raise PathCollisionError(
@@ -243,17 +249,21 @@ class RecordStore:
             self._bump_epoch()
             path.parent.mkdir(parents=True, exist_ok=True)
             write_atomic(path, payload)
-        return PutResult(path, status, previous)
+        return PutResult(status, previous)
+
+    def record_bytes(self, identifier: str) -> bytes:
+        """identifier's record file as stored, unparsed; NotFoundError when
+        there is none."""
+        if storable(identifier):
+            try:
+                return self.record_path(identifier).read_bytes()
+            except FileNotFoundError:
+                pass
+        raise NotFoundError(f"no record stored for {identifier!r}")
 
     def get_record(self, identifier: str) -> MetadataRecord:
-        path = self.record_path(identifier)
-        try:
-            data = path.read_bytes() if storable(identifier) else None
-        except FileNotFoundError:
-            data = None
-        if data is None:
-            raise NotFoundError(f"no record stored for {identifier!r}")
-        return _checked(parse_record_fragment(data), identifier, path)
+        record = parse_record_fragment(self.record_bytes(identifier))
+        return _checked(record, identifier, self.record_path(identifier))
 
     def _record_files(self) -> list[tuple[str, Path]]:
         """(identifier, record file) for every stored record, ascending. A
@@ -316,8 +326,7 @@ class RecordStore:
     # -- term frequencies ---------------------------------------------------
 
     def tf_path(self, identifier: str) -> Path:
-        rel = identifier_to_relpath(identifier)
-        return self.tf_dir / rel.parent / (rel.name + TF_SUFFIX)
+        return _tree_file(self.tf_dir, identifier, TF_SUFFIX)
 
     def put_tf(self, vector: TermFrequencyVector) -> Path:
         if not self.has_record(vector.identifier):
@@ -347,8 +356,7 @@ class RecordStore:
     # -- weights --------------------------------------------------------------
 
     def weights_path(self, identifier: str) -> Path:
-        rel = identifier_to_relpath(identifier)
-        return self.weights_dir / rel.parent / (rel.name + WEIGHTS_SUFFIX)
+        return _tree_file(self.weights_dir, identifier, WEIGHTS_SUFFIX)
 
     def put_weights(self, vector: WeightedVector) -> Path:
         if not self.tf_path(vector.identifier).is_file():

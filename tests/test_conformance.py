@@ -2,6 +2,7 @@
 
 import re
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from conformance import (
     validate_response,
     validate_similarity_container,
 )
+from simharvest import oai_xml
 from simharvest.oai_xml import (
     DEFAULT_SIMILARITY_SCHEMA_URL,
     ResumptionToken,
@@ -29,18 +31,19 @@ from test_oai_xml import BASE, DATE, sample_about, sample_record
 
 OAI = "http://www.openarchives.org/OAI/2.0/"
 
-CLEAN_GET_RECORD = serialize_get_record(
-    sample_record(),
-    sample_about(),
-    base_url=BASE,
-    request_args={
-        "verb": "GetRecord",
-        "identifier": sample_record().identifier,
-        "metadataPrefix": "oai_dc",
-    },
-    response_date=DATE,
-    schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
-)
+# responseDate is DATE, the first DATE in the body
+with mock.patch.object(oai_xml, "utc_now_string", lambda: DATE):
+    CLEAN_GET_RECORD = serialize_get_record(
+        sample_record(),
+        sample_about(),
+        base_url=BASE,
+        request_args={
+            "verb": "GetRecord",
+            "identifier": sample_record().identifier,
+            "metadataPrefix": "oai_dc",
+        },
+        schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
+    )
 
 IDENTIFY = serialize_identify(
     "x",

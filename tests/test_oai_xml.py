@@ -100,7 +100,14 @@ def sample_about(subject="oai:ltrs.larc.nasa.gov:rdp3195.tex"):
     )
 
 
+@pytest.fixture
+def pinned_date(monkeypatch):
+    """Every response serialized in the test carries DATE as responseDate."""
+    monkeypatch.setattr(oai_xml, "utc_now_string", lambda: DATE)
+
+
 class TestGetRecord:
+    @pytest.mark.usefixtures("pinned_date")
     def test_round_trip_with_similarity(self):
         record = sample_record()
         about = sample_about()
@@ -110,7 +117,6 @@ class TestGetRecord:
             base_url=BASE,
             request_args={"verb": "GetRecord", "identifier": record.identifier,
                           "metadataPrefix": "oai_dc"},
-            response_date=DATE,
             schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         parsed = parse_response(body, "GetRecord")
@@ -125,39 +131,36 @@ class TestGetRecord:
             },
         )
 
+    @pytest.mark.usefixtures("pinned_date")
     def test_serialization_is_deterministic(self):
         record = sample_record()
         args = {"verb": "GetRecord", "identifier": record.identifier,
                 "metadataPrefix": "oai_dc"}
         first = serialize_get_record(
             record, sample_about(), base_url=BASE, request_args=args,
-            response_date=DATE,
             schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         second = serialize_get_record(
             record, sample_about(), base_url=BASE, request_args=args,
-            response_date=DATE,
             schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         assert first == second
 
+    @pytest.mark.usefixtures("pinned_date")
     def test_reserialization_of_parsed_response_is_identical(self):
         record = sample_record()
         args = {"verb": "GetRecord", "identifier": record.identifier,
                 "metadataPrefix": "oai_dc"}
         body = serialize_get_record(
             record, sample_about(), base_url=BASE, request_args=args,
-            response_date=DATE,
             schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         parsed = parse_response(body, "GetRecord")
-        response_date, request_args = envelope(body)
         again = serialize_get_record(
             parsed.records[0],
             parsed.similarity[record.identifier],
             base_url=BASE,
-            request_args=request_args,
-            response_date=response_date,
+            request_args=envelope(body)[1],
             schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         assert again == body
@@ -168,7 +171,6 @@ class TestGetRecord:
             sample_about(),
             base_url=BASE,
             request_args={"verb": "GetRecord"},
-            response_date=DATE,
             schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         ).decode("utf-8")
         assert body.rindex("similarity") > body.rindex("originDescription")
@@ -191,7 +193,6 @@ class TestGetRecord:
         )
         body = serialize_get_record(
             record, None, base_url=BASE, request_args={"verb": "GetRecord"},
-            response_date=DATE,
             schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         text = body.decode("utf-8")
@@ -231,7 +232,6 @@ class TestGetRecord:
             None,
             base_url=BASE,
             request_args={"verb": "GetRecord", "identifier": record.identifier},
-            response_date=DATE,
             schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,
         )
         assert parse_response(body, "GetRecord").records == [record]
@@ -248,7 +248,6 @@ class TestListVerbs:
             base_url=BASE,
             request_args={"verb": "ListRecords", "metadataPrefix": "oai_dc"},
             token=token,
-            response_date=DATE,
         )
         parsed = parse_response(body, "ListRecords")
         assert parsed.records == records
@@ -318,7 +317,6 @@ class TestListVerbs:
             records,
             base_url=BASE,
             request_args={"verb": "ListIdentifiers", "metadataPrefix": "oai_dc"},
-            response_date=DATE,
         )
         listing = vetted_payload(body, "ListIdentifiers")
         headers = listing.findall(oai("header"))
@@ -336,20 +334,19 @@ class TestListVerbs:
         assert not any(e.tag.startswith(f"{{{DC_NS}}}") for e in listing.iter())
 
 
-def identify_body(**kwargs) -> bytes:
+def identify_body() -> bytes:
     return serialize_identify(
         "test aggregator",
         "one@example.org",
         "2000-01-01T00:00:00Z",
         base_url=BASE,
         request_args={"verb": "Identify"},
-        **kwargs,
     )
 
 
 class TestIdentifyAndFriends:
     def test_identify_round_trip(self):
-        identify = vetted_payload(identify_body(response_date=DATE), "Identify")
+        identify = vetted_payload(identify_body(), "Identify")
         assert fields(identify) == [
             ("repositoryName", "test aggregator"),
             ("baseURL", BASE),
@@ -393,7 +390,6 @@ class TestErrors:
             base_url=BASE,
             request_args={"verb": "GetRecord", "identifier": "oai:x:nope",
                           "metadataPrefix": "oai_dc"},
-            response_date=DATE,
         )
         parsed = parse_response(body, "GetRecord")
         assert parsed.errors == [OaiError("idDoesNotExist", "no such record")]
@@ -406,7 +402,6 @@ class TestErrors:
                 [OaiError(code, "rejected")],
                 base_url=BASE,
                 request_args={"verb": "GetRecord", "identifier": "oai:x:1"},
-                response_date=DATE,
             )
             parsed = parse_response(body, "GetRecord")
             assert envelope(body)[1] == {}

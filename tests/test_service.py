@@ -65,7 +65,8 @@ BASE = "http://aggregator.example/oai"
 PROVENANCE_NS = "http://www.openarchives.org/OAI/2.0/provenance"
 
 
-def wsgi_call(app, method="GET", path="/", query="", post_body=""):
+def wsgi_call(app, method="GET", path="/", query="", post_body="", **overrides):
+    """One WSGI request; overrides replace environ entries."""
     body_bytes = post_body.encode("utf-8")
     environ = {
         "REQUEST_METHOD": method,
@@ -79,6 +80,7 @@ def wsgi_call(app, method="GET", path="/", query="", post_body=""):
         "SERVER_NAME": "testserver",
         "SERVER_PORT": "80",
         "SERVER_PROTOCOL": "HTTP/1.1",
+        **overrides,
     }
     captured = {}
 
@@ -744,6 +746,23 @@ class TestAuxiliaryRoutes:
         )
         assert status == "404 Not Found"
         assert b"unknown identifier" in body
+
+    def test_negative_content_length_reads_nothing(self, provider):
+        class ClientStream(io.BytesIO):
+            def read(self, size=-1):
+                # the client holds the connection open: a negative size
+                # would wait for it to close
+                assert size >= 0, f"read({size})"
+                return super().read(size)
+
+        status, _, body = wsgi_call(
+            provider,
+            method="POST",
+            CONTENT_LENGTH="-1",
+            **{"wsgi.input": ClientStream(b"verb=Identify")},
+        )
+        assert status == "200 OK"
+        assert error_codes(parse_response(body, "Identify")) == ["badVerb"]
 
     def test_other_methods_rejected(self, provider):
         status, headers, _ = wsgi_call(provider, method="PUT", query="verb=Identify")
