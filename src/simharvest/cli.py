@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: harvest, index, compute, top, serve, estimate, dup-report.
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime error,
-3 stale or missing similarity results (the fix is always: run compute).
+Exit codes: 0 success, 1 usage or configuration error, 2 runtime error
+(network, protocol, operating system), 3 stale or missing similarity results
+(the fix is always: run compute).
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = add_command("harvest", help="pull records from an upstream repository")
     cmd.add_argument("--base-url", dest="base_url", help="upstream OAI-PMH endpoint")
-    cmd.add_argument("--from", dest="from_", metavar="DATESTAMP")
+    cmd.add_argument("--from", dest="from", metavar="DATESTAMP")
     cmd.add_argument("--until", dest="until", metavar="DATESTAMP")
-    cmd.add_argument("--set", dest="set_spec", metavar="SETSPEC")
+    cmd.add_argument("--set", dest="set", metavar="SETSPEC")
     cmd.add_argument("--store", dest="store_root")
     cmd.add_argument("--user-agent", dest="user_agent")
     cmd.add_argument("--from-email", dest="from_email")
@@ -105,22 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _settings(args: argparse.Namespace) -> dict:
-    overrides = {
-        key: value
-        for key, value in vars(args).items()
-        if key in config_mod.DEFAULTS
-    }
-    overrides["from"] = getattr(args, "from_", None)
-    overrides["set"] = getattr(args, "set_spec", None)
-    return config_mod.merge(args.config, overrides)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        settings = _settings(args)
-        return _COMMANDS[args.command](args, settings)
+        flags = {
+            key: value for key, value in vars(args).items() if key in config_mod.DEFAULTS
+        }
+        return _COMMANDS[args.command](args, config_mod.merge(args.config, flags))
     except StalenessError as error:
         print(f"error: {error}", file=sys.stderr)
         print("hint: run compute to refresh the similarity results", file=sys.stderr)
@@ -128,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, RequestArgumentError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
-    except SimHarvestError as error:
+    except (SimHarvestError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_RUNTIME
     except KeyboardInterrupt:
@@ -183,7 +175,7 @@ def _cmd_harvest(args: argparse.Namespace, settings: dict) -> int:
 def _cmd_index(args: argparse.Namespace, settings: dict) -> int:
     store = RecordStore(settings["store_root"])
     fields = tuple(
-        name.strip() for name in str(settings["fields"]).split(",") if name.strip()
+        name.strip() for name in settings["fields"].split(",") if name.strip()
     )
     report = index_store(store, fields, settings.get("stopwords"))
     print(f"records indexed: {report.records_indexed}")
@@ -191,24 +183,15 @@ def _cmd_index(args: argparse.Namespace, settings: dict) -> int:
     return EXIT_OK
 
 
-def _non_negative(name: str, value: int) -> int:
-    """A count from a flag or the config file; negative is a usage error."""
-    if value < 0:
-        raise ConfigError(f"{name} must be non-negative, got {value}")
-    return value
-
-
 def _cmd_compute(args: argparse.Namespace, settings: dict) -> int:
-    k = _non_negative("k", int(settings["k"]))
-    score_floor = float(settings["score_floor"])
-    if not 0.0 <= score_floor <= 1.0:
-        raise ConfigError(f"score_floor must lie in [0, 1], got {score_floor:g}")
     store = RecordStore(settings["store_root"])
-    jobs = settings.get("jobs")
-    jobs = (os.cpu_count() or 1) if jobs is None else int(jobs)
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    report = compute_store(store, k=k, score_floor=score_floor, jobs=jobs)
+    jobs = settings["jobs"]
+    report = compute_store(
+        store,
+        k=settings["k"],
+        score_floor=settings["score_floor"],
+        jobs=(os.cpu_count() or 1) if jobs is None else jobs,
+    )
     print(f"documents: {report.documents}")
     print(f"pairs: {report.pair_count}")
     print(f"pairs written: {report.pairs_written}")
@@ -222,8 +205,10 @@ def _cmd_compute(args: argparse.Namespace, settings: dict) -> int:
 
 
 def _cmd_top(args: argparse.Namespace, settings: dict) -> int:
+    k = settings["k"]
+    if k < 0:  # refused before the freshness check, which would refuse first
+        raise ConfigError(f"k must be non-negative, got {k}")
     store = RecordStore(settings["store_root"])
-    k = _non_negative("k", int(settings["k"]))
     check_results_fresh(store)
     matches = load_top_matches(store, args.identifier, k)
     for match in matches:
@@ -232,8 +217,10 @@ def _cmd_top(args: argparse.Namespace, settings: dict) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace, settings: dict) -> int:
+    host, port = settings["bind_host"], settings["bind_port"]
+    if not 0 <= port <= 65535:
+        raise ConfigError(f"bind_port must lie in [0, 65535], got {port}")
     store = RecordStore(settings["store_root"])
-    host, port = settings["bind_host"], int(settings["bind_port"])
     base_url = settings.get("service_base_url") or f"http://{host}:{port}/oai"
     provider = OaiProvider(
         store,
@@ -241,8 +228,8 @@ def _cmd_serve(args: argparse.Namespace, settings: dict) -> int:
             repository_name=settings["repository_name"],
             base_url=base_url,
             admin_email=settings["admin_email"],
-            k=int(settings["k"]),
-            page_size=int(settings["page_size"]),
+            k=settings["k"],
+            page_size=settings["page_size"],
             schema_url=settings["schema_url"],
         ),
     )
@@ -253,10 +240,7 @@ def _cmd_serve(args: argparse.Namespace, settings: dict) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace, settings: dict) -> int:
-    n = _non_negative("n", args.n)
-    per_pair = float(settings["per_pair_seconds"])
-    if per_pair <= 0.0:
-        raise ConfigError(f"per_pair_seconds must be positive, got {per_pair:g}")
+    n, per_pair = args.n, settings["per_pair_seconds"]
     seconds = estimate_runtime(n, per_pair)
     print(f"documents: {n}")
     print(f"pairs: {pair_count(n)}")
@@ -271,11 +255,6 @@ def _cmd_dup_report(args: argparse.Namespace, settings: dict) -> int:
     if threshold is None:
         raise ConfigError(
             "dup-report needs --threshold (or threshold in the config file)"
-        )
-    threshold = float(threshold)
-    if not 0.0 <= threshold <= 1.01:
-        raise ConfigError(
-            f"threshold must lie in [0, 1] (1.01 to mean 'none'), got {threshold:g}"
         )
     store = RecordStore(settings["store_root"])
     pairs = duplicate_report(store, threshold)

@@ -47,7 +47,7 @@ def load_config(path: str | Path) -> dict[str, object]:
     """Parse one configuration file; unknown keys and bad values are errors."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise ConfigError(f"cannot read config file {path}: {error}") from error
     values: dict[str, object] = {}
     for number, line in enumerate(text.splitlines(), start=1):

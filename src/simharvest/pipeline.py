@@ -20,9 +20,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exceptions import NotFoundError, RecordValidationError, StalenessError
+from .exceptions import ConfigError, NotFoundError, StalenessError
 from .oai_xml import format_score
-from .records import SimilarityMatch, utc_now_string
+from .records import DC_ELEMENTS, SimilarityMatch, utc_now_string
 from .similarity import VectorSpaceModel, pair_count
 from .store import RecordStore, storable, write_atomic
 from .textpipe import DEFAULT_FIELDS, load_stopwords, record_to_tf
@@ -78,7 +78,14 @@ def index_store(
     stopwords_path: str | None = None,
 ) -> IndexReport:
     """Extract, tokenize, and count every stored record into the tf tree,
-    then record the store epoch that the tree reflects."""
+    then record the store epoch that the tree reflects. Raises ConfigError,
+    before anything is written, when fields is empty or names anything but
+    a Dublin Core element, or the stopword file cannot be read."""
+    if not fields or not set(fields) <= set(DC_ELEMENTS):
+        raise ConfigError(
+            f"fields must name one or more of {', '.join(DC_ELEMENTS)}, "
+            f"got {list(fields)}"
+        )
     stopwords = load_stopwords(stopwords_path)
     epoch = store.epoch()
     store.indexed_epoch_path.unlink(missing_ok=True)
@@ -104,13 +111,16 @@ def compute_store(
 
     Writes the weights tree, similarities.txt (pairs at or above score_floor,
     four-decimal scores), one ranked top-k file per document, and the compute
-    metadata last, stamped with the epoch read at the start. Raises
-    StalenessError when records changed after the last index, and
-    RecordValidationError for k < 0 or score_floor outside [0, 1], in both
-    cases before anything is written.
+    metadata last, stamped with the epoch read at the start. jobs None
+    scores in this process. Raises ConfigError for k < 0, jobs < 1 or
+    score_floor outside [0, 1] before it reads the store, and StalenessError
+    when records changed after the last index, before anything is written.
     """
     if k < 0:
-        raise RecordValidationError("k must be non-negative")
+        raise ConfigError(f"k must be non-negative, got {k}")
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    model = VectorSpaceModel(score_floor=score_floor)
     started = utc_now_string()
     t0 = time.perf_counter()
     stages = dict.fromkeys(STAGES, 0.0)
@@ -129,8 +139,8 @@ def compute_store(
             "term frequencies are stale: records changed after the last index; "
             "run index"
         )
-    with _stage(stages, "fit"):  # validates score_floor before anything is written
-        model = VectorSpaceModel(score_floor=score_floor).fit(corpus)
+    with _stage(stages, "fit"):
+        model.fit(corpus)
     # withdraw the old results before any of them is overwritten
     store.compute_meta_path.unlink(missing_ok=True)
     with _stage(stages, "weights_write"):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from urllib.parse import parse_qs, quote, unquote, urlparse
 
-from .exceptions import ConfigError, NotFoundError, SimHarvestError, StalenessError
+from .exceptions import ConfigError, NotFoundError, StalenessError
 from .oai_xml import (
     DEFAULT_SIMILARITY_SCHEMA_URL,
     METADATA_PREFIX,
@@ -238,8 +238,8 @@ class OaiProvider:
             body = self._spliced_records(page, flat, token)
             if body is not None:
                 return body
-            # the long way raises what a missing, corrupt or misplaced file
-            # raises on GetRecord
+            # the long way raises what a corrupt or misplaced file raises on
+            # GetRecord
             page = [self.store.get_record(header.identifier) for header in page]
             serialize = serialize_list_records
         return serialize(
@@ -253,14 +253,12 @@ class OaiProvider:
         self, page: list[Header], flat: dict, token: ResumptionToken | None
     ) -> bytes | None:
         """A ListRecords page cut from its records' stored bytes; None when
-        one of them must be parsed instead (see splice_list_records)."""
-        try:
-            fragments = [
-                (header.identifier, self.store.record_bytes(header.identifier))
-                for header in page
-            ]
-        except NotFoundError:
-            return None
+        one of them must be parsed instead (see splice_list_records). A
+        missing record raises NotFoundError, as it does on GetRecord."""
+        fragments = [
+            (header.identifier, self.store.record_bytes(header.identifier))
+            for header in page
+        ]
         return splice_list_records(
             fragments, base_url=self.config.base_url, request_args=flat, token=token
         )
@@ -416,10 +414,13 @@ def duplicate_report(store: RecordStore, threshold: float) -> list[DuplicatePair
     every one (see _top_file_rows), and from similarities.txt otherwise; the
     report is the same either way. Each pair is flagged provenance-linked
     when one record's provenance names the other's identifier, or both share
-    an origin baseURL. Raises StalenessError when there are no fresh results.
+    an origin baseURL. Raises ConfigError for a threshold outside [0, 1.01]
+    and StalenessError when there are no fresh results.
     """
     if not (0.0 <= threshold <= 1.01):
-        raise SimHarvestError("threshold must lie in [0, 1] (1.01 to mean 'none')")
+        raise ConfigError(
+            f"threshold must lie in [0, 1] (1.01 to mean 'none'), got {threshold:g}"
+        )
     rows = _top_file_rows(store, threshold)
     if rows is None:
         rows = [

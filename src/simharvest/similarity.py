@@ -24,7 +24,7 @@ from itertools import chain, compress
 from operator import gt
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exceptions import NotFoundError, RecordValidationError
+from .exceptions import ConfigError, NotFoundError, RecordValidationError
 from .textpipe import TermFrequencyVector
 
 #: Measured per-pair cost (seconds) used for runtime projections.
@@ -115,7 +115,7 @@ def weight_vector(tf: TermFrequencyVector, stats: CollectionStats) -> WeightedVe
 def pair_count(n_docs: int) -> int:
     """Number of unordered pairs among n documents: n(n-1)/2."""
     if n_docs < 0:
-        raise RecordValidationError("document count must be non-negative")
+        raise ConfigError(f"n must be non-negative, got {n_docs}")
     return n_docs * (n_docs - 1) // 2
 
 
@@ -275,18 +275,18 @@ class VectorSpaceModel:
     fit() learns the collection statistics and weights the corpus into
     vectors_ (identifier -> unit-normalized WeightedVector), with
     identifiers_ in ascending order; similarity_pairs() scores the fitted
-    corpus.
+    corpus. A score_floor outside [0, 1] is refused here, before any fit.
     """
 
     def __init__(self, score_floor: float = 0.0):
+        if not 0.0 <= score_floor <= 1.0:
+            raise ConfigError(f"score_floor must lie in [0, 1], got {score_floor:g}")
         self.score_floor = score_floor
 
     def fit(self, X: Iterable) -> "VectorSpaceModel":
         corpus = check_tf_corpus(X)
         if not corpus:
             raise RecordValidationError("cannot fit on an empty corpus")
-        if not (0.0 <= float(self.score_floor) <= 1.0):
-            raise RecordValidationError("score_floor must lie in [0, 1]")
         corpus = sorted(corpus, key=lambda tf: tf.identifier)
         stats = collection_stats(corpus)
         self.vectors_ = {tf.identifier: weight_vector(tf, stats) for tf in corpus}
@@ -308,7 +308,7 @@ class VectorSpaceModel:
         block: this one when serial, each worker in its initializer.
         """
         if k < 0:
-            raise RecordValidationError("k must be non-negative")
+            raise ConfigError(f"k must be non-negative, got {k}")
         vectors = [self.vectors_[identifier] for identifier in self.identifiers_]
         parallel = jobs is not None and jobs > 1 and len(vectors) >= 64
         tasks = [
@@ -335,8 +335,8 @@ def estimate_runtime(
     n_docs: int, per_pair_seconds: float = DEFAULT_PER_PAIR_SECONDS
 ) -> float:
     """Projected wall seconds to score every pair of an n-document corpus."""
-    if per_pair_seconds <= 0.0:
-        raise RecordValidationError("per-pair seconds must be positive")
+    if not per_pair_seconds > 0.0:
+        raise ConfigError(f"per_pair_seconds must be positive, got {per_pair_seconds:g}")
     return per_pair_seconds * pair_count(n_docs)
 
 

@@ -8,7 +8,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .exceptions import RecordValidationError
+from .exceptions import ConfigError, RecordValidationError
 from .records import MetadataRecord, dc_values
 
 #: Dublin Core elements whose values feed the term vectors by default.
@@ -26,7 +26,8 @@ _default_stopwords: frozenset[str] | None = None
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     """Load a stopword file (one word per line, '#' comments, blanks ignored).
 
-    With no path, returns the packaged default list (cached).
+    With no path, returns the packaged default list (cached). A file that
+    cannot be read raises ConfigError.
     """
     global _default_stopwords
     if path is None:
@@ -38,7 +39,11 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
             )
             _default_stopwords = _parse_stopwords(text)
         return _default_stopwords
-    return _parse_stopwords(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as error:
+        raise ConfigError(f"cannot read stopword file {path}: {error}") from error
+    return _parse_stopwords(text)
 
 
 def _parse_stopwords(text: str) -> frozenset[str]:

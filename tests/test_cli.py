@@ -4,6 +4,7 @@ import os
 import pkgutil
 import random
 import re
+import socket
 import subprocess
 import sys
 import urllib.request
@@ -315,6 +316,75 @@ class TestBadFlagValues:
         code, _, err = run_cli(capsys, "estimate", "--n", "5", "--per-pair", "0")
         assert code == 1
         assert "per_pair_seconds must be positive" in err
+
+
+class TestOneLineRefusals:
+    """Bad settings exit 1 and operating-system failures exit 2, each with an
+    error line and no traceback."""
+
+    @staticmethod
+    def simharvest(*argv):
+        result = fresh_python("-m", "simharvest", *argv)
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ")
+        return result
+
+    def test_misspelled_field_keeps_the_index(self, tmp_path):
+        root = str(tmp_path / "store")
+        store = populate(root, 4)
+        index_store(store)
+        before = conftest.tree_bytes(store.root)
+        result = self.simharvest("index", "--store", root, "--fields", "titel")
+        assert result.returncode == 1
+        assert "fields must name" in result.stderr
+        assert conftest.tree_bytes(store.root) == before
+
+    def test_missing_stopword_file(self, tmp_path):
+        root = str(tmp_path / "store")
+        populate(root, 2)
+        missing = str(tmp_path / "absent.txt")
+        result = self.simharvest("index", "--store", root, "--stopwords", missing)
+        assert result.returncode == 1
+        assert f"cannot read stopword file {missing}" in result.stderr
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--config", "cannot read config file"),
+            ("--stopwords", "cannot read stopword file"),
+        ],
+    )
+    def test_file_that_is_not_utf8(self, tmp_path, flag, message):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("k = 3 # caf\xe9\n".encode("latin-1"))
+        root = str(tmp_path / "store")
+        result = self.simharvest("index", "--store", root, flag, str(path))
+        assert result.returncode == 1
+        assert message in result.stderr
+
+    def test_store_that_is_a_file(self, tmp_path):
+        path = tmp_path / "store"
+        path.write_text("not a directory\n", encoding="utf-8")
+        result = self.simharvest("compute", "--store", str(path))
+        assert result.returncode == 2
+
+    def test_busy_port(self, tmp_path):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = str(holder.getsockname()[1])
+            result = self.simharvest(
+                "serve", "--store", str(tmp_path / "store"), "--port", port
+            )
+        assert result.returncode == 2
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_out_of_range(self, tmp_path, port):
+        result = self.simharvest(
+            "serve", "--store", str(tmp_path / "store"), "--port", port
+        )
+        assert result.returncode == 1
+        assert f"bind_port must lie in [0, 65535], got {port}" in result.stderr
 
 
 class TestConfigFile:

@@ -8,7 +8,7 @@ import pytest
 import conftest
 import oracle
 from simharvest import cli, similarity
-from simharvest.exceptions import NotFoundError, RecordValidationError, StalenessError
+from simharvest.exceptions import ConfigError, NotFoundError, StalenessError
 from simharvest.oai_xml import format_score
 from simharvest.pipeline import (
     STAGES,
@@ -20,8 +20,10 @@ from simharvest.pipeline import (
     read_compute_meta,
 )
 from simharvest.records import MetadataRecord, is_valid_datestamp
-from simharvest.similarity import VectorSpaceModel, pair_count
+from simharvest.service import duplicate_report
+from simharvest.similarity import VectorSpaceModel, estimate_runtime, pair_count
 from simharvest.store import RecordStore
+from simharvest.textpipe import load_stopwords
 
 
 def tiny_records():
@@ -228,7 +230,7 @@ class TestComputeStore:
         index_store(store)
         compute_store(store, k=3)
         before = conftest.tree_bytes(store.root)
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(ConfigError):
             compute_store(store, k=k, score_floor=floor)
         check_results_fresh(store)
         assert conftest.tree_bytes(store.root) == before
@@ -318,6 +320,103 @@ class TestComputeStore:
         assert list(store.root.glob("similarities.txt.tmp*")) == []
         # the recompute failed at an unchanged epoch: the old results go too
         with pytest.raises(StalenessError):
+            check_results_fresh(store)
+
+
+def latin1_file(store):
+    """A stopword file beside the store that is not UTF-8."""
+    path = store.root.parent / "latin1.txt"
+    path.write_bytes("caf\xe9\n".encode("latin-1"))
+    return path
+
+
+class TestSettingsRefused:
+    """Each library function that takes a setting refuses a bad value with
+    ConfigError before it reads or writes the store."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(
+                lambda store: compute_store(store, k=-1),
+                "k must be non-negative, got -1",
+                id="compute-k",
+            ),
+            pytest.param(
+                lambda store: compute_store(store, jobs=0),
+                "jobs must be at least 1, got 0",
+                id="compute-jobs-0",
+            ),
+            pytest.param(
+                lambda store: compute_store(store, jobs=-3),
+                "jobs must be at least 1, got -3",
+                id="compute-jobs-negative",
+            ),
+            pytest.param(
+                lambda store: compute_store(store, score_floor=1.5), "score_floor",
+                id="compute-floor-high",
+            ),
+            pytest.param(
+                lambda store: compute_store(store, score_floor=-0.1), "score_floor",
+                id="compute-floor-low",
+            ),
+            pytest.param(
+                lambda store: index_store(store, fields=("titel",)), "fields must name",
+                id="index-unknown-field",
+            ),
+            pytest.param(
+                lambda store: index_store(store, fields=("title", "")),
+                "fields must name",
+                id="index-empty-name",
+            ),
+            pytest.param(
+                lambda store: index_store(store, fields=()), "fields must name",
+                id="index-no-fields",
+            ),
+            pytest.param(
+                lambda store: index_store(store, stopwords_path=store.root / "absent"),
+                "cannot read stopword file",
+                id="index-missing-stopwords",
+            ),
+            pytest.param(
+                lambda store: load_stopwords(store.root / "absent"),
+                "cannot read stopword file",
+                id="load-stopwords-missing",
+            ),
+            pytest.param(
+                lambda store: load_stopwords(latin1_file(store)),
+                "cannot read stopword file",
+                id="load-stopwords-not-utf8",
+            ),
+            pytest.param(
+                lambda store: duplicate_report(store, 2.0), "threshold", id="dup-report-high"
+            ),
+            pytest.param(
+                lambda store: duplicate_report(store, -0.1), "threshold", id="dup-report-low"
+            ),
+            pytest.param(
+                lambda store: estimate_runtime(5, 0.0),
+                "per_pair_seconds must be positive",
+                id="estimate-rate",
+            ),
+            pytest.param(
+                lambda store: pair_count(-1), "n must be non-negative, got -1", id="pair-count"
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("computed_before", [True, False], ids=["computed", "empty"])
+    def test_refused_before_the_store_is_touched(
+        self, store, call, message, computed_before
+    ):
+        if computed_before:
+            populate(store, 6)
+            index_store(store)
+            compute_store(store, k=3)
+        before = conftest.tree_bytes(store.root)
+        with pytest.raises(ConfigError, match=message):
+            call(store)
+        assert conftest.tree_bytes(store.root) == before
+        if computed_before:
             check_results_fresh(store)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import conftest
 import oracle
-from simharvest.exceptions import NotFoundError, RecordValidationError
+from simharvest.exceptions import ConfigError, NotFoundError, RecordValidationError
 from simharvest.records import SimilarityMatch
 from oracle import cosine_similarity, parse_duration
 from simharvest.oai_xml import format_score
@@ -437,7 +437,7 @@ class TestVectorSpaceModel:
     def test_fit_validates(self):
         with pytest.raises(RecordValidationError):
             VectorSpaceModel().fit([])
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(ConfigError):
             VectorSpaceModel(score_floor=2.0).fit(conftest.small_corpus())
         duplicated = conftest.small_corpus() + conftest.small_corpus()[:1]
         with pytest.raises(RecordValidationError):
@@ -487,7 +487,7 @@ class TestRuntimeProjection:
         assert DEFAULT_PER_PAIR_SECONDS == 0.0036
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(ConfigError):
             estimate_runtime(10, per_pair_seconds=0.0)
 
     def test_format_duration_shapes(self):
