@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: harvest, index, compute, top, serve, estimate, dup-report.
-Exit codes: 0 success, 1 usage or configuration error, 2 runtime error
-(network, protocol, operating system), 3 stale or missing similarity results
-(the fix is always: run compute).
+Exit codes: 0 success, 1 usage or configuration error (among them a --store
+that holds no store: only harvest creates one), 2 runtime error (network,
+protocol, operating system), 3 stale or missing similarity results (the fix
+is always: run compute).
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def _cmd_harvest(args: argparse.Namespace, settings: dict) -> int:
 
 
 def _cmd_index(args: argparse.Namespace, settings: dict) -> int:
-    store = RecordStore(settings["store_root"])
+    store = RecordStore.open(settings["store_root"])
     fields = tuple(
         name.strip() for name in settings["fields"].split(",") if name.strip()
     )
@@ -184,7 +185,7 @@ def _cmd_index(args: argparse.Namespace, settings: dict) -> int:
 
 
 def _cmd_compute(args: argparse.Namespace, settings: dict) -> int:
-    store = RecordStore(settings["store_root"])
+    store = RecordStore.open(settings["store_root"])
     jobs = settings["jobs"]
     report = compute_store(
         store,
@@ -208,7 +209,7 @@ def _cmd_top(args: argparse.Namespace, settings: dict) -> int:
     k = settings["k"]
     if k < 0:  # refused before the freshness check, which would refuse first
         raise ConfigError(f"k must be non-negative, got {k}")
-    store = RecordStore(settings["store_root"])
+    store = RecordStore.open(settings["store_root"])
     check_results_fresh(store)
     matches = load_top_matches(store, args.identifier, k)
     for match in matches:
@@ -220,7 +221,7 @@ def _cmd_serve(args: argparse.Namespace, settings: dict) -> int:
     host, port = settings["bind_host"], settings["bind_port"]
     if not 0 <= port <= 65535:
         raise ConfigError(f"bind_port must lie in [0, 65535], got {port}")
-    store = RecordStore(settings["store_root"])
+    store = RecordStore.open(settings["store_root"])
     base_url = settings.get("service_base_url") or f"http://{host}:{port}/oai"
     provider = OaiProvider(
         store,
@@ -256,7 +257,7 @@ def _cmd_dup_report(args: argparse.Namespace, settings: dict) -> int:
         raise ConfigError(
             "dup-report needs --threshold (or threshold in the config file)"
         )
-    store = RecordStore(settings["store_root"])
+    store = RecordStore.open(settings["store_root"])
     pairs = duplicate_report(store, threshold)
     for pair in pairs:
         flag = "provenance-linked" if pair.provenance_linked else "-"

@@ -12,7 +12,10 @@ children, score rendered with exactly four decimals.
 
 parse_response reads the errors and the resumptionToken text of any
 response, but records only from a ListRecords page (what the harvester
-fetches) or a GetRecord answer; other verbs' payloads are not parsed.
+fetches) or a GetRecord answer; other verbs' payloads are not parsed. A
+record's similarity <about> is written, never read: parsing drops it unread,
+so an upstream aggregator's container, well-formed or not, cannot stop a
+harvest.
 
 Serialization and parsing are inverses for validated records: provenance
 about blocks are normalized once at parse time (stand-alone re-serialization
@@ -122,9 +125,6 @@ def argument_problems(verb: str, arguments: Mapping[str, str]) -> list[str]:
     return problems
 
 
-_SCORE_RE = re.compile(r"^[01]\.\d{4}$")
-
-
 def format_score(score: float) -> str:
     """Four-decimal rendering (round-half-even) used everywhere a score is text."""
     if not (0.0 <= score <= 1.0):
@@ -148,7 +148,6 @@ class ParsedResponse:
 
     errors: list[OaiError] = field(default_factory=list)
     records: list[MetadataRecord] = field(default_factory=list)
-    similarity: dict[str, SimilarityAbout] = field(default_factory=dict)
     token: ResumptionToken | None = None
 
 
@@ -433,8 +432,7 @@ def _record_document(data: bytes) -> ET.Element:
 
 
 def parse_record_fragment(data: bytes) -> MetadataRecord:
-    record, _ = _parse_record(_record_document(data))
-    return record
+    return _parse_record(_record_document(data))
 
 
 def parse_record_header(data: bytes) -> Header:
@@ -540,27 +538,6 @@ def splice_list_records(
 # --- parsing ----------------------------------------------------------------
 
 
-def _parse_similarity(element: ET.Element) -> SimilarityAbout:
-    subject = element.get("subject")
-    computed = element.get("computedDate")
-    if subject is None or computed is None:
-        raise RecordValidationError(
-            "similarity container lacks subject or computedDate"
-        )
-    matches = []
-    for child in element:
-        if child.tag != f"{{{SIMILARITY_NS}}}match":
-            raise RecordValidationError(
-                f"unexpected element {child.tag} in similarity container"
-            )
-        identifier = child.get("identifier")
-        score_text = child.get("score")
-        if identifier is None or score_text is None or not _SCORE_RE.match(score_text):
-            raise RecordValidationError("match needs identifier and a 4-decimal score")
-        matches.append(SimilarityMatch(identifier, float(score_text)))
-    return SimilarityAbout(subject, computed, tuple(matches))
-
-
 def _parse_header(record: ET.Element) -> Header:
     header = record.find(_q("header"))
     if header is None:
@@ -575,9 +552,7 @@ def _parse_header(record: ET.Element) -> Header:
     return Header(identifier, datestamp, specs, header.get("status") == "deleted")
 
 
-def _parse_record(
-    element: ET.Element,
-) -> tuple[MetadataRecord, SimilarityAbout | None]:
+def _parse_record(element: ET.Element) -> MetadataRecord:
     header = _parse_header(element)
     identifier = header.identifier
     dc_fields: list[tuple[str, str]] = []
@@ -600,7 +575,6 @@ def _parse_record(
                 )
             dc_fields.append((name, child.text or ""))
     provenance: list[str] = []
-    similarity: SimilarityAbout | None = None
     for about in element.findall(_q("about")):
         children = list(about)
         if len(children) != 1:
@@ -609,11 +583,10 @@ def _parse_record(
             )
         child = children[0]
         if child.tag == f"{{{SIMILARITY_NS}}}similarity":
-            similarity = _parse_similarity(child)
-        else:
-            child.tail = None  # text after the block is not part of it
-            provenance.append(ET.tostring(child, encoding="unicode"))
-    record = MetadataRecord(
+            continue  # computed results are served, never harvested
+        child.tail = None  # text after the block is not part of it
+        provenance.append(ET.tostring(child, encoding="unicode"))
+    return MetadataRecord(
         identifier=identifier,
         datestamp=header.datestamp,
         set_specs=header.set_specs,
@@ -621,7 +594,6 @@ def _parse_record(
         provenance=tuple(provenance),
         deleted=header.deleted,
     )
-    return record, similarity
 
 
 def _parse_token(parent: ET.Element) -> ResumptionToken | None:
@@ -636,8 +608,8 @@ def _parse_token(parent: ET.Element) -> ResumptionToken | None:
 def parse_response(data: bytes | str, expected_verb: str) -> ParsedResponse:
     """Parse one response body, checking it answers the verb we asked.
 
-    Records and their similarity containers come only from a GetRecord or
-    ListRecords payload. Protocol errors inside the body are returned, not
+    Records come only from a GetRecord or ListRecords payload, without their
+    similarity containers. Protocol errors inside the body are returned, not
     raised; the caller decides how to react. Nothing absent is ever invented.
     """
     if expected_verb not in VERB_ARGUMENTS:
@@ -665,10 +637,6 @@ def parse_response(data: bytes | str, expected_verb: str) -> ParsedResponse:
             f"asked for {expected_verb} but the response answers {actual}"
         )
     if actual in ("GetRecord", "ListRecords"):
-        for element in payload.findall(_q("record")):
-            record, similarity = _parse_record(element)
-            parsed.records.append(record)
-            if similarity is not None:
-                parsed.similarity[record.identifier] = similarity
+        parsed.records = list(map(_parse_record, payload.findall(_q("record"))))
     parsed.token = _parse_token(payload)
     return parsed

@@ -37,6 +37,7 @@ from pathlib import Path, PurePosixPath
 from urllib.parse import quote, unquote
 
 from .exceptions import (
+    ConfigError,
     NotFoundError,
     PathCollisionError,
     RecordValidationError,
@@ -185,6 +186,17 @@ class RecordStore:
             directory.mkdir(parents=True, exist_ok=True)
         self._catalog: Catalog | None = None
         self._catalog_lock = threading.Lock()
+
+    @classmethod
+    def open(cls, root: str | Path) -> RecordStore:
+        """The store at root, which must already hold records/: ConfigError,
+        creating nothing, when it does not. A root that is a file is an
+        operating-system failure, raised as the OSError it is."""
+        try:
+            (Path(root) / "records").stat()
+        except FileNotFoundError:
+            raise ConfigError(f"no store at {root}") from None
+        return cls(root)
 
     # -- epoch -------------------------------------------------------------
 

@@ -4,7 +4,8 @@ No XSD engine is involved: these functions codify the wire-format rules as
 code (element order, required children and attributes, datestamp lexicals,
 error-code vocabulary, the similarity container's score/order rules) and
 report every violation found. The test suite uses them to vet every
-response the package emits.
+response the package emits, and reads the similarity containers it serves
+through similarity_containers, since the package's own parser drops them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from simharvest.oai_xml import (
     VERB_ARGUMENTS,
     XSI_NS,
 )
-from simharvest.records import DC_ELEMENTS, OAI_ERROR_CODES, is_valid_datestamp
+from simharvest.records import (
+    DC_ELEMENTS,
+    OAI_ERROR_CODES,
+    SimilarityAbout,
+    SimilarityMatch,
+    is_valid_datestamp,
+)
 
 
 class ConformanceError(SimHarvestError):
@@ -91,6 +98,27 @@ def validate_similarity_container(element: ET.Element) -> None:
     _check_similarity(element, problems, "similarity")
     if problems:
         raise ConformanceError(list(problems))
+
+
+def similarity_containers(data: bytes | str) -> dict[str, SimilarityAbout]:
+    """Record identifier -> its similarity container, for each record of one
+    response body that carries one; ConformanceError if a container breaks
+    the rules validate_similarity_container checks."""
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    path = f"{_q('about')}/{{{SIMILARITY_NS}}}similarity"
+    containers = {}
+    for record in ET.fromstring(raw).iter(_q("record")):
+        for element in record.iterfind(path):
+            validate_similarity_container(element)
+            matches = tuple(
+                SimilarityMatch(match.get("identifier"), float(match.get("score")))
+                for match in element
+            )
+            identifier = record.findtext(f"{_q('header')}/{_q('identifier')}")
+            containers[identifier.strip()] = SimilarityAbout(
+                element.get("subject"), element.get("computedDate"), matches
+            )
+    return containers
 
 
 # --- internals ---------------------------------------------------------------

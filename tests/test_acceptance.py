@@ -15,7 +15,7 @@ from urllib.parse import urlencode
 import pytest
 
 import oracle
-from conformance import conformance_problems
+from conformance import conformance_problems, similarity_containers
 from conftest import ACCEPTANCE_LINES, tree_relpaths
 from mock_upstream import MockUpstream, http_server
 from oracle import parse_duration
@@ -199,7 +199,7 @@ def test_criterion_5_round_trip_and_conformance():
             parsed = parse_response(body, "GetRecord")
             assert parsed.records == [record]
             if about is not None:
-                assert parsed.similarity[record.identifier] == about
+                assert similarity_containers(body)[record.identifier] == about
 
         page_size = 100
         collected = []
@@ -288,8 +288,7 @@ def test_criterion_6_end_to_end_over_http(tmp_path):
             ) as reply:
                 assert reply.status == 200
         assert conformance_problems(body) == []
-        parsed = parse_response(body, "GetRecord")
-        matches = parsed.similarity[subject].matches
+        matches = similarity_containers(body)[subject].matches
         assert 0 < len(matches) <= 10
         scores = [match.score for match in matches]
         assert scores == sorted(scores, reverse=True)
@@ -349,7 +348,7 @@ def test_criterion_7_storage_invariants_and_staleness(tmp_path, capsys):
             "identifier": subject,
         }
         _, _, body = wsgi_call(provider, query=urlencode(args))
-        assert subject in parse_response(body, "GetRecord").similarity
+        assert subject in similarity_containers(body)
         assert cli_main(["top", "--identifier", subject, "--store", str(root)]) == 0
         capsys.readouterr()
 
@@ -364,7 +363,7 @@ def test_criterion_7_storage_invariants_and_staleness(tmp_path, capsys):
             check_results_fresh(store)
         _, _, body = wsgi_call(provider, query=urlencode(args))
         assert conformance_problems(body) == []
-        assert parse_response(body, "GetRecord").similarity == {}
+        assert similarity_containers(body) == {}
         status, _, _ = wsgi_call(
             provider, path="/similar", query=urlencode({"identifier": subject})
         )
@@ -375,7 +374,7 @@ def test_criterion_7_storage_invariants_and_staleness(tmp_path, capsys):
         index_store(store)
         compute_store(store, k=5)
         _, _, body = wsgi_call(provider, query=urlencode(args))
-        assert subject in parse_response(body, "GetRecord").similarity
+        assert subject in similarity_containers(body)
         assert cli_main(["top", "--identifier", subject, "--store", str(root)]) == 0
         capsys.readouterr()
 

@@ -15,11 +15,12 @@ import pytest
 
 import conftest
 import oracle
-from conformance import conformance_problems
+from conformance import conformance_problems, similarity_containers
 from mock_upstream import MockUpstream, http_server
 import simharvest
 from simharvest import cli
-from simharvest.oai_xml import OAI_NS, parse_response
+from simharvest.harvester import HarvestSession, harvest
+from simharvest.oai_xml import OAI_NS
 from simharvest.pipeline import (
     STAGES,
     check_results_fresh,
@@ -272,6 +273,7 @@ class TestBadFlagValues:
 
     def test_compute_floor_above_one(self, tmp_path, capsys):
         root = str(tmp_path / "store")
+        RecordStore(root)
         code, _, err = run_cli(capsys, "compute", "--store", root, "--floor", "1.5")
         assert code == 1
         assert "score_floor" in err
@@ -293,6 +295,7 @@ class TestBadFlagValues:
         monkeypatch.setattr(cli, "make_server", refuse)
 
     def test_serve_negative_k(self, tmp_path, capsys, no_server):
+        RecordStore(tmp_path / "store")
         code, _, err = run_cli(
             capsys, "serve", "--store", str(tmp_path / "store"), "--k", "-1"
         )
@@ -300,6 +303,7 @@ class TestBadFlagValues:
         assert "k must be >= 0" in err
 
     def test_serve_zero_page_size(self, tmp_path, capsys, no_server):
+        RecordStore(tmp_path / "store")
         code, _, err = run_cli(
             capsys, "serve", "--store", str(tmp_path / "store"), "--page-size", "0"
         )
@@ -358,6 +362,7 @@ class TestOneLineRefusals:
         path = tmp_path / "latin1.txt"
         path.write_bytes("k = 3 # caf\xe9\n".encode("latin-1"))
         root = str(tmp_path / "store")
+        RecordStore(root)
         result = self.simharvest("index", "--store", root, flag, str(path))
         assert result.returncode == 1
         assert message in result.stderr
@@ -369,6 +374,7 @@ class TestOneLineRefusals:
         assert result.returncode == 2
 
     def test_busy_port(self, tmp_path):
+        RecordStore(tmp_path / "store")
         with socket.socket() as holder:
             holder.bind(("127.0.0.1", 0))
             holder.listen()
@@ -672,6 +678,68 @@ class TestHarvestCommand:
         assert store.list_identifiers() == []
         assert store.epoch() == 0
 
+    def test_malformed_similarity_container_is_dropped(self, tmp_path, capsys):
+        # an upstream aggregator's <about> containers: no subject, a score
+        # without four decimals, and a child that is not a match
+        containers = [
+            f'<about><similarity xmlns="urn:simharvest:similarity"{attributes}>'
+            f"{children}</similarity></about>".encode()
+            for attributes, children in [
+                (' computedDate="2006-04-19T12:00:00Z"', ""),
+                (
+                    ' subject="oai:x:a" computedDate="2006-04-19T12:00:00Z"',
+                    '<match identifier="oai:x:b" score="0.5"/>',
+                ),
+                (
+                    ' subject="oai:x:a" computedDate="2006-04-19T12:00:00Z"',
+                    '<foreign xmlns="urn:example:foreign"/>',
+                ),
+            ]
+        ]
+
+        def with_containers(body):
+            parts = body.split(b"</metadata>")
+            assert len(parts) == len(containers) + 1
+            return b"".join(
+                part + b"</metadata>" + about for part, about in zip(parts, containers)
+            ) + parts[-1]
+
+        upstream = MockUpstream(oracle.synthetic_records(random.Random(29), 3))
+        clean, library, command = (str(tmp_path / name) for name in ("a", "b", "c"))
+        with http_server(upstream.wsgi) as url:
+            assert cli.main(["harvest", "--base-url", url, "--store", clean]) == 0
+            upstream.rewrite_page = with_containers
+            harvest(HarvestSession(base_url=url), RecordStore(library).put_record)
+            code, _, err = run_cli(capsys, "harvest", "--base-url", url, "--store", command)
+        assert code == 0, err
+        expected = conftest.tree_bytes(Path(clean) / "records")
+        assert len(expected) == 3
+        for root in (library, command):
+            assert conftest.tree_bytes(Path(root) / "records") == expected
+
+
+class TestMissingStore:
+    """Every command but harvest opens the store already at --store: on a
+    path that holds none it exits 1 with one error line and creates nothing."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["index"],
+            ["compute"],
+            ["top", "--identifier", "x"],
+            ["dup-report", "--threshold", "0.9"],
+            ["serve", "--port", "0"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_refused_and_not_created(self, tmp_path, command):
+        path = tmp_path / "typo"
+        result = fresh_python("-m", "simharvest", *command, "--store", str(path))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"error: no store at {path}"]
+        assert not path.exists()
+
 
 class TestServeCommand:
     def test_serve_answers_protocol_requests(self, tmp_path):
@@ -714,8 +782,7 @@ class TestServeCommand:
             with urllib.request.urlopen(record_url, timeout=10) as reply:
                 body = reply.read()
             assert conformance_problems(body) == []
-            parsed = parse_response(body, "GetRecord")
-            assert "oai:c.example:doc00000" in parsed.similarity
+            assert "oai:c.example:doc00000" in similarity_containers(body)
         finally:
             proc.terminate()
             proc.wait(timeout=10)

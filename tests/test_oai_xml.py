@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conformance import conformance_problems
+from conformance import conformance_problems, similarity_containers
 from simharvest import oai_xml, records
 from simharvest.exceptions import (
     ProtocolMismatchError,
@@ -121,7 +121,7 @@ class TestGetRecord:
         )
         parsed = parse_response(body, "GetRecord")
         assert parsed.records == [record]
-        assert parsed.similarity[record.identifier] == about
+        assert similarity_containers(body)[record.identifier] == about
         assert envelope(body) == (
             DATE,
             {
@@ -158,7 +158,7 @@ class TestGetRecord:
         parsed = parse_response(body, "GetRecord")
         again = serialize_get_record(
             parsed.records[0],
-            parsed.similarity[record.identifier],
+            similarity_containers(body)[record.identifier],
             base_url=BASE,
             request_args=envelope(body)[1],
             schema_url=DEFAULT_SIMILARITY_SCHEMA_URL,

@@ -22,7 +22,12 @@ from hypothesis import strategies as st
 
 import conftest
 import oracle
-from conformance import conformance_problems, validate_similarity_container
+from conformance import (
+    conformance_problems,
+    similarity_containers,
+    validate_similarity_container,
+)
+from mock_upstream import http_server
 from simharvest import cli
 from simharvest import pipeline as pipeline_module
 from simharvest import service as service_module
@@ -502,12 +507,11 @@ class TestGetRecord:
             load_top_matches(corpus_store, identifier, 5),
             meta["computed_at"],
         )
-        parsed = checked(
+        body = vetted(
             provider,
-            "GetRecord",
             {"verb": "GetRecord", "metadataPrefix": "oai_dc", "identifier": identifier},
         )
-        about = parsed.similarity[identifier]
+        about = similarity_containers(body)[identifier]
         assert about == expected
         assert len(about.matches) == 5  # config caps below the stored depth
         scores = [match.score for match in about.matches]
@@ -515,29 +519,27 @@ class TestGetRecord:
 
     def test_every_live_record_gets_about(self, provider):
         for identifier in LIVE_IDS:
-            parsed = checked(
+            body = vetted(
                 provider,
-                "GetRecord",
                 {
                     "verb": "GetRecord",
                     "metadataPrefix": "oai_dc",
                     "identifier": identifier,
                 },
             )
-            assert identifier in parsed.similarity
+            assert identifier in similarity_containers(body)
 
     def test_deleted_record_is_header_only(self, provider):
-        parsed = checked(
+        body = vetted(
             provider,
-            "GetRecord",
             {
                 "verb": "GetRecord",
                 "metadataPrefix": "oai_dc",
                 "identifier": "oai:repo.example:zz-gone",
             },
         )
-        assert parsed.records[0].deleted
-        assert parsed.similarity == {}
+        assert parse_response(body, "GetRecord").records[0].deleted
+        assert similarity_containers(body) == {}
 
     def test_unknown_identifier(self, provider):
         parsed = checked(
@@ -569,12 +571,11 @@ class TestGetRecord:
 
         monkeypatch.setattr(service_module, "check_results_fresh", counting)
         monkeypatch.setattr(pipeline_module, "check_results_fresh", counting)
-        parsed = checked(
+        body = vetted(
             provider,
-            "GetRecord",
             {"verb": "GetRecord", "metadataPrefix": "oai_dc", "identifier": LIVE_IDS[2]},
         )
-        assert LIVE_IDS[2] in parsed.similarity
+        assert LIVE_IDS[2] in similarity_containers(body)
         assert len(checks) == 1
         status, _, _ = wsgi_call(
             provider, path="/similar", query=urlencode({"identifier": LIVE_IDS[2]})
@@ -588,10 +589,13 @@ class TestGetRecord:
             "metadataPrefix": "oai_dc",
             "identifier": LIVE_IDS[1],
         }
-        via_get = checked(provider, "GetRecord", args)
-        via_post = checked(provider, "GetRecord", args, method="POST")
-        assert via_post.records == via_get.records
-        assert via_post.similarity == via_get.similarity
+        via_get = vetted(provider, args)
+        via_post = vetted(provider, args, method="POST")
+        assert (
+            parse_response(via_post, "GetRecord").records
+            == parse_response(via_get, "GetRecord").records
+        )
+        assert similarity_containers(via_post) == similarity_containers(via_get)
 
 
 class TestArgumentPolicing:
@@ -848,12 +852,11 @@ def mutable(tmp_path):
 
 
 def get_record_about(provider, identifier):
-    parsed = checked(
+    body = vetted(
         provider,
-        "GetRecord",
         {"verb": "GetRecord", "metadataPrefix": "oai_dc", "identifier": identifier},
     )
-    return parsed.similarity.get(identifier)
+    return similarity_containers(body).get(identifier)
 
 
 class TestCollectionChange:
@@ -1562,3 +1565,36 @@ class TestListRecordsSplice:
         store.record_path("oai:e.example:b").unlink()
         (page,) = list_records_pages(provider, {})
         assert error_codes(parse_response(page, "ListRecords")) == ["idDoesNotExist"]
+
+
+class TestAggregatorChain:
+    def test_harvested_copy_reproduces_the_results(self, tmp_path):
+        """An aggregator that harvests another one over HTTP, then indexes and
+        computes, holds the same records, tf vectors, pairs and rankings."""
+        source = RecordStore(tmp_path / "source")
+        records = oracle.synthetic_records(
+            random.Random(31),
+            130,
+            set_choices=("aero", "struct", "fluid"),
+            origin_url="http://origin.example/oai",
+        )
+        for record in records:
+            source.put_record(record)
+        source.put_record(
+            MetadataRecord("oai:repo.example:zz-gone", "2003-03-03T03:03:03Z", deleted=True)
+        )
+        index_store(source)
+        compute_store(source, k=5)
+        copy = RecordStore(tmp_path / "copy")
+        provider = OaiProvider(source, ProviderConfig(base_url=BASE, k=5, page_size=20))
+        with http_server(provider) as url:
+            report = harvest(HarvestSession(base_url=url), copy.put_record)
+        assert report.records_received == 131
+        assert report.pages_fetched == 7
+        index_store(copy)
+        compute_store(copy, k=5)
+        for name in ("records", "tf_metadata", "top_matches"):
+            assert conftest.tree_bytes(copy.root / name) == conftest.tree_bytes(
+                source.root / name
+            ), name
+        assert copy.similarities_path.read_bytes() == source.similarities_path.read_bytes()
