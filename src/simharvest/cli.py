@@ -75,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = add_command("compute", help="score every document pair")
     cmd.add_argument("--store", dest="store_root")
     cmd.add_argument("--k", type=int, help="ranked matches kept per document")
-    cmd.add_argument("--floor", dest="score_floor", type=float,
-                     help="drop pairs below this score from similarities.txt")
     cmd.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
 
     cmd = add_command("top", help="show the ranked matches of one record")
@@ -190,7 +188,6 @@ def _cmd_compute(args: argparse.Namespace, settings: dict) -> int:
     report = compute_store(
         store,
         k=settings["k"],
-        score_floor=settings["score_floor"],
         jobs=(os.cpu_count() or 1) if jobs is None else jobs,
     )
     print(f"documents: {report.documents}")

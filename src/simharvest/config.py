@@ -24,7 +24,6 @@ DEFAULTS: dict[str, object] = {
     "fields": ",".join(DEFAULT_FIELDS),
     "stopwords": None,  # path to an alternative stopword file
     "k": ProviderConfig.k,
-    "score_floor": 0.0,
     "jobs": None,  # defaults to the machine's execution units
     "per_pair_seconds": DEFAULT_PER_PAIR_SECONDS,
     "bind_host": "127.0.0.1",
@@ -40,7 +39,7 @@ DEFAULTS: dict[str, object] = {
 }
 
 _INT_KEYS = {"k", "jobs", "bind_port", "page_size"}
-_FLOAT_KEYS = {"score_floor", "per_pair_seconds", "threshold"}
+_FLOAT_KEYS = {"per_pair_seconds", "threshold"}
 
 
 def load_config(path: str | Path) -> dict[str, object]:

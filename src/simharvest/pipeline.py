@@ -38,11 +38,11 @@ class IndexReport:
 class ComputeReport:
     documents: int
     pair_count: int
+    #: every pair is written, so this is pair_count
     pairs_written: int
     wall_seconds: float
     per_pair_seconds: float
     k: int
-    score_floor: float
     computed_at: str
     epoch: int
     #: seconds per stage of the run, keyed as STAGES, in that order
@@ -97,6 +97,7 @@ def index_store(
         store.put_tf(vector)
         terms.update(vector.counts)
         count += 1
+    store.tf_dir.mkdir(exist_ok=True)  # put_tf makes it only for a record
     write_atomic(store.indexed_epoch_path, str(epoch).encode("ascii"))
     return IndexReport(count, len(terms))
 
@@ -104,23 +105,22 @@ def index_store(
 def compute_store(
     store: RecordStore,
     k: int = 10,
-    score_floor: float = 0.0,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> ComputeReport:
     """Weight the indexed corpus and score every document pair.
 
-    Writes the weights tree, similarities.txt (pairs at or above score_floor,
-    four-decimal scores), one ranked top-k file per document, and the compute
-    metadata last, stamped with the epoch read at the start. jobs None
-    scores in this process. Raises ConfigError for k < 0, jobs < 1 or
-    score_floor outside [0, 1] before it reads the store, and StalenessError
-    when records changed after the last index, before anything is written.
+    Writes the weights tree, similarities.txt (every pair, four-decimal
+    scores), one ranked top-k file per document, and the compute metadata
+    last, stamped with the epoch read at the start. jobs 1 scores in this
+    process. Raises ConfigError for k < 0 or jobs < 1 before it reads the
+    store, and StalenessError when records changed after the last index,
+    before anything is written.
     """
     if k < 0:
         raise ConfigError(f"k must be non-negative, got {k}")
-    if jobs is not None and jobs < 1:
+    if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    model = VectorSpaceModel(score_floor=score_floor)
+    model = VectorSpaceModel()
     started = utc_now_string()
     t0 = time.perf_counter()
     stages = dict.fromkeys(STAGES, 0.0)
@@ -150,15 +150,13 @@ def compute_store(
     tmp_path = store.similarities_path.with_suffix(".txt.tmp")
     blocks = model.similarity_pairs(str(tmp_path), k, jobs=jobs)
     best: list[list[tuple[float, int]]] = [[] for _ in identifiers]
-    pairs_written = 0
     try:
         with _stage(stages, "scoring"), tmp_path.open("wb") as handle:
-            for part, written, heaps in blocks:
+            for part, heaps in blocks:
                 with _stage(stages, "concatenation"):
                     with open(part, "rb") as source:
                         shutil.copyfileobj(source, handle)
                     os.unlink(part)
-                pairs_written += written
                 with _stage(stages, "top_k_merge"):
                     for index, heap in heaps.items():
                         best[index] = heapq.nlargest(k, best[index] + heap)
@@ -186,11 +184,10 @@ def compute_store(
     report = ComputeReport(
         documents=len(identifiers),
         pair_count=total_pairs,
-        pairs_written=pairs_written,
+        pairs_written=total_pairs,
         wall_seconds=wall,
         per_pair_seconds=(wall / total_pairs) if total_pairs else 0.0,
         k=k,
-        score_floor=score_floor,
         computed_at=started,
         epoch=epoch,
         stage_seconds=stages,
@@ -209,7 +206,6 @@ def _write_compute_meta(store: RecordStore, report: ComputeReport) -> None:
         f"wall_seconds = {report.wall_seconds!r}\n",
         f"per_pair_seconds = {report.per_pair_seconds!r}\n",
         f"k = {report.k}\n",
-        f"score_floor = {report.score_floor!r}\n",
     ]
     lines += [
         f"{name}_seconds = {seconds!r}\n"

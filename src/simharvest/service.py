@@ -335,6 +335,9 @@ class OaiProvider:
         identifier = identifiers[0]
         if not self.store.has_record(identifier):
             return _plain("404 Not Found", f"unknown identifier {identifier}")
+        if self.store.get_record(identifier).deleted:
+            # GetRecord serves a deleted record's header alone, with no matches
+            return _plain("404 Not Found", f"record {identifier} is deleted")
         try:
             about = self._similarity(identifier, k)
         except StalenessError as error:
@@ -376,15 +379,10 @@ def _top_file_rows(
 
     Rendering is monotone, so a record's top file holds every pair of it
     rendering at or above the threshold whenever its k-th score renders
-    below it; a k-th score equal to the threshold may have lost a tie. A
-    threshold one rendering step above a nonzero score floor keeps out the
-    pairs just below the floor that render onto it, which the pair file
-    leaves out and the top files keep.
+    below it; a k-th score equal to the threshold may have lost a tie.
     """
-    meta = check_results_fresh(store)
-    k = int(meta["k"])
-    floor = float(meta["score_floor"])
-    if k == 0 or (floor != 0.0 and threshold < floor + 1e-4):
+    k = int(check_results_fresh(store)["k"])
+    if k == 0:
         return None
     identifiers = store.list_identifiers()
     rows = set()

@@ -121,10 +121,10 @@ def pair_count(n_docs: int) -> int:
 
 # --- block scoring ----------------------------------------------------------
 
-#: (path of the block's pair-file part, lines written to it,
-#:  {row index: up to k best (score, -other row index) entries the block
-#:  scored for that row}, for the rows it scored any for)
-BlockScores = tuple[str, int, dict[int, list[tuple[float, int]]]]
+#: (path of the block's pair-file part, {row index: up to k best
+#:  (score, -other row index) entries the block scored for that row}, for
+#:  the rows it scored any for)
+BlockScores = tuple[str, dict[int, list[tuple[float, int]]]]
 
 #: Per row, one (weight, rows, weights, after) entry for each of its terms in
 #: sorted term order: the row's weight for the term, the term's posting list
@@ -172,7 +172,6 @@ def _score_block(
     start: int,
     stop: int,
     part: str,
-    score_floor: float,
     k: int,
 ) -> BlockScores:
     """Score rows start..stop-1 of the identifier-sorted corpus against every
@@ -183,20 +182,18 @@ def _score_block(
     own. A pair's score is thus the dot product of the two unit vectors,
     its shared-term products summed from 0.0 in sorted term order, capped
     at 1.0 (weights are positive, so no sum is negative, and a pair with no
-    shared term scores 0.0). Each pair scoring at least score_floor becomes
-    one "id_a<TAB>id_b<TAB>score" line of the part file, in upper-triangle
-    order, with the four decimals of format_score. Every pair, floored or
-    not, counts for both documents' top k, keyed (score, -row index): rows
-    are in identifier order, so the larger key ranks the smaller identifier
-    first among equal scores. The row side is ranked once per row; a later
-    row j is offered a score only when it beats the lowest score of a full
-    heaps[j].
+    shared term scores 0.0). Each pair becomes one "id_a<TAB>id_b<TAB>score"
+    line of the part file, in upper-triangle order, with the four decimals
+    of format_score, and counts for both documents' top k, keyed
+    (score, -row index): rows are in identifier order, so the larger key
+    ranks the smaller identifier first among equal scores. The row side is
+    ranked once per row; a later row j is offered a score only when it beats
+    the lowest score of a full heaps[j].
     """
     n = len(identifiers)
     heaps: list[list[tuple[float, int]]] = [[] for _ in range(n)]
     # a score must beat floors[j] to enter heaps[j]; -1.0 until it holds k
     floors = [-1.0] * n
-    lines = 0
     with open(part, "w", encoding="utf-8", newline="\n") as handle:
         for i in range(start, stop):
             acc = [0.0] * n
@@ -208,10 +205,8 @@ def _score_block(
             rendered = [
                 f"{prefix}{other}\t{score:.4f}\n"
                 for other, score in zip(identifiers[i + 1 :], scores)
-                if score >= score_floor
             ]
             handle.write("".join(rendered))
-            lines += len(rendered)
             if not k:
                 continue
             heaps[i] = heapq.nlargest(
@@ -224,7 +219,7 @@ def _score_block(
                 _keep_best(heap, k, (scores[j - i - 1], -i))
                 if len(heap) == k:
                     floors[j] = heap[0][0]
-    return part, lines, {index: heap for index, heap in enumerate(heaps) if heap}
+    return part, {index: heap for index, heap in enumerate(heaps) if heap}
 
 
 def _score_pool_block(task: tuple) -> BlockScores:
@@ -275,13 +270,8 @@ class VectorSpaceModel:
     fit() learns the collection statistics and weights the corpus into
     vectors_ (identifier -> unit-normalized WeightedVector), with
     identifiers_ in ascending order; similarity_pairs() scores the fitted
-    corpus. A score_floor outside [0, 1] is refused here, before any fit.
+    corpus.
     """
-
-    def __init__(self, score_floor: float = 0.0):
-        if not 0.0 <= score_floor <= 1.0:
-            raise ConfigError(f"score_floor must lie in [0, 1], got {score_floor:g}")
-        self.score_floor = score_floor
 
     def fit(self, X: Iterable) -> "VectorSpaceModel":
         corpus = check_tf_corpus(X)
@@ -294,25 +284,25 @@ class VectorSpaceModel:
         return self
 
     def similarity_pairs(
-        self, part_prefix: str, k: int, jobs: int | None = None
+        self, part_prefix: str, k: int, jobs: int = 1
     ) -> Iterator[BlockScores]:
         """Score all n(n-1)/2 pairs of the fitted corpus, one row block at a time.
 
-        Block b writes its pair lines (score >= score_floor) to
-        "{part_prefix}.{b}" and yields (part path, lines written, partial
-        top-k lists by row index of identifiers_); blocks come in row order,
-        so their parts concatenated in that order hold the upper triangle in
-        (id_a, id_b) order. With jobs > 1 and at least 64 documents the
-        blocks are scored by worker processes; the output is the same. Each
-        process that scores builds the inverted index once, before its first
-        block: this one when serial, each worker in its initializer.
+        Block b writes the pair lines of its rows to "{part_prefix}.{b}" and
+        yields (part path, partial top-k lists by row index of identifiers_);
+        blocks come in row order, so their parts concatenated in that order
+        hold the upper triangle in (id_a, id_b) order. With jobs > 1 and at
+        least 64 documents the blocks are scored by worker processes; the
+        output is the same. Each process that scores builds the inverted
+        index once, before its first block: this one when serial, each worker
+        in its initializer.
         """
         if k < 0:
             raise ConfigError(f"k must be non-negative, got {k}")
         vectors = [self.vectors_[identifier] for identifier in self.identifiers_]
-        parallel = jobs is not None and jobs > 1 and len(vectors) >= 64
+        parallel = jobs > 1 and len(vectors) >= 64
         tasks = [
-            (start, stop, f"{part_prefix}.{number}", self.score_floor, k)
+            (start, stop, f"{part_prefix}.{number}", k)
             for number, (start, stop) in enumerate(
                 _row_blocks(len(vectors), jobs if parallel else 1)
             )

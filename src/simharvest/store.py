@@ -182,8 +182,7 @@ class RecordStore:
         self.similarities_path = self.root / "similarities.txt"
         self.compute_meta_path = self.root / "compute_meta.txt"
         self.epoch_path = self.root / ".epoch"
-        for directory in (self.records_dir, self.tf_dir, self.weights_dir):
-            directory.mkdir(parents=True, exist_ok=True)
+        self.records_dir.mkdir(parents=True, exist_ok=True)
         self._catalog: Catalog | None = None
         self._catalog_lock = threading.Lock()
 

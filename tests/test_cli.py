@@ -29,6 +29,7 @@ from simharvest.pipeline import (
     load_top_matches,
 )
 from simharvest.records import MetadataRecord
+from simharvest.service import OaiProvider
 from simharvest.store import RecordStore
 
 
@@ -271,12 +272,17 @@ class TestBadFlagValues:
         assert code == 1
         assert "jobs must be at least 1, got 0" in err
 
-    def test_compute_floor_above_one(self, tmp_path, capsys):
+    def test_compute_floor_is_refused(self, tmp_path, capsys):
+        # compute writes every pair: there is no floor to set
         root = str(tmp_path / "store")
-        RecordStore(root)
-        code, _, err = run_cli(capsys, "compute", "--store", root, "--floor", "1.5")
-        assert code == 1
-        assert "score_floor" in err
+        store = populate(root, 6)
+        index_store(store)
+        before = conftest.tree_bytes(store.root)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["compute", "--store", root, "--floor", "0.3"])
+        assert excinfo.value.code == 1
+        assert "unrecognized arguments: --floor 0.3" in capsys.readouterr().err
+        assert conftest.tree_bytes(store.root) == before
 
     def test_top_negative_k(self, tmp_path, capsys):
         root = str(tmp_path / "store")
@@ -449,11 +455,20 @@ class TestConfigFile:
         assert code == 1
         assert "unknown key 'metadata_prefix'" in err
 
+    def test_score_floor_is_not_a_key(self, tmp_path, capsys):
+        root = str(tmp_path / "store")
+        index_store(populate(root, 6))
+        cfg = tmp_path / "old.conf"
+        cfg.write_text(f"store_root = {root}\nscore_floor = 0.3\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "compute", "--config", str(cfg))
+        assert code == 1
+        assert "unknown key 'score_floor'" in err
+
     def test_defaults_come_from_their_owners(self):
         from simharvest import config, oai_xml, service, similarity, textpipe
 
         defaults = config.DEFAULTS
-        assert len(defaults) == 21
+        assert len(defaults) == 20
         assert defaults["fields"] == ",".join(textpipe.DEFAULT_FIELDS)
         assert defaults["per_pair_seconds"] == similarity.DEFAULT_PER_PAIR_SECONDS
         assert defaults["schema_url"] == oai_xml.DEFAULT_SIMILARITY_SCHEMA_URL
@@ -720,7 +735,8 @@ class TestHarvestCommand:
 
 class TestMissingStore:
     """Every command but harvest opens the store already at --store: on a
-    path that holds none it exits 1 with one error line and creates nothing."""
+    path that holds none it exits 1 with one error line and creates nothing.
+    Commands that only read write nothing to a store that holds one."""
 
     @pytest.mark.parametrize(
         "command",
@@ -739,6 +755,17 @@ class TestMissingStore:
         assert result.returncode == 1
         assert result.stderr.splitlines() == [f"error: no store at {path}"]
         assert not path.exists()
+
+    def test_reading_commands_add_nothing(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        (root / "records").mkdir(parents=True)
+        code, _, _ = run_cli(capsys, "top", "--store", str(root), "--identifier", "x")
+        assert code == 3
+        code, _, _ = run_cli(capsys, "dup-report", "--store", str(root), "--threshold", "0.9")
+        assert code == 3
+        provider = OaiProvider(RecordStore.open(root))
+        provider.handle_request({"verb": ["Identify"]})
+        assert sorted(root.rglob("*")) == [root / "records"]
 
 
 class TestServeCommand:

@@ -128,9 +128,8 @@ class TestComputeStore:
         store, report = computed
         assert report.documents == 12
         assert report.pair_count == pair_count(12) == 66
-        assert report.pairs_written == 66  # floor 0.0 keeps every pair
+        assert report.pairs_written == 66  # every pair is written
         assert report.k == 4
-        assert report.score_floor == 0.0
         assert report.epoch == store.epoch()
         assert is_valid_datestamp(report.computed_at)
         assert report.wall_seconds > 0
@@ -200,7 +199,6 @@ class TestComputeStore:
         assert float(meta["wall_seconds"]) == report.wall_seconds
         assert float(meta["per_pair_seconds"]) == report.per_pair_seconds
         assert meta["k"] == "4"
-        assert float(meta["score_floor"]) == 0.0
 
     def test_stage_timings(self, computed):
         store, report = computed
@@ -209,7 +207,7 @@ class TestComputeStore:
         assert sum(report.stage_seconds.values()) <= report.wall_seconds
         meta = read_compute_meta(store)
         keys = list(meta)
-        assert keys[:9] == [
+        assert keys[:8] == [
             "epoch",
             "computed_at",
             "documents",
@@ -218,20 +216,18 @@ class TestComputeStore:
             "wall_seconds",
             "per_pair_seconds",
             "k",
-            "score_floor",
         ]
-        assert keys[9:] == [f"{stage}_seconds" for stage in STAGES]
+        assert keys[8:] == [f"{stage}_seconds" for stage in STAGES]
         for stage, seconds in report.stage_seconds.items():
             assert float(meta[f"{stage}_seconds"]) == seconds
 
-    @pytest.mark.parametrize("k, floor", [(-1, 0.0), (3, 1.5)])
-    def test_bad_arguments_leave_results_fresh(self, store, k, floor):
+    def test_bad_arguments_leave_results_fresh(self, store):
         populate(store, 6)
         index_store(store)
         compute_store(store, k=3)
         before = conftest.tree_bytes(store.root)
         with pytest.raises(ConfigError):
-            compute_store(store, k=k, score_floor=floor)
+            compute_store(store, k=-1)
         check_results_fresh(store)
         assert conftest.tree_bytes(store.root) == before
 
@@ -279,11 +275,11 @@ class TestComputeStore:
         assert "oai:x:subject" not in [m.identifier for m in top]
         assert len(top) == 3  # only n-1 candidates exist
 
-    @pytest.mark.parametrize("k, floor", [(0, 0.0), (5, 0.0), (9, 0.0), (9, 0.3)])
-    def test_top_file_depth_edges(self, store, k, floor):
+    @pytest.mark.parametrize("k", [0, 5, 9])
+    def test_top_file_depth_edges(self, store, k):
         populate(store, 6, seed=71)
         index_store(store)
-        report = compute_store(store, k=k, score_floor=floor)
+        report = compute_store(store, k=k)
         identifiers = store.list_identifiers()
         model = VectorSpaceModel().fit([store.get_tf(i) for i in identifiers])
         for identifier in identifiers:
@@ -294,9 +290,7 @@ class TestComputeStore:
             assert store.top_path(identifier).read_text(encoding="utf-8") == expected
             assert len(expected.splitlines()) == min(k, 5)
         rows = store.similarities_path.read_text().splitlines()
-        assert len(rows) == report.pairs_written
-        assert all(float(row.rsplit("\t", 1)[1]) >= floor - 5e-5 for row in rows)
-        assert (report.pairs_written < 15) == (floor > 0)
+        assert len(rows) == report.pairs_written == 15
         assert list(store.root.glob("similarities.txt.tmp*")) == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -307,8 +301,8 @@ class TestComputeStore:
         check_results_fresh(store)
         real = similarity._score_block
 
-        def failing(identifiers, postings, start, stop, part, score_floor, k):
-            result = real(identifiers, postings, start, stop, part, score_floor, k)
+        def failing(identifiers, postings, start, stop, part, k):
+            result = real(identifiers, postings, start, stop, part, k)
             if stop == len(identifiers):
                 raise RuntimeError("injected block failure")
             return result
@@ -351,14 +345,6 @@ class TestSettingsRefused:
                 lambda store: compute_store(store, jobs=-3),
                 "jobs must be at least 1, got -3",
                 id="compute-jobs-negative",
-            ),
-            pytest.param(
-                lambda store: compute_store(store, score_floor=1.5), "score_floor",
-                id="compute-floor-high",
-            ),
-            pytest.param(
-                lambda store: compute_store(store, score_floor=-0.1), "score_floor",
-                id="compute-floor-low",
             ),
             pytest.param(
                 lambda store: index_store(store, fields=("titel",)), "fields must name",
@@ -460,34 +446,6 @@ class TestDeterminism:
                 + [store.top_path(i).read_bytes() for i in store.list_identifiers()]
             )
         assert outputs[0] == outputs[1] == outputs[2]
-
-
-class TestScoreFloor:
-    def test_floor_trims_file_but_not_rankings(self, tmp_path):
-        store = RecordStore(tmp_path / "store")
-        populate(store, 15, seed=41)
-        index_store(store)
-        unfloored = compute_store(store, k=5)
-        all_rows = set(store.similarities_path.read_text().splitlines())
-        full_tops = {
-            identifier: load_top_matches(store, identifier)
-            for identifier in store.list_identifiers()
-        }
-
-        floored = compute_store(store, k=5, score_floor=0.3)
-        kept_rows = store.similarities_path.read_text().splitlines()
-        assert floored.pairs_written == len(kept_rows) < unfloored.pairs_written
-        assert set(kept_rows) <= all_rows
-        for row in kept_rows:
-            assert float(row.rsplit("\t", 1)[1]) >= 0.2999
-        # rankings are computed before the floor applies
-        for identifier, matches in full_tops.items():
-            assert load_top_matches(store, identifier) == matches
-        assert any(
-            match.score < 0.3
-            for matches in full_tops.values()
-            for match in matches
-        )
 
 
 class TestStalenessLifecycle:

@@ -53,7 +53,7 @@ from simharvest.pipeline import (
     load_top_matches,
     read_compute_meta,
 )
-from simharvest.records import MetadataRecord, SimilarityMatch
+from simharvest.records import MetadataRecord
 from simharvest.service import (
     DuplicatePair,
     OaiProvider,
@@ -61,9 +61,7 @@ from simharvest.service import (
     duplicate_report,
     similarity_schema_text,
 )
-from simharvest.similarity import VectorSpaceModel
 from simharvest.store import RecordStore
-from test_similarity import score_blocks
 
 BASE = "http://aggregator.example/oai"
 
@@ -743,6 +741,14 @@ class TestAuxiliaryRoutes:
         assert status == "404 Not Found"
         assert b"unknown identifier" in body
 
+    def test_similar_deleted_record(self, provider):
+        # GetRecord serves it header-only, so /similar has no matches to give
+        status, _, body = wsgi_call(
+            provider, path="/similar", query="identifier=oai:repo.example:zz-gone"
+        )
+        assert status == "404 Not Found"
+        assert b"deleted" in body
+
     @too_long_ids
     def test_similar_identifier_too_long_to_store(self, provider, identifier):
         status, _, body = wsgi_call(
@@ -1048,7 +1054,7 @@ class TestDuplicateReport:
             duplicate_report(dup_store, threshold)
 
 
-def text_store(root, texts, k, score_floor=0.0):
+def text_store(root, texts, k):
     """A computed store of one record per name, titled with its text."""
     store = RecordStore(root)
     for name, text in texts.items():
@@ -1060,7 +1066,7 @@ def text_store(root, texts, k, score_floor=0.0):
             )
         )
     index_store(store)
-    compute_store(store, k=k, score_floor=score_floor)
+    compute_store(store, k=k)
     return store
 
 
@@ -1110,14 +1116,11 @@ class TestDuplicateReportPaths:
             max_size=8,
         ),
         k=st.integers(0, 9),  # above 7, no top file is full
-        score_floor=st.one_of(
-            st.just(0.0), st.sampled_from([0.1, 0.3, 0.5]), st.floats(0.0, 1.0)
-        ),
         data=st.data(),
     )
-    def test_paths_agree_on_drawn_corpora(self, texts, k, score_floor, data):
+    def test_paths_agree_on_drawn_corpora(self, texts, k, data):
         with tempfile.TemporaryDirectory() as root:
-            store = text_store(root, texts, k, score_floor)
+            store = text_store(root, texts, k)
             rendered = sorted(
                 {
                     match.score
@@ -1125,7 +1128,7 @@ class TestDuplicateReportPaths:
                     for match in load_top_matches(store, identifier)
                 }
             )
-            near = [score_floor, score_floor + 1e-4] + [
+            near = [0.0, 1e-4] + [
                 score + offset
                 for score in rendered
                 for offset in (-1e-4, -5e-5, 0.0, 5e-5, 1e-4)
@@ -1167,38 +1170,6 @@ class TestDuplicateReportPaths:
             assert_paths_agree(store, threshold, fast=False)
             report = duplicate_report(store, threshold)
             assert (p_id("a"), p_id("e")) in {(p.id_a, p.id_b) for p in report}
-
-    def test_score_just_below_the_floor_that_renders_onto_it(self, tmp_path):
-        records = oracle.synthetic_records(random.Random(11), 6)
-        texts = {
-            str(i): dict(record.dc_fields)["description"]
-            for i, record in enumerate(records)
-        }
-        store = text_store(tmp_path / "probe", texts, k=0)
-        model = VectorSpaceModel().fit(
-            store.get_tf(identifier) for identifier in store.list_identifiers()
-        )
-        _, scores, _ = score_blocks(model, str(tmp_path), k=len(texts))
-        # a pair whose score rounds up, as 0.29996 renders 0.3000
-        (id_a, id_b), raw = next(
-            (pair, score)
-            for pair, score in sorted(scores.items())
-            if 0.0 < score < float(f"{score:.4f}")
-        )
-        floor = float(f"{raw:.4f}")
-        store = text_store(tmp_path / "store", texts, k=len(texts), score_floor=floor)
-        # the top file keeps the pair at the floor; the pair file leaves it out
-        assert SimilarityMatch(id_b, floor) in load_top_matches(store, id_a)
-        lines = {(a, b) for a, b, _ in pipeline_module.iter_similarity_lines(store)}
-        assert (id_a, id_b) not in lines
-        assert_paths_agree(store, floor, fast=False)
-        assert_paths_agree(store, floor + 1e-4, fast=True)
-
-    def test_threshold_below_the_floor_falls_back(self, tmp_path):
-        store = text_store(tmp_path / "store", TIED, k=10, score_floor=0.5)
-        assert_paths_agree(store, 0.2, fast=False)
-        assert_paths_agree(store, 0.5, fast=False)
-        assert_paths_agree(store, 0.6, fast=True)
 
     def test_k_zero_falls_back(self, tmp_path):
         store = text_store(tmp_path / "store", TIED, k=0)

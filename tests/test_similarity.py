@@ -60,7 +60,7 @@ def corpus_of(terms):
     )
 
 
-def score_blocks(model, directory, k, jobs=None):
+def score_blocks(model, directory, k, jobs=1):
     """Run every row block of a fitted model.
 
     Returns the pair-file lines in block order, each pair's raw score as
@@ -69,11 +69,9 @@ def score_blocks(model, directory, k, jobs=None):
     """
     lines, scores, merged = [], {}, {}
     ids = model.identifiers_
-    for part, written, heaps in model.similarity_pairs(f"{directory}/pairs", k, jobs=jobs):
+    for part, heaps in model.similarity_pairs(f"{directory}/pairs", k, jobs=jobs):
         with open(part, encoding="utf-8") as handle:
-            text = handle.read().splitlines()
-        assert len(text) == written
-        lines += text
+            lines += handle.read().splitlines()
         for row, heap in heaps.items():
             merged[row] = heapq.nlargest(k, merged.get(row, []) + heap)
             for score, negated in heap:
@@ -81,11 +79,11 @@ def score_blocks(model, directory, k, jobs=None):
     return lines, scores, merged
 
 
-def assert_scores_equal_reference(corpus, score_floor=0.0, jobs=None):
+def assert_scores_equal_reference(corpus, jobs=1):
     """Every pair's engine score == the reference scorer's, exactly, and the
-    pair lines are the reference's scores at or above the floor. Returns the
-    engine's scores by (id_a, id_b)."""
-    model = VectorSpaceModel(score_floor=score_floor).fit(corpus)
+    pair lines are the reference's scores, one per pair. Returns the engine's
+    scores by (id_a, id_b)."""
+    model = VectorSpaceModel().fit(corpus)
     ids = model.identifiers_
     with tempfile.TemporaryDirectory() as directory:
         lines, scores, _ = score_blocks(model, directory, len(ids), jobs=jobs)
@@ -94,8 +92,7 @@ def assert_scores_equal_reference(corpus, score_floor=0.0, jobs=None):
         for id_b in ids[i + 1 :]:
             reference = cosine_similarity(model.vectors_[id_a], model.vectors_[id_b])
             assert scores[id_a, id_b] == reference, (id_a, id_b)
-            if reference >= score_floor:
-                expected_lines.append(f"{id_a}\t{id_b}\t{format_score(reference)}")
+            expected_lines.append(f"{id_a}\t{id_b}\t{format_score(reference)}")
     assert len(scores) == pair_count(len(ids))
     assert lines == expected_lines
     return scores
@@ -251,18 +248,14 @@ class TestExactScores:
     floats bit for bit, not merely within a tolerance."""
 
     @settings(deadline=None)
-    @given(
-        st.one_of(corpus_of(zipf_terms), corpus_of(dense_terms)),
-        st.sampled_from((0.0, 0.3)),
-    )
-    def test_every_score_equals_the_reference(self, corpus, floor):
-        assert_scores_equal_reference(corpus, floor)
+    @given(st.one_of(corpus_of(zipf_terms), corpus_of(dense_terms)))
+    def test_every_score_equals_the_reference(self, corpus):
+        assert_scores_equal_reference(corpus)
 
     def test_random_corpora(self, rng):
         for n_docs, vocab_size in ((60, 400), (60, 12)):
             corpus = oracle.random_corpus(rng, n_docs, vocab_size=vocab_size)
             assert_scores_equal_reference(corpus)
-            assert_scores_equal_reference(corpus, 0.3)
 
     def test_worker_scores_equal_the_reference(self, rng):
         assert_scores_equal_reference(oracle.random_corpus(rng, 70), jobs=2)
@@ -306,13 +299,8 @@ class TestExactScores:
     def test_one_document(self, tmp_path):
         model = VectorSpaceModel().fit([TermFrequencyVector("oai:x:1", {"aa": 1})])
         blocks = list(model.similarity_pairs(str(tmp_path / "pairs"), k=10))
-        assert [(lines, heaps) for _, lines, heaps in blocks] == [(0, {})]
+        assert [heaps for _, heaps in blocks] == [{}]
         assert (tmp_path / "pairs.0").read_text() == ""
-
-    def test_floor_keeps_the_lines_at_or_above_it(self, rng):
-        corpus = oracle.random_corpus(rng, 40, vocab_size=30)
-        scores = assert_scores_equal_reference(corpus, 0.3)
-        assert min(scores.values()) < 0.3 <= max(scores.values())
 
 
 class TestPairs:
@@ -437,8 +425,6 @@ class TestVectorSpaceModel:
     def test_fit_validates(self):
         with pytest.raises(RecordValidationError):
             VectorSpaceModel().fit([])
-        with pytest.raises(ConfigError):
-            VectorSpaceModel(score_floor=2.0).fit(conftest.small_corpus())
         duplicated = conftest.small_corpus() + conftest.small_corpus()[:1]
         with pytest.raises(RecordValidationError):
             VectorSpaceModel().fit(duplicated)
