@@ -18,6 +18,7 @@ from wsgiref.simple_server import WSGIServer, make_server
 from . import config as config_mod
 from .exceptions import (
     ConfigError,
+    NotFoundError,
     RequestArgumentError,
     SimHarvestError,
     StalenessError,
@@ -209,6 +210,8 @@ def _cmd_top(args: argparse.Namespace, settings: dict) -> int:
     store = RecordStore.open(settings["store_root"])
     check_results_fresh(store)
     matches = load_top_matches(store, args.identifier, k)
+    if store.get_record(args.identifier).deleted:
+        raise NotFoundError(f"record {args.identifier} is deleted")
     for match in matches:
         print(f"{match.identifier}\t{match.score:.4f}")
     return EXIT_OK

@@ -3,9 +3,9 @@
 Responses are built with ElementTree against the protocol namespaces. One
 envelope builder writes what every response shares: the OAI-PMH root, a
 responseDate of the current time, the <request> echo and the verb's payload
-element; each serializer hands it only the payload's children. A ListRecords
-page may instead be spliced from the stored record fragments into the same
-bytes (splice_list_records). The
+element; each serializer hands it only the payload's children. The store
+keeps each record fragment at the depth a response holds it, so a ListRecords
+page may instead splice the stored bytes in (splice_list_records). The
 similarity ranking travels inside a record's optional <about> container as a
 <similarity> element (own namespace) holding <match identifier score/>
 children, score rendered with exactly four decimals.
@@ -241,8 +241,8 @@ def _response(
     return _to_bytes(root)
 
 
-def _to_bytes(root: ET.Element) -> bytes:
-    ET.indent(root)
+def _to_bytes(root: ET.Element, level: int = 0) -> bytes:
+    ET.indent(root, level=level)
     return ET.tostring(root, encoding="utf-8", xml_declaration=True)
 
 
@@ -420,8 +420,9 @@ def build_similarity_about(
 
 
 def serialize_record_fragment(record: MetadataRecord) -> bytes:
-    """Stand-alone <record> document, used as the store's per-record file."""
-    return _to_bytes(_record_element(record))
+    """Stand-alone <record> document, the store's per-record file, indented
+    two levels deep as a response holds it: it ends in "\n    </record>"."""
+    return _to_bytes(_record_element(record), level=2)
 
 
 def _record_document(data: bytes) -> ET.Element:
@@ -445,7 +446,7 @@ def parse_record_header(data: bytes) -> Header:
 _FRAGMENT_START = re.compile(
     rb"<\?xml version='1\.0' encoding='utf-8'\?>\n"
     rb'<record xmlns="%s"((?: xmlns:[^=]*="[^"]*")*)>' % OAI_NS.encode()
-    + rb'\n  <header(?: status="deleted")?>\n    <identifier>([^<]*)</identifier>'
+    + rb'\n {6}<header(?: status="deleted")?>\n {8}<identifier>([^<]*)</identifier>'
 )
 _FRAGMENT_DECLARATION = re.compile(rb' xmlns:[^=]*="[^"]*"')
 # markup serialize_record_fragment never writes after the start tag: siblings
@@ -463,27 +464,19 @@ _DECLARED_PREFIXES = {
     declaration: prefix for prefix, declaration in _DECLARATIONS.items()
 }
 _RECORD_INDENT = b"    "  # a page holds its records two levels deep
-# a newline run between two tags is indentation, except as the text of a leaf
-# element: start tag, run, end tag. Text never holds a raw < or >.
-_TAG_NEWLINE = re.compile(rb"<(/?)[^<>]*?(/?)>\n(?= *<(/?))")
-
-
-def _shift_indentation(match: re.Match) -> bytes:
-    leaf_text = not match[1] and not match[2] and match[3]
-    return match[0] if leaf_text else match[0] + _RECORD_INDENT
 
 
 def _fragment_body(identifier: str, data: bytes, prefixes: set[str]) -> bytes | None:
-    """The <record> element of a stored fragment as a ListRecords page
-    carries it, its namespace prefixes added to prefixes; None unless data
-    is well-formed, names identifier and has the shape and the registered
-    prefixes serialize_record_fragment writes."""
+    """A stored fragment as a ListRecords page carries it: minus its
+    declaration and its <record>'s namespace attributes, whose prefixes go
+    into prefixes. None unless data is well-formed, names identifier and has
+    the shape and the registered prefixes serialize_record_fragment writes."""
     start = _FRAGMENT_START.match(data)
     if (
         start is None
         # escape() escapes &, < and > in text, as ElementTree does
         or start[2] != escape(identifier).encode("utf-8")
-        or not data.endswith(b"\n</record>")
+        or not data.endswith(b"\n" + _RECORD_INDENT + b"</record>")
         or _UNWRITTEN_MARKUP.search(data, start.end()) is not None
     ):
         return None
@@ -495,8 +488,7 @@ def _fragment_body(identifier: str, data: bytes, prefixes: set[str]) -> bytes | 
         expat.ParserCreate(namespace_separator="}").Parse(data, True)
     except expat.ExpatError:
         return None
-    body = b"<record>" + data[start.end(1) + 1 :]
-    return _TAG_NEWLINE.sub(_shift_indentation, body)
+    return b"<record>" + data[start.end(1) + 1 :]
 
 
 def splice_list_records(

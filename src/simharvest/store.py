@@ -228,10 +228,11 @@ class RecordStore:
         return storable(identifier) and self.record_path(identifier).is_file()
 
     def put_record(self, record: MetadataRecord) -> PutResult:
-        """Write one record; identical content is a no-op. A change bumps the
-        corpus epoch first, so a write that never lands still leaves every
-        derived tree stale. An identifier that is not storable is refused
-        with RecordValidationError before anything is written."""
+        """Write one record; identical content is a no-op, and a copy in an
+        earlier version's layout is rewritten without moving the epoch. A
+        change bumps the corpus epoch first, so a write that never lands
+        still leaves every derived tree stale. An unstorable identifier is
+        refused with RecordValidationError before anything is written."""
         if not storable(record.identifier):
             raise RecordValidationError(
                 f"identifier {record.identifier[:80]!r}... is too long to store: "
@@ -248,6 +249,9 @@ class RecordStore:
             if existing == payload:  # equal bytes hold the same identifier
                 return PutResult("unchanged")
             previous = parse_record_fragment(existing)
+            if previous == record:  # an earlier version's layout
+                write_atomic(path, payload)
+                return PutResult("unchanged")
             if previous.identifier != record.identifier:
                 raise PathCollisionError(
                     f"path {path} already holds {previous.identifier!r}; "

@@ -219,6 +219,22 @@ class TestIndexComputeTop:
         assert code == 2
         assert "no top matches" in err
 
+    def test_top_deleted_record(self, tmp_path, capsys):
+        """A deleted record has no matches to show, as /similar answers 404."""
+        root = str(tmp_path / "store")
+        store = populate(root, 3)
+        store.put_record(
+            MetadataRecord("oai:c.example:gone", "2006-06-06T06:06:06Z", deleted=True)
+        )
+        cli.main(["index", "--store", root])
+        cli.main(["compute", "--store", root])
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys, "top", "--identifier", "oai:c.example:gone", "--store", root
+        )
+        assert (code, out) == (2, "")
+        assert "record oai:c.example:gone is deleted" in err
+
     @pytest.mark.parametrize("length", [300, 5000])
     def test_top_identifier_too_long_to_store(self, tmp_path, capsys, length):
         root = str(tmp_path / "store")

@@ -514,6 +514,29 @@ class TestRecordFragments:
     def test_fragment_round_trip(self, record):
         assert parse_record_fragment(serialize_record_fragment(record)) == record
 
+    @settings(max_examples=60, deadline=None)
+    @given(conftest.records())
+    def test_fragment_is_stored_at_response_depth(self, record):
+        """Without its declaration and the namespace attributes of its
+        <record>, the stored file is the record as a response carries it."""
+        data = serialize_record_fragment(record)
+        declaration, _, document = data.partition(b"\n")
+        assert declaration == b"<?xml version='1.0' encoding='utf-8'?>"
+        start_tag, _, rest = document.partition(b">")
+        start_tag = re.sub(rb' xmlns(:[^=]*)?="[^"]*"', b"", start_tag)
+        record_bytes = start_tag + b">" + rest
+        assert record_bytes.startswith(b"<record>\n      <header")
+        assert record_bytes.endswith(b"\n    </record>")
+        request = dict(identifier=record.identifier, metadataPrefix="oai_dc")
+        get_record = serialize_get_record(
+            record, None, base_url=BASE, request_args=request, schema_url="/s.xsd"
+        )
+        list_records = serialize_list_records(
+            [record], base_url=BASE, request_args={"metadataPrefix": "oai_dc"}
+        )
+        assert record_bytes in get_record
+        assert record_bytes in list_records
+
     def test_fragment_rejects_other_documents(self):
         with pytest.raises(ProtocolMismatchError):
             parse_record_fragment(b"<notarecord/>")

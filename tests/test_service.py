@@ -28,7 +28,7 @@ from conformance import (
     validate_similarity_container,
 )
 from mock_upstream import http_server
-from simharvest import cli
+from simharvest import cli, oai_xml
 from simharvest import pipeline as pipeline_module
 from simharvest import service as service_module
 from simharvest import store as store_module
@@ -45,6 +45,7 @@ from simharvest.oai_xml import (
     SIMILARITY_NS,
     build_similarity_about,
     parse_response,
+    serialize_record_fragment,
 )
 from simharvest.pipeline import (
     check_results_fresh,
@@ -1536,6 +1537,35 @@ class TestListRecordsSplice:
         store.record_path("oai:e.example:b").unlink()
         (page,) = list_records_pages(provider, {})
         assert error_codes(parse_response(page, "ListRecords")) == ["idDoesNotExist"]
+
+    def test_store_of_an_earlier_layout_is_served_then_migrated(self, tmp_path):
+        """Record files an earlier version wrote, indented from depth 0, are
+        served the long way into the same pages. A re-harvest rewrites them
+        at page depth without moving the epoch, and the pages are spliced."""
+        batch = [
+            spliced_record("a", dc_fields=TRICKY_DC, provenance=(TRICKY_PROVENANCE,)),
+            spliced_record("b", deleted=True),
+            spliced_record("c", set_specs=("s",), dc_fields=(("title", "t"),)),
+        ]
+        store = RecordStore(tmp_path / "store")
+        for record in batch:
+            store.put_record(record)
+            legacy = oai_xml._to_bytes(oai_xml._record_element(record))
+            assert legacy != serialize_record_fragment(record)
+            store.record_path(record.identifier).write_bytes(legacy)
+        provider = OaiProvider(store, ProviderConfig(base_url=BASE, page_size=2))
+        pages, outcomes = spliced_pages(provider, {})
+        assert pages == element_tree_pages(provider, {})
+        assert [spliced for _, spliced in outcomes] == [False, False]
+        epoch = store.epoch()
+        for record in batch:
+            assert store.put_record(record).status == "unchanged"
+            assert store.epoch() == epoch
+            stored = store.record_path(record.identifier).read_bytes()
+            assert stored == serialize_record_fragment(record)
+        migrated, outcomes = spliced_pages(provider, {})
+        assert migrated == pages
+        assert [spliced for _, spliced in outcomes] == [True, True]
 
 
 class TestAggregatorChain:
