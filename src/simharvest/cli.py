@@ -115,7 +115,6 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args, config_mod.merge(args.config, flags))
     except StalenessError as error:
         print(f"error: {error}", file=sys.stderr)
-        print("hint: run compute to refresh the similarity results", file=sys.stderr)
         return EXIT_STALE
     except (ConfigError, RequestArgumentError) as error:
         print(f"error: {error}", file=sys.stderr)

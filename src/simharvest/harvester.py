@@ -38,18 +38,17 @@ _TOKEN_REPEAT_LIMIT = 3
 def build_request_url(base_url: str, verb: str, arguments: dict | None = None) -> str:
     """Compose a legal protocol request URL.
 
-    A resumption token is exclusive: when present it must be the only
-    argument besides the verb. ':' and '/' stay raw (legal in query values);
+    The verb comes first, then the arguments in the order given. A
+    resumption token is exclusive: when present it must be the only argument
+    besides the verb. ':' and '/' stay raw (legal in query values);
     everything unsafe is percent-encoded.
     """
     arguments = arguments or {}
     problems = argument_problems(verb, arguments)
     if problems:
         raise RequestArgumentError(problems[0])
-    order = ("metadataPrefix", "identifier", "from", "until", "set", "resumptionToken")
     query = urllib.parse.urlencode(
-        [("verb", verb)]
-        + [(name, arguments[name]) for name in order if name in arguments],
+        [("verb", verb), *arguments.items()],
         quote_via=urllib.parse.quote,
         safe=":/",
     )

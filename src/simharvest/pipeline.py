@@ -12,7 +12,6 @@ store, it reproduces similarities.txt byte for byte.
 
 from __future__ import annotations
 
-import heapq
 import os
 import shutil
 import time
@@ -23,7 +22,7 @@ from typing import Sequence
 from .exceptions import ConfigError, NotFoundError, StalenessError
 from .oai_xml import format_score
 from .records import DC_ELEMENTS, SimilarityMatch, utc_now_string
-from .similarity import VectorSpaceModel, pair_count
+from .similarity import VectorSpaceModel, keep_best, pair_count
 from .store import RecordStore, storable, write_atomic
 from .textpipe import DEFAULT_FIELDS, load_stopwords, record_to_tf
 
@@ -159,7 +158,8 @@ def compute_store(
                     os.unlink(part)
                 with _stage(stages, "top_k_merge"):
                     for index, heap in heaps.items():
-                        best[index] = heapq.nlargest(k, best[index] + heap)
+                        for entry in heap:
+                            keep_best(best[index], k, entry)
         # the loop's own time is the wait for the blocks being scored
         stages["scoring"] -= stages["concatenation"] + stages["top_k_merge"]
         tmp_path.replace(store.similarities_path)
@@ -172,10 +172,10 @@ def compute_store(
         store.top_dir.mkdir(parents=True, exist_ok=True)
         for stale_file in store.top_dir.iterdir():
             stale_file.unlink()
-        for identifier, ranked in zip(model.identifiers_, best):
+        for identifier, heap in zip(model.identifiers_, best):
             lines = [
                 f"{model.identifiers_[-negated]}\t{format_score(score)}\n"
-                for score, negated in ranked
+                for score, negated in sorted(heap, reverse=True)
             ]
             store.top_path(identifier).write_text("".join(lines), encoding="utf-8")
 

@@ -8,7 +8,8 @@ accumulator slot per later row j, going through its terms in sorted term
 order. Every pair's score is therefore the sum, from 0.0, of its
 shared-term products in sorted term order, clamped to [0, 1]: the same
 floats run to run, whatever the worker count. Each row is then rendered to
-its pair lines and ranked into its top k as a whole.
+its pair lines, and every entry reaches a top-k ranking through keep_best,
+behind the floor of the row it is offered to.
 
 idf values are computed on the fly from collection statistics and are never
 persisted anywhere.
@@ -20,7 +21,7 @@ import heapq
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress, repeat
 from operator import gt
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -158,8 +159,10 @@ def _init_worker(vectors: list[WeightedVector]) -> None:
     _worker_index = ([vector.identifier for vector in vectors], _postings(vectors))
 
 
-def _keep_best(heap: list, k: int, entry: tuple) -> None:
-    """Offer entry to a min-heap that holds the k largest entries offered."""
+def keep_best(heap: list, k: int, entry: tuple) -> None:
+    """Offer entry to a min-heap that holds the k largest entries offered:
+    every top-k entry passes through here. Entries are distinct and compared
+    strictly, so the heap keeps the same k in whatever order they arrive."""
     if len(heap) < k:
         heapq.heappush(heap, entry)
     elif k and entry > heap[0]:
@@ -186,9 +189,9 @@ def _score_block(
     line of the part file, in upper-triangle order, with the four decimals
     of format_score, and counts for both documents' top k, keyed
     (score, -row index): rows are in identifier order, so the larger key
-    ranks the smaller identifier first among equal scores. The row side is
-    ranked once per row; a later row j is offered a score only when it beats
-    the lowest score of a full heaps[j].
+    ranks the smaller identifier first among equal scores. Both sides go
+    through keep_best, each score only when it beats its heap's floor: row
+    i's as the row began, and a later row j's as it stands at the offer.
     """
     n = len(identifiers)
     heaps: list[list[tuple[float, int]]] = [[] for _ in range(n)]
@@ -209,14 +212,15 @@ def _score_block(
             handle.write("".join(rendered))
             if not k:
                 continue
-            heaps[i] = heapq.nlargest(
-                k, chain(heaps[i], zip(scores, range(-i - 1, -n, -1)))
-            )
+            # heaps[i]'s floor only rises during the row, and its entries of
+            # earlier rows win every tie: a score must beat floors[i] to enter.
+            for j in compress(range(i + 1, n), map(gt, scores, repeat(floors[i]))):
+                keep_best(heaps[i], k, (scores[j - i - 1], -j))
             # heaps[j] holds entries of rows before i only, so (score, -i)
             # loses every tie with them: only a higher score can enter.
             for j in compress(range(i + 1, n), map(gt, scores, floors[i + 1 :])):
                 heap = heaps[j]
-                _keep_best(heap, k, (scores[j - i - 1], -i))
+                keep_best(heap, k, (scores[j - i - 1], -i))
                 if len(heap) == k:
                     floors[j] = heap[0][0]
     return part, {index: heap for index, heap in enumerate(heaps) if heap}

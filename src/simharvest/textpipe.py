@@ -58,11 +58,8 @@ def _parse_stopwords(text: str) -> frozenset[str]:
 def extract_text(
     record: MetadataRecord, fields: Sequence[str] = DEFAULT_FIELDS
 ) -> str:
-    """Join the selected DC field values of a record in document order."""
-    if record.deleted:
-        raise RecordValidationError(
-            f"cannot extract text from deleted record {record.identifier}"
-        )
+    """Join the selected DC field values of a record in document order; a
+    deleted record carries none, so its text is empty."""
     return " ".join(dc_values(record, fields))
 
 
@@ -122,10 +119,8 @@ def record_to_tf(
 ) -> TermFrequencyVector:
     """Full pipeline for one record: extract, tokenize, count.
 
-    Deleted records produce an empty vector so every stored record has a
-    term-vector counterpart.
+    A deleted record has no text, so it gets an empty vector: every stored
+    record has a term-vector counterpart.
     """
-    if record.deleted:
-        return TermFrequencyVector(record.identifier, {})
     terms = tokenize(extract_text(record, fields), stopwords)
     return term_frequencies(record.identifier, terms)

@@ -176,6 +176,27 @@ class TestIndexComputeTop:
         assert code == 2
         assert "run index" in err
 
+    def test_compute_on_stale_tf_names_only_index(self, tmp_path, capsys):
+        root = str(tmp_path / "store")
+        store = populate(root, 3)
+        cli.main(["index", "--store", root])
+        store.put_record(
+            MetadataRecord(
+                "oai:c.example:doc00000",
+                "2006-06-06T06:06:06Z",
+                dc_fields=(("title", "changed after the index"),),
+            )
+        )
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "compute", "--store", root)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: term frequencies are stale: records changed after the last "
+            "index; run index"
+        ]
+        assert "run compute" not in err
+
     def test_top_before_compute(self, tmp_path, capsys):
         root = str(tmp_path / "store")
         populate(root, 3)
@@ -186,7 +207,6 @@ class TestIndexComputeTop:
         )
         assert code == 3
         assert "error: no similarity results have been computed yet; run compute" in err
-        assert "hint: run compute to refresh the similarity results" in err
 
     def test_top_when_stale(self, tmp_path, capsys):
         root = str(tmp_path / "store")

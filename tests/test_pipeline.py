@@ -447,6 +447,35 @@ class TestDeterminism:
             )
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_ties_across_blocks_rank_as_the_oracle(self, tmp_path, k):
+        # 72 records in 24 groups of three with identical text, a group's
+        # members 24 rows apart: each subject's two mates tie at 1st place
+        # and its best other group's three members at 3rd, across row blocks
+        store = RecordStore(tmp_path / "store")
+        bases = oracle.synthetic_records(random.Random(91), 24)
+        for i in range(72):
+            base = bases[i % 24]
+            store.put_record(
+                MetadataRecord(
+                    f"oai:tie.example:{i:03d}", base.datestamp, dc_fields=base.dc_fields
+                )
+            )
+        index_store(store)
+        identifiers = store.list_identifiers()
+        model = VectorSpaceModel().fit([store.get_tf(i) for i in identifiers])
+        expected = [
+            "".join(
+                f"{m.identifier}\t{format_score(m.score)}\n"
+                for m in oracle.top_k(model, identifier, k)
+            )
+            for identifier in identifiers
+        ]
+        for jobs in (1, 2, 3):
+            compute_store(store, k=k, jobs=jobs)
+            tops = [store.top_path(i).read_text(encoding="utf-8") for i in identifiers]
+            assert tops == expected, jobs
+
 
 class TestStalenessLifecycle:
     def test_fresh_after_compute(self, computed):

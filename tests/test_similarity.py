@@ -20,13 +20,13 @@ from simharvest.similarity import (
     CollectionStats,
     VectorSpaceModel,
     WeightedVector,
-    _keep_best,
     _row_blocks,
     check_tf_corpus,
     collection_stats,
     estimate_runtime,
     format_duration,
     idf,
+    keep_best,
     pair_count,
     weight_vector,
 )
@@ -359,7 +359,7 @@ class TestRanking:
         ids = sorted(identifier for identifier, _ in items)
         heap = []
         for identifier, score in items:
-            _keep_best(heap, k, (score, -ids.index(identifier)))
+            keep_best(heap, k, (score, -ids.index(identifier)))
         return [
             SimilarityMatch(ids[-negated], score)
             for score, negated in sorted(heap, reverse=True)

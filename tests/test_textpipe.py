@@ -106,8 +106,7 @@ class TestExtractText:
         record = MetadataRecord(
             identifier="oai:a.example:1", datestamp="2006-04-19", deleted=True
         )
-        with pytest.raises(RecordValidationError):
-            extract_text(record)
+        assert extract_text(record) == ""
 
 
 class TestTermFrequencyVector:
