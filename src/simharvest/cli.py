@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = add_command("compute", help="score every document pair")
     cmd.add_argument("--store", dest="store_root")
     cmd.add_argument("--k", type=int, help="ranked matches kept per document")
-    cmd.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    cmd.add_argument("--jobs", type=int, help="worker processes, at most the "
+                     "machine's CPUs (default: all cores)")
 
     cmd = add_command("top", help="show the ranked matches of one record")
     cmd.add_argument("--identifier", required=True)

@@ -62,30 +62,21 @@ OAI_SCHEMA_LOCATION = f"{OAI_NS} http://www.openarchives.org/OAI/2.0/OAI-PMH.xsd
 OAI_DC_SCHEMA_LOCATION = f"{OAI_DC_NS} {OAI_DC_SCHEMA_URL}"
 DEFAULT_SIMILARITY_SCHEMA_URL = "/schema/similarity.xsd"
 
-#: verb -> (required argument names, optional argument names), besides verb
+_LIST_ARGUMENTS = (("metadataPrefix",), ("from", "until", "set", "resumptionToken"))
+
+#: verb -> (required argument names, optional argument names), besides verb.
+#: GetRecord and ListRecords come first: between them they name every
+#: argument, in the order a response's <request> echoes them.
 VERB_ARGUMENTS = {
+    "GetRecord": (("identifier", "metadataPrefix"), ()),
+    "ListRecords": _LIST_ARGUMENTS,
     "Identify": ((), ()),
     "ListMetadataFormats": ((), ("identifier",)),
     "ListSets": ((), ("resumptionToken",)),
-    "ListIdentifiers": (
-        ("metadataPrefix",),
-        ("from", "until", "set", "resumptionToken"),
-    ),
-    "ListRecords": (
-        ("metadataPrefix",),
-        ("from", "until", "set", "resumptionToken"),
-    ),
-    "GetRecord": (("identifier", "metadataPrefix"), ()),
+    "ListIdentifiers": _LIST_ARGUMENTS,
 }
-
-#: Request arguments the protocol defines, besides verb.
-REQUEST_ARGUMENTS = (
-    "identifier",
-    "metadataPrefix",
-    "from",
-    "until",
-    "set",
-    "resumptionToken",
+_ECHOED = dict.fromkeys(
+    ["verb"] + [name for names in VERB_ARGUMENTS.values() for name in sum(names, ())]
 )
 
 
@@ -226,7 +217,7 @@ def _response(
     payload.extend(children)
     codes = {error.get("code") for error in root.findall(_q("error"))}
     if not codes & {"badVerb", "badArgument"}:
-        for key in ("verb",) + REQUEST_ARGUMENTS:
+        for key in _ECHOED:
             if request_args.get(key) is not None:
                 request.set(key, str(request_args[key]))
     if token is not None:

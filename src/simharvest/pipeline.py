@@ -12,8 +12,6 @@ store, it reproduces similarities.txt byte for byte.
 
 from __future__ import annotations
 
-import os
-import shutil
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -49,17 +47,10 @@ class ComputeReport:
 
 
 #: The timed stages of compute_store, in the order they run. Scoring is the
-#: time spent waiting for row blocks (scored and written to their parts),
-#: not counting the concatenation of parts and the merge of top-k lists
-#: that happen between blocks.
+#: time spent waiting for row blocks (scored and written in place into the
+#: pair file), not counting the merge of top-k lists between blocks.
 STAGES = (
-    "load_tf",
-    "fit",
-    "weights_write",
-    "scoring",
-    "concatenation",
-    "top_k_merge",
-    "top_files_write",
+    "load_tf", "fit", "weights_write", "scoring", "top_k_merge", "top_files_write"
 )
 
 
@@ -110,8 +101,10 @@ def compute_store(
 
     Writes the weights tree, similarities.txt (every pair, four-decimal
     scores), one ranked top-k file per document, and the compute metadata
-    last, stamped with the epoch read at the start. jobs 1 scores in this
-    process. Raises ConfigError for k < 0 or jobs < 1 before it reads the
+    last, stamped with the epoch read at the start. The row blocks write
+    their byte ranges of similarities.txt.tmp, which replaces the pair file
+    once every block is done and is removed if any fails. jobs 1 scores in
+    this process. Raises ConfigError for k < 0 or jobs < 1 before it reads the
     store, and StalenessError when records changed after the last index,
     before anything is written.
     """
@@ -150,23 +143,18 @@ def compute_store(
     blocks = model.similarity_pairs(str(tmp_path), k, jobs=jobs)
     best: list[list[tuple[float, int]]] = [[] for _ in identifiers]
     try:
-        with _stage(stages, "scoring"), tmp_path.open("wb") as handle:
-            for part, heaps in blocks:
-                with _stage(stages, "concatenation"):
-                    with open(part, "rb") as source:
-                        shutil.copyfileobj(source, handle)
-                    os.unlink(part)
+        with _stage(stages, "scoring"):
+            for heaps in blocks:
                 with _stage(stages, "top_k_merge"):
                     for index, heap in heaps.items():
                         for entry in heap:
                             keep_best(best[index], k, entry)
         # the loop's own time is the wait for the blocks being scored
-        stages["scoring"] -= stages["concatenation"] + stages["top_k_merge"]
+        stages["scoring"] -= stages["top_k_merge"]
         tmp_path.replace(store.similarities_path)
     finally:
         blocks.close()  # a failed run waits here for the blocks still scoring
-        for leftover in tmp_path.parent.glob(tmp_path.name + "*"):
-            leftover.unlink()
+        tmp_path.unlink(missing_ok=True)
 
     with _stage(stages, "top_files_write"):
         store.top_dir.mkdir(parents=True, exist_ok=True)
@@ -221,11 +209,7 @@ def read_compute_meta(store: RecordStore) -> dict[str, str]:
         raise StalenessError(
             "no similarity results have been computed yet; run compute"
         ) from None
-    meta: dict[str, str] = {}
-    for line in text.splitlines():
-        key, _, value = line.partition(" = ")
-        meta[key] = value
-    return meta
+    return dict(line.partition(" = ")[::2] for line in text.splitlines())
 
 
 def check_results_fresh(store: RecordStore) -> dict[str, str]:

@@ -8,8 +8,9 @@ accumulator slot per later row j, going through its terms in sorted term
 order. Every pair's score is therefore the sum, from 0.0, of its
 shared-term products in sorted term order, clamped to [0, 1]: the same
 floats run to run, whatever the worker count. Each row is then rendered to
-its pair lines, and every entry reaches a top-k ranking through keep_best,
-behind the floor of the row it is offered to.
+its pair lines, written in place at the row's byte offset in the one pair
+file, and every entry reaches a top-k ranking through keep_best, behind the
+floor of the row it is offered to.
 
 idf values are computed on the fly from collection statistics and are never
 persisted anywhere.
@@ -19,13 +20,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import gt
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exceptions import ConfigError, NotFoundError, RecordValidationError
+from .exceptions import ConfigError, NotFoundError, RecordValidationError, StorageError
 from .textpipe import TermFrequencyVector
 
 #: Measured per-pair cost (seconds) used for runtime projections.
@@ -122,10 +124,9 @@ def pair_count(n_docs: int) -> int:
 
 # --- block scoring ----------------------------------------------------------
 
-#: (path of the block's pair-file part, {row index: up to k best
-#:  (score, -other row index) entries the block scored for that row}, for
-#:  the rows it scored any for)
-BlockScores = tuple[str, dict[int, list[tuple[float, int]]]]
+#: {row index: up to k best (score, -other row index) entries the block
+#:  scored for that row}, for the rows it scored any for
+BlockScores = dict[int, list[tuple[float, int]]]
 
 #: Per row, one (weight, rows, weights, after) entry for each of its terms in
 #: sorted term order: the row's weight for the term, the term's posting list
@@ -174,7 +175,9 @@ def _score_block(
     postings: Postings,
     start: int,
     stop: int,
-    part: str,
+    path: str,
+    offset: int,
+    end: int,
     k: int,
 ) -> BlockScores:
     """Score rows start..stop-1 of the identifier-sorted corpus against every
@@ -186,8 +189,10 @@ def _score_block(
     its shared-term products summed from 0.0 in sorted term order, capped
     at 1.0 (weights are positive, so no sum is negative, and a pair with no
     shared term scores 0.0). Each pair becomes one "id_a<TAB>id_b<TAB>score"
-    line of the part file, in upper-triangle order, with the four decimals
-    of format_score, and counts for both documents' top k, keyed
+    line, in upper-triangle order, with the four decimals of format_score;
+    the block's lines fill bytes offset..end-1 of the file at path, and
+    StorageError is raised if they end anywhere else. Each pair counts for
+    both documents' top k, keyed
     (score, -row index): rows are in identifier order, so the larger key
     ranks the smaller identifier first among equal scores. Both sides go
     through keep_best, each score only when it beats its heap's floor: row
@@ -197,7 +202,8 @@ def _score_block(
     heaps: list[list[tuple[float, int]]] = [[] for _ in range(n)]
     # a score must beat floors[j] to enter heaps[j]; -1.0 until it holds k
     floors = [-1.0] * n
-    with open(part, "w", encoding="utf-8", newline="\n") as handle:
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
         for i in range(start, stop):
             acc = [0.0] * n
             for weight, rows, weights, after in postings[i]:
@@ -209,7 +215,7 @@ def _score_block(
                 f"{prefix}{other}\t{score:.4f}\n"
                 for other, score in zip(identifiers[i + 1 :], scores)
             ]
-            handle.write("".join(rendered))
+            handle.write("".join(rendered).encode("utf-8"))
             if not k:
                 continue
             # heaps[i]'s floor only rises during the row, and its entries of
@@ -223,7 +229,12 @@ def _score_block(
                 keep_best(heap, k, (scores[j - i - 1], -i))
                 if len(heap) == k:
                     floors[j] = heap[0][0]
-    return part, {index: heap for index, heap in enumerate(heaps) if heap}
+        if handle.tell() != end:
+            raise StorageError(
+                f"rows {start}..{stop - 1} ended at byte {handle.tell()} "
+                f"of {path}, not {end}"
+            )
+    return {index: heap for index, heap in enumerate(heaps) if heap}
 
 
 def _score_pool_block(task: tuple) -> BlockScores:
@@ -288,36 +299,44 @@ class VectorSpaceModel:
         return self
 
     def similarity_pairs(
-        self, part_prefix: str, k: int, jobs: int = 1
+        self, path: str, k: int, jobs: int = 1
     ) -> Iterator[BlockScores]:
-        """Score all n(n-1)/2 pairs of the fitted corpus, one row block at a time.
+        """Score all n(n-1)/2 pairs of the fitted corpus into the file at path,
+        created or truncated first, one row block at a time.
 
-        Block b writes the pair lines of its rows to "{part_prefix}.{b}" and
-        yields (part path, partial top-k lists by row index of identifiers_);
-        blocks come in row order, so their parts concatenated in that order
-        hold the upper triangle in (id_a, id_b) order. With jobs > 1 and at
-        least 64 documents the blocks are scored by worker processes; the
-        output is the same. Each process that scores builds the inverted
-        index once, before its first block: this one when serial, each worker
-        in its initializer.
+        Scores render in six characters, so row i's n-1-i lines take
+        (n-1-i) * (len(id_i) + 9) bytes plus the later identifiers' UTF-8
+        lengths: each block writes its rows in place, at a byte range known
+        before scoring starts, and yields its partial top-k lists by row index
+        of identifiers_, in row order. With jobs > 1 and at least 64 documents
+        at most jobs worker processes, and no more than the machine's CPUs,
+        score the blocks; the output is the same. Each process that scores
+        builds the inverted index once, before its first block: this one when
+        serial, each worker in its initializer.
         """
         if k < 0:
             raise ConfigError(f"k must be non-negative, got {k}")
         vectors = [self.vectors_[identifier] for identifier in self.identifiers_]
-        parallel = jobs > 1 and len(vectors) >= 64
+        n = len(vectors)
+        lengths = [len(identifier.encode("utf-8")) for identifier in self.identifiers_]
+        offsets = [0]  # offsets[i]: row i's first byte; offsets[n]: the file size
+        later = sum(lengths)  # bytes of the identifiers after row i
+        for i, length in enumerate(lengths):
+            later -= length
+            offsets.append(offsets[i] + (n - 1 - i) * (length + 9) + later)
+        parallel = jobs > 1 and n >= 64
         tasks = [
-            (start, stop, f"{part_prefix}.{number}", k)
-            for number, (start, stop) in enumerate(
-                _row_blocks(len(vectors), jobs if parallel else 1)
-            )
+            (start, stop, path, offsets[start], offsets[stop], k)
+            for start, stop in _row_blocks(n, jobs if parallel else 1)
         ]
+        open(path, "wb").close()
         if not parallel:
             postings = _postings(vectors)
             for task in tasks:
                 yield _score_block(self.identifiers_, postings, *task)
             return
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(vectors,)
+            min(jobs, os.cpu_count() or 1), initializer=_init_worker, initargs=(vectors,)
         ) as pool:
             yield from pool.map(_score_pool_block, tasks)
 
@@ -328,10 +347,19 @@ class VectorSpaceModel:
 def estimate_runtime(
     n_docs: int, per_pair_seconds: float = DEFAULT_PER_PAIR_SECONDS
 ) -> float:
-    """Projected wall seconds to score every pair of an n-document corpus."""
-    if not per_pair_seconds > 0.0:
-        raise ConfigError(f"per_pair_seconds must be positive, got {per_pair_seconds:g}")
-    return per_pair_seconds * pair_count(n_docs)
+    """Projected wall seconds to score every pair of an n-document corpus;
+    ConfigError unless the rate is positive and both it and the result finite."""
+    if not 0.0 < per_pair_seconds < math.inf:
+        raise ConfigError(
+            f"per_pair_seconds must be positive and finite, got {per_pair_seconds:g}"
+        )
+    try:
+        seconds = per_pair_seconds * pair_count(n_docs)
+    except OverflowError:  # a pair count too large for a float
+        seconds = math.inf
+    if seconds == math.inf:
+        raise ConfigError("projected runtime overflows: n or per_pair_seconds too large")
+    return seconds
 
 
 def format_duration(seconds: float) -> str:

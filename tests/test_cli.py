@@ -363,6 +363,21 @@ class TestBadFlagValues:
         assert code == 1
         assert "per_pair_seconds must be positive" in err
 
+    @pytest.mark.parametrize(
+        ("n", "per_pair", "message"),
+        [
+            ("10", "inf", "positive and finite"),
+            ("10", "1e308", "overflows"),
+            ("9" * 200, "0.0036", "overflows"),
+        ],
+    )
+    def test_estimate_refuses_infinite_projection(self, capsys, n, per_pair, message):
+        code, out, err = run_cli(capsys, "estimate", "--n", n, "--per-pair", per_pair)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestOneLineRefusals:
     """Bad settings exit 1 and operating-system failures exit 2, each with an

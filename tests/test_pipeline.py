@@ -1,5 +1,6 @@
 """Pipeline tests: indexing, computing, persistence, and staleness handling."""
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -8,7 +9,12 @@ import pytest
 import conftest
 import oracle
 from simharvest import cli, similarity
-from simharvest.exceptions import ConfigError, NotFoundError, StalenessError
+from simharvest.exceptions import (
+    ConfigError,
+    NotFoundError,
+    StalenessError,
+    StorageError,
+)
 from simharvest.oai_xml import format_score
 from simharvest.pipeline import (
     STAGES,
@@ -301,8 +307,8 @@ class TestComputeStore:
         check_results_fresh(store)
         real = similarity._score_block
 
-        def failing(identifiers, postings, start, stop, part, k):
-            result = real(identifiers, postings, start, stop, part, k)
+        def failing(identifiers, postings, start, stop, path, offset, end, k):
+            result = real(identifiers, postings, start, stop, path, offset, end, k)
             if stop == len(identifiers):
                 raise RuntimeError("injected block failure")
             return result
@@ -315,6 +321,20 @@ class TestComputeStore:
         # the recompute failed at an unchanged epoch: the old results go too
         with pytest.raises(StalenessError):
             check_results_fresh(store)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_block_off_its_byte_range_fails_cleanly(self, store, monkeypatch, jobs):
+        populate(store, 80, seed=83)
+        index_store(store)
+        real = similarity._score_block
+
+        def shifted(identifiers, postings, start, stop, path, offset, end, k):
+            return real(identifiers, postings, start, stop, path, offset, end + 1, k)
+
+        monkeypatch.setattr(similarity, "_score_block", shifted)
+        with pytest.raises(StorageError, match="ended at byte"):
+            compute_store(store, k=3, jobs=jobs)
+        assert list(store.root.glob("similarities.txt*")) == []
 
 
 def latin1_file(store):
@@ -432,11 +452,27 @@ class TestDeterminism:
         compute_store(store, k=3, jobs=4)
         assert store.similarities_path.read_bytes() == serial
 
-    @pytest.mark.parametrize("n", [63, 64, 65])
-    def test_outputs_identical_across_jobs(self, tmp_path, n):
-        # 64 documents is where the row blocks move into worker processes
+    @pytest.mark.parametrize(
+        ("n", "marks"),
+        [
+            pytest.param(63, "", id="63"),
+            pytest.param(64, "", id="64"),
+            pytest.param(65, "", id="65"),
+            pytest.param(72, "aé€𝄞", id="72-multibyte"),
+        ],
+    )
+    def test_outputs_identical_across_jobs(self, tmp_path, n, marks):
+        # 64 documents is where the row blocks move into worker processes.
+        # With marks, identifiers hold 1- to 4-byte characters, so rows
+        # differ in UTF-8 length and so do the blocks' byte ranges.
         store = RecordStore(tmp_path / "store")
-        populate(store, n, seed=n)
+        if marks:
+            for i, record in enumerate(oracle.synthetic_records(random.Random(n), n)):
+                mark = marks[i % len(marks)] * (1 + i % 3)
+                identifier = f"oai:u.example:{mark}{i:03d}"
+                store.put_record(dataclasses.replace(record, identifier=identifier))
+        else:
+            populate(store, n, seed=n)
         index_store(store)
         outputs = []
         for jobs in (1, 2, 3):

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import conftest
 import oracle
-from simharvest.exceptions import ConfigError, NotFoundError, RecordValidationError
+from simharvest import similarity
+from simharvest.exceptions import (
+    ConfigError,
+    NotFoundError,
+    RecordValidationError,
+    StorageError,
+)
 from simharvest.records import SimilarityMatch
 from oracle import cosine_similarity, parse_duration
 from simharvest.oai_xml import format_score
@@ -63,19 +69,20 @@ def corpus_of(terms):
 def score_blocks(model, directory, k, jobs=1):
     """Run every row block of a fitted model.
 
-    Returns the pair-file lines in block order, each pair's raw score as
-    offered to the heaps (complete when k >= n - 1), and each row's merged
-    top-k entries, best first.
+    Returns the pair-file lines, each pair's raw score as offered to the
+    heaps (complete when k >= n - 1), and each row's merged top-k entries,
+    best first.
     """
-    lines, scores, merged = [], {}, {}
+    scores, merged = {}, {}
     ids = model.identifiers_
-    for part, heaps in model.similarity_pairs(f"{directory}/pairs", k, jobs=jobs):
-        with open(part, encoding="utf-8") as handle:
-            lines += handle.read().splitlines()
+    path = f"{directory}/pairs"
+    for heaps in model.similarity_pairs(path, k, jobs=jobs):
         for row, heap in heaps.items():
             merged[row] = heapq.nlargest(k, merged.get(row, []) + heap)
             for score, negated in heap:
                 scores[tuple(sorted((ids[row], ids[-negated])))] = score
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
     return lines, scores, merged
 
 
@@ -299,8 +306,8 @@ class TestExactScores:
     def test_one_document(self, tmp_path):
         model = VectorSpaceModel().fit([TermFrequencyVector("oai:x:1", {"aa": 1})])
         blocks = list(model.similarity_pairs(str(tmp_path / "pairs"), k=10))
-        assert [heaps for _, heaps in blocks] == [{}]
-        assert (tmp_path / "pairs.0").read_text() == ""
+        assert blocks == [{}]
+        assert (tmp_path / "pairs").read_text() == ""
 
 
 class TestPairs:
@@ -349,6 +356,55 @@ class TestPairs:
             assert blocks[0][0] == 0 and blocks[-1][1] == n
             for (_, stop), (start, _) in zip(blocks, blocks[1:]):
                 assert stop == start
+
+    def test_pool_holds_at_most_the_cpus(self, rng, tmp_path, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records its worker count; runs the initializer and blocks here."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, function, tasks):
+                return map(function, tasks)
+
+        monkeypatch.setattr(similarity, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(similarity, "_worker_index", similarity._worker_index)
+        monkeypatch.setattr(similarity.os, "cpu_count", lambda: 2)
+        model = VectorSpaceModel().fit(oracle.random_corpus(rng, 70))
+        (tmp_path / "serial").mkdir()
+        (tmp_path / "pooled").mkdir()
+        serial_lines, _, serial_top = score_blocks(model, tmp_path / "serial", k=3)
+        lines, _, top = score_blocks(model, tmp_path / "pooled", k=3, jobs=10_000)
+        assert sizes == [2]
+        assert lines == serial_lines
+        assert top == serial_top
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_block_off_its_byte_range_raises(self, rng, tmp_path, shift):
+        model = VectorSpaceModel().fit(oracle.random_corpus(rng, 6))
+        ids = model.identifiers_
+        postings = similarity._postings([model.vectors_[i] for i in ids])
+        size = sum(
+            len(f"{a}\t{b}\t0.0000\n".encode("utf-8"))
+            for i, a in enumerate(ids)
+            for b in ids[i + 1 :]
+        )
+        path = tmp_path / "pairs"
+        path.write_bytes(b"")
+        similarity._score_block(ids, postings, 0, len(ids), str(path), 0, size, 2)
+        with pytest.raises(StorageError, match="ended at byte"):
+            similarity._score_block(
+                ids, postings, 0, len(ids), str(path), 0, size + shift, 2
+            )
 
 
 class TestRanking:
@@ -475,6 +531,18 @@ class TestRuntimeProjection:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ConfigError):
             estimate_runtime(10, per_pair_seconds=0.0)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rejects_nonfinite_rate(self, rate):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            estimate_runtime(10, per_pair_seconds=rate)
+
+    @pytest.mark.parametrize(
+        ("n_docs", "rate"), [(10, 1e308), (10**200, DEFAULT_PER_PAIR_SECONDS)]
+    )
+    def test_rejects_overflowing_projection(self, n_docs, rate):
+        with pytest.raises(ConfigError, match="overflows"):
+            estimate_runtime(n_docs, per_pair_seconds=rate)
 
     def test_format_duration_shapes(self):
         assert format_duration(0) == "0 seconds"
