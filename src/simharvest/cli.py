@@ -10,9 +10,10 @@ is always: run compute).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
-import socketserver
 import sys
+import threading
 from wsgiref.simple_server import WSGIServer, make_server
 
 from . import config as config_mod
@@ -222,20 +223,20 @@ def _cmd_serve(args: argparse.Namespace, settings: dict) -> int:
     if not 0 <= port <= 65535:
         raise ConfigError(f"bind_port must lie in [0, 65535], got {port}")
     store = RecordStore.open(settings["store_root"])
-    base_url = settings.get("service_base_url") or f"http://{host}:{port}/oai"
-    provider = OaiProvider(
-        store,
-        ProviderConfig(
-            repository_name=settings["repository_name"],
-            base_url=base_url,
-            admin_email=settings["admin_email"],
-            k=settings["k"],
-            page_size=settings["page_size"],
-            schema_url=settings["schema_url"],
-        ),
+    config = ProviderConfig(  # refuses a bad k or page size before binding
+        repository_name=settings["repository_name"],
+        base_url=settings.get("service_base_url") or "",
+        admin_email=settings["admin_email"],
+        k=settings["k"],
+        page_size=settings["page_size"],
+        schema_url=settings["schema_url"],
     )
-    with make_server(host, port, provider, server_class=_ThreadingWSGIServer) as server:
-        print(f"serving {store.root} on http://{host}:{server.server_port}/")
+    with make_server(host, port, None, server_class=_AcceptingWSGIServer) as server:
+        if not config.base_url:  # named once bound, so that --port 0 gives its port
+            url = f"http://{host}:{server.server_port}/oai"
+            config = dataclasses.replace(config, base_url=url)
+        server.set_app(OaiProvider(store, config))
+        print(f"serving {store.root} on http://{host}:{server.server_port}/", flush=True)
         server.serve_forever()
     return EXIT_OK
 
@@ -266,8 +267,42 @@ def _cmd_dup_report(args: argparse.Namespace, settings: dict) -> int:
     return EXIT_OK
 
 
-class _ThreadingWSGIServer(socketserver.ThreadingMixIn, WSGIServer):
-    daemon_threads = True
+class _AcceptingWSGIServer(WSGIServer):
+    """Serves each connection on the thread that accepted it.
+
+    Every thread loops accept -> serve. A thread that takes a connection
+    while no other thread waits in accept first starts one more acceptor, so
+    a stalled client never holds up the next one, and a client that connects
+    once at a time is served with no thread start and no hand-off.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lock = threading.Lock()
+        self._accepting = 0  # threads waiting in accept
+
+    def serve_forever(self, poll_interval=None):
+        while self.socket.fileno() != -1:  # -1 once server_close ran
+            with self._lock:
+                self._accepting += 1
+            try:
+                request, client_address = self.get_request()
+            except OSError:  # as socketserver does: retry the accept
+                continue
+            finally:
+                with self._lock:
+                    self._accepting -= 1
+                    spare = self._accepting
+            try:
+                if not spare:
+                    threading.Thread(target=self.serve_forever, daemon=True).start()
+                self.process_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+                self.shutdown_request(request)
+            except BaseException:
+                self.shutdown_request(request)
+                raise
 
 
 _COMMANDS = {

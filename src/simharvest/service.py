@@ -294,8 +294,7 @@ class OaiProvider:
         """(offset, filters) a token pins; any other token is refused with
         badResumptionToken."""
         parts = text.split("!")
-        # isdigit() alone admits digits such as '²' that int() refuses
-        if len(parts) != 6 or not (parts[2].isascii() and parts[2].isdigit()):
+        if len(parts) != 6 or not _is_decimal(parts[2]):
             raise _Refusal("badResumptionToken", "malformed resumption token")
         filters = tuple(unquote(part) or None for part in parts[3:6])
         # the digest is unkeyed, so a client can forge one: the pinned filters
@@ -326,12 +325,9 @@ class OaiProvider:
             return _plain("400 Bad Request", "pass exactly one identifier")
         k = self.config.k
         if "k" in params:
-            try:
-                k = int(params["k"][0])
-            except ValueError:
-                k = -1
-            if k < 0:
+            if not _is_decimal(params["k"][0]):
                 return _plain("400 Bad Request", "k must be a non-negative integer")
+            k = int(params["k"][0])
         identifier = identifiers[0]
         if not self.store.has_record(identifier):
             return _plain("404 Not Found", f"unknown identifier {identifier}")
@@ -354,6 +350,12 @@ class OaiProvider:
         return build_similarity_about(
             identifier, load_top_matches(self.store, identifier, k), meta["computed_at"]
         )
+
+
+def _is_decimal(text: str) -> bool:
+    """Whether text is ASCII digits only: int() alone also takes '+3', ' 3',
+    '3_0' and non-ASCII digits such as '٥', and isdigit() alone admits '²'."""
+    return text.isascii() and text.isdigit()
 
 
 def _plain(status: str, message: str) -> tuple[str, str, bytes]:

@@ -1,14 +1,18 @@
 """Command-line interface tests: outputs, exit codes, and configuration."""
 
+import contextlib
 import os
 import pkgutil
 import random
 import re
+import signal
 import socket
 import subprocess
 import sys
+import urllib.parse
 import urllib.request
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -819,52 +823,108 @@ class TestMissingStore:
         assert sorted(root.rglob("*")) == [root / "records"]
 
 
+@contextlib.contextmanager
+def serving(root):
+    """`simharvest serve --port 0` on root in a child process; yields the
+    process and its base URL, and stops the process if it still runs."""
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "simharvest", "serve", "--store", root, "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        banner = proc.stdout.readline()
+        match = re.search(r"on (http://127\.0\.0\.1:\d+)/", banner)
+        assert match, f"unexpected banner: {banner!r}"
+        yield proc, match.group(1)
+    finally:
+        if proc.poll() is None:
+            proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+def fetch(url):
+    with urllib.request.urlopen(url, timeout=10) as reply:
+        assert reply.status == 200
+        return reply.read()
+
+
+def get_record_url(base, identifier):
+    return f"{base}/?verb=GetRecord&metadataPrefix=oai_dc&identifier={identifier}"
+
+
 class TestServeCommand:
-    def test_serve_answers_protocol_requests(self, tmp_path):
+    IDS = [f"oai:c.example:doc{i:05d}" for i in range(6)]
+
+    @pytest.fixture
+    def root(self, tmp_path):
         root = str(tmp_path / "store")
-        populate(root, 4, seed=19)
+        populate(root, len(self.IDS), seed=19)
         index_store(RecordStore(root))
         compute_store(RecordStore(root), k=2)
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-u",
-                "-m",
-                "simharvest",
-                "serve",
-                "--store",
-                root,
-                "--port",
-                "0",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            banner = proc.stdout.readline()
-            match = re.search(r"on (http://127\.0\.0\.1:\d+)/", banner)
-            assert match, f"unexpected banner: {banner!r}"
-            base = match.group(1)
-            with urllib.request.urlopen(f"{base}/?verb=Identify", timeout=10) as reply:
-                body = reply.read()
+        return root
+
+    def test_serve_answers_protocol_requests(self, root):
+        with serving(root) as (_, base):
+            body = fetch(f"{base}/?verb=Identify")
             assert conformance_problems(body) == []
             identify = ET.fromstring(body).find(f"{{{OAI_NS}}}Identify")
             assert identify.findtext(f"{{{OAI_NS}}}repositoryName") == (
                 "simharvest aggregator"
             )
-            record_url = (
-                f"{base}/?verb=GetRecord&metadataPrefix=oai_dc"
-                "&identifier=oai:c.example:doc00000"
-            )
-            with urllib.request.urlopen(record_url, timeout=10) as reply:
-                body = reply.read()
+            body = fetch(get_record_url(base, self.IDS[0]))
             assert conformance_problems(body) == []
-            assert "oai:c.example:doc00000" in similarity_containers(body)
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)
-            proc.stdout.close()
+            assert self.IDS[0] in similarity_containers(body)
+
+    def test_base_url_names_the_bound_port(self, root):
+        with serving(root) as (_, base):
+            body = fetch(f"{base}/?verb=Identify")
+        identify = ET.fromstring(body).find(f"{{{OAI_NS}}}Identify")
+        assert identify.findtext(f"{{{OAI_NS}}}baseURL") == f"{base}/oai"
+        assert ET.fromstring(body).findtext(f"{{{OAI_NS}}}request") == f"{base}/oai"
+
+    def test_idle_connections_hold_up_no_request(self, root):
+        with serving(root) as (_, base), contextlib.ExitStack() as idle:
+            address = urllib.parse.urlsplit(base)
+            for _ in range(20):
+                idle.enter_context(
+                    socket.create_connection((address.hostname, address.port), timeout=10)
+                )
+            assert conformance_problems(fetch(f"{base}/?verb=Identify")) == []
+            body = fetch(get_record_url(base, self.IDS[1]))
+            assert self.IDS[1] in similarity_containers(body)
+
+    def test_concurrent_clients_get_their_own_records(self, root):
+        provider = OaiProvider(RecordStore.open(root))
+        expected = {
+            identifier: similarity_containers(
+                provider.handle_request(
+                    {"verb": ["GetRecord"], "metadataPrefix": ["oai_dc"],
+                     "identifier": [identifier]}
+                )
+            )
+            for identifier in self.IDS
+        }
+
+        def client(number):
+            for request in range(20):
+                identifier = self.IDS[(number + request) % len(self.IDS)]
+                body = fetch(get_record_url(base, identifier))
+                assert conformance_problems(body) == []
+                assert similarity_containers(body) == expected[identifier]
+            return number
+
+        with serving(root) as (_, base), ThreadPoolExecutor(8) as pool:
+            assert sorted(pool.map(client, range(8), timeout=60)) == list(range(8))
+
+    def test_interrupt_stops_an_idle_server(self, root):
+        with serving(root) as (proc, base):
+            fetch(f"{base}/?verb=Identify")  # leaves an acceptor thread beside main
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 2
+            assert "interrupted" in proc.stdout.read()
 
 
 def test_keyboard_interrupt_exits_runtime(monkeypatch, capsys):

@@ -728,6 +728,11 @@ class TestAuxiliaryRoutes:
             "identifier=a&identifier=b",
             "identifier=oai:repo.example:item00000&k=-1",
             "identifier=oai:repo.example:item00000&k=abc",
+            # int() takes each of these: '٥', '3_0', '+3' and ' 3'
+            "identifier=oai:repo.example:item00000&k=%D9%A5",
+            "identifier=oai:repo.example:item00000&k=3_0",
+            "identifier=oai:repo.example:item00000&k=%2B3",
+            "identifier=oai:repo.example:item00000&k=%203",
         ],
     )
     def test_similar_bad_requests(self, provider, query):
