@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import socket
 import sys
 import threading
 from wsgiref.simple_server import WSGIServer, make_server
@@ -231,12 +232,13 @@ def _cmd_serve(args: argparse.Namespace, settings: dict) -> int:
         page_size=settings["page_size"],
         schema_url=settings["schema_url"],
     )
+    netloc = f"[{host}]" if ":" in host else host  # an IPv6 literal in a URL
     with make_server(host, port, None, server_class=_AcceptingWSGIServer) as server:
         if not config.base_url:  # named once bound, so that --port 0 gives its port
-            url = f"http://{host}:{server.server_port}/oai"
+            url = f"http://{netloc}:{server.server_port}/oai"
             config = dataclasses.replace(config, base_url=url)
         server.set_app(OaiProvider(store, config))
-        print(f"serving {store.root} on http://{host}:{server.server_port}/", flush=True)
+        print(f"serving {store.root} on http://{netloc}:{server.server_port}/", flush=True)
         server.serve_forever()
     return EXIT_OK
 
@@ -276,8 +278,10 @@ class _AcceptingWSGIServer(WSGIServer):
     once at a time is served with no thread start and no hand-off.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, server_address, *args, **kwargs):
+        if ":" in server_address[0]:  # an IPv6 literal; a name binds over IPv4
+            self.address_family = socket.AF_INET6
+        super().__init__(server_address, *args, **kwargs)
         self._lock = threading.Lock()
         self._accepting = 0  # threads waiting in accept
 

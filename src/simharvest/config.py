@@ -78,13 +78,11 @@ def _coerce(key: str, value: str, where: str) -> object:
 def merge(
     config_path: str | Path | None, overrides: dict[str, object]
 ) -> dict[str, object]:
-    """defaults <- config file <- non-None overrides (flags)."""
+    """defaults <- config file <- non-None overrides (flags, keyed as DEFAULTS)."""
     merged = dict(DEFAULTS)
     if config_path is not None:
         merged.update(load_config(config_path))
     for key, value in overrides.items():
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown configuration key {key!r}")
         if value is not None:
             merged[key] = value
     return merged

@@ -13,7 +13,7 @@ store, it reproduces similarities.txt byte for byte.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +21,7 @@ from .exceptions import ConfigError, NotFoundError, StalenessError
 from .oai_xml import format_score
 from .records import DC_ELEMENTS, SimilarityMatch, utc_now_string
 from .similarity import VectorSpaceModel, keep_best, pair_count
-from .store import RecordStore, storable, write_atomic
+from .store import RecordStore, replacing, storable, write_atomic
 from .textpipe import DEFAULT_FIELDS, load_stopwords, record_to_tf
 
 
@@ -67,10 +67,10 @@ def index_store(
     fields: Sequence[str] = DEFAULT_FIELDS,
     stopwords_path: str | None = None,
 ) -> IndexReport:
-    """Extract, tokenize, and count every stored record into the tf tree,
-    then record the store epoch that the tree reflects. Raises ConfigError,
-    before anything is written, when fields is empty or names anything but
-    a Dublin Core element, or the stopword file cannot be read."""
+    """Tokenize and count every stored record into the tf tree, each file
+    replaced whole, then record the store epoch the tree reflects. Raises
+    ConfigError, before anything is written, when fields is empty or names
+    anything but a Dublin Core element, or the stopword file cannot be read."""
     if not fields or not set(fields) <= set(DC_ELEMENTS):
         raise ConfigError(
             f"fields must name one or more of {', '.join(DC_ELEMENTS)}, "
@@ -87,7 +87,6 @@ def index_store(
         store.put_tf(vector)
         terms.update(vector.counts)
         count += 1
-    store.tf_dir.mkdir(exist_ok=True)  # put_tf makes it only for a record
     write_atomic(store.indexed_epoch_path, str(epoch).encode("ascii"))
     return IndexReport(count, len(terms))
 
@@ -101,9 +100,9 @@ def compute_store(
 
     Writes the weights tree, similarities.txt (every pair, four-decimal
     scores), one ranked top-k file per document, and the compute metadata
-    last, stamped with the epoch read at the start. The row blocks write
-    their byte ranges of similarities.txt.tmp, which replaces the pair file
-    once every block is done and is removed if any fails. jobs 1 scores in
+    last, stamped with the epoch read at the start, each file replacing its
+    old copy whole: the row blocks write their byte ranges of the pair file's
+    temporary. Top files of records no longer stored go last. jobs 1 scores in
     this process. Raises ConfigError for k < 0 or jobs < 1 before it reads the
     store, and StalenessError when records changed after the last index,
     before anything is written.
@@ -139,33 +138,31 @@ def compute_store(
         for identifier in model.identifiers_:
             store.put_weights(model.vectors_[identifier])
 
-    tmp_path = store.similarities_path.with_suffix(".txt.tmp")
-    blocks = model.similarity_pairs(str(tmp_path), k, jobs=jobs)
     best: list[list[tuple[float, int]]] = [[] for _ in identifiers]
-    try:
-        with _stage(stages, "scoring"):
-            for heaps in blocks:
-                with _stage(stages, "top_k_merge"):
-                    for index, heap in heaps.items():
-                        for entry in heap:
-                            keep_best(best[index], k, entry)
-        # the loop's own time is the wait for the blocks being scored
-        stages["scoring"] -= stages["top_k_merge"]
-        tmp_path.replace(store.similarities_path)
-    finally:
-        blocks.close()  # a failed run waits here for the blocks still scoring
-        tmp_path.unlink(missing_ok=True)
+    # closing the blocks makes a failed run wait for those still scoring
+    with (
+        replacing(store.similarities_path) as tmp_path,
+        closing(model.similarity_pairs(str(tmp_path), k, jobs=jobs)) as blocks,
+        _stage(stages, "scoring"),
+    ):
+        for heaps in blocks:
+            with _stage(stages, "top_k_merge"):
+                for index, heap in heaps.items():
+                    for entry in heap:
+                        keep_best(best[index], k, entry)
+    # the loop's own time is the wait for the blocks being scored
+    stages["scoring"] -= stages["top_k_merge"]
 
     with _stage(stages, "top_files_write"):
-        store.top_dir.mkdir(parents=True, exist_ok=True)
-        for stale_file in store.top_dir.iterdir():
-            stale_file.unlink()
         for identifier, heap in zip(model.identifiers_, best):
             lines = [
                 f"{model.identifiers_[-negated]}\t{format_score(score)}\n"
                 for score, negated in sorted(heap, reverse=True)
             ]
-            store.top_path(identifier).write_text("".join(lines), encoding="utf-8")
+            write_atomic(store.top_path(identifier), "".join(lines).encode("utf-8"))
+        # files of records no longer stored go once the new files are in place
+        for stray in set(store.top_dir.iterdir()) - set(map(store.top_path, identifiers)):
+            stray.unlink()
 
     wall = time.perf_counter() - t0
     total_pairs = pair_count(len(identifiers))

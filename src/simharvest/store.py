@@ -20,14 +20,15 @@ its build holds the same lock shared, so it never pairs a new epoch with
 the records from before the change. A derived tree is
 current exactly when its commit record carries that epoch:
 tf_metadata/.indexed_epoch for the tf tree, compute_meta.txt for the
-weights, pair and top-match outputs (see pipeline). .epoch, the records and
-both commit records are replaced atomically through write_atomic. idf values
-are never written anywhere: they exist only in memory while computing.
+weights, pair and top-match outputs (see pipeline). Every store file is
+replaced whole through replacing. idf values are never written anywhere:
+they exist only in memory while computing.
 """
 
 from __future__ import annotations
 
 import fcntl
+import itertools
 import os
 import re
 import threading
@@ -114,21 +115,41 @@ def encode_flat(identifier: str) -> str:
 
 def storable(identifier: str) -> bool:
     """Whether every file name derived from identifier fits in NAME_MAX
-    bytes: the record file and its write_atomic temporary (longer than the
-    .tf and .w names), and the flat top-match file. Encoded names are ASCII."""
-    suffixes = len(RECORD_SUFFIX + ".tmp")
-    if 3 * len(identifier.encode("utf-8")) + suffixes <= NAME_MAX:
+    bytes: the record file (longer than the .tf and .w names) and the flat
+    top-match file. Encoded names are ASCII."""
+    if 3 * len(identifier.encode("utf-8")) + len(RECORD_SUFFIX) <= NAME_MAX:
         return True  # percent-encoding at most triples a name's bytes
     name = identifier_to_relpath(identifier).name
-    return max(len(name) + suffixes, len(encode_flat(identifier))) <= NAME_MAX
+    return max(len(name + RECORD_SUFFIX), len(encode_flat(identifier))) <= NAME_MAX
+
+
+_WRITES = itertools.count()
+
+
+@contextmanager
+def replacing(path: Path):
+    """Yield a temporary beside path to write; it is renamed over path on a
+    clean exit and removed on an exception, so no reader finds path missing
+    or half written. Its name, %tmp.<pid>.<n>, fits in NAME_MAX and is no
+    store file's: the encoder never writes '%' before a lowercase letter."""
+    tmp = path.with_name(f"%tmp.{os.getpid()}.{next(_WRITES)}")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_atomic(path: Path, data: bytes) -> None:
-    """Replace path's content in one step: readers and a process that dies
-    mid-write see the old file or the new one, never a torn one."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    """Replace path's content with data through replacing, making path's
+    directory if it is missing."""
+    with replacing(path) as tmp:
+        try:
+            tmp.write_bytes(data)
+        except FileNotFoundError:  # cheaper than a mkdir before every write
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
 
 
 @dataclass(frozen=True)
@@ -205,9 +226,6 @@ class RecordStore:
         except FileNotFoundError:
             return 0
 
-    def _bump_epoch(self) -> None:
-        write_atomic(self.epoch_path, str(self.epoch() + 1).encode("ascii"))
-
     @contextmanager
     def _records_locked(self, operation: int):
         """Hold flock(operation) on the records/ directory; closing the
@@ -261,8 +279,7 @@ class RecordStore:
         # a catalog build between the bump and the write would stamp the new
         # epoch on the old records, so the lock spans both
         with self._records_locked(fcntl.LOCK_EX):
-            self._bump_epoch()
-            path.parent.mkdir(parents=True, exist_ok=True)
+            write_atomic(self.epoch_path, str(self.epoch() + 1).encode("ascii"))
             write_atomic(path, payload)
         return PutResult(status, previous)
 
@@ -349,9 +366,8 @@ class RecordStore:
                 f"no record stored for {vector.identifier!r}; store the record first"
             )
         path = self.tf_path(vector.identifier)
-        path.parent.mkdir(parents=True, exist_ok=True)
         lines = [f"{term}\t{count}\n" for term, count in vector.counts.items()]
-        path.write_text("".join(lines), encoding="utf-8")
+        write_atomic(path, "".join(lines).encode("utf-8"))
         return path
 
     def get_tf(self, identifier: str) -> TermFrequencyVector:
@@ -379,10 +395,9 @@ class RecordStore:
                 f"no term frequencies for {vector.identifier!r}; index before weighting"
             )
         path = self.weights_path(vector.identifier)
-        path.parent.mkdir(parents=True, exist_ok=True)
         lines = [repr(vector.norm) + "\n"]
         lines += [f"{term}\t{weight!r}\n" for term, weight in vector.weights.items()]
-        path.write_text("".join(lines), encoding="utf-8")
+        write_atomic(path, "".join(lines).encode("utf-8"))
         return path
 
     # -- top matches and pair file ---------------------------------------------

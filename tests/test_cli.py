@@ -735,7 +735,7 @@ class TestHarvestCommand:
         assert RecordStore(root).list_identifiers() == []
 
     def test_identifier_too_long_to_store_is_a_runtime_failure(self, tmp_path, capsys):
-        # the record file's write_atomic temporary would need a 258-byte name
+        # the flat top-match file name would be 260 bytes
         long_record = MetadataRecord(
             "oai:x:" + "b" * 250, "2004-04-04T04:04:04Z", dc_fields=(("title", "t"),)
         )
@@ -824,18 +824,20 @@ class TestMissingStore:
 
 
 @contextlib.contextmanager
-def serving(root):
-    """`simharvest serve --port 0` on root in a child process; yields the
-    process and its base URL, and stops the process if it still runs."""
+def serving(root, *options):
+    """`simharvest serve --port 0` on root, with any further options, in a
+    child process; yields the process and its base URL, and stops the
+    process if it still runs."""
     proc = subprocess.Popen(
-        [sys.executable, "-u", "-m", "simharvest", "serve", "--store", root, "--port", "0"],
+        [sys.executable, "-u", "-m", "simharvest", "serve", "--store", root, "--port", "0"]
+        + list(options),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
     try:
         banner = proc.stdout.readline()
-        match = re.search(r"on (http://127\.0\.0\.1:\d+)/", banner)
+        match = re.search(r"on (http://\S+:\d+)/$", banner.rstrip())
         assert match, f"unexpected banner: {banner!r}"
         yield proc, match.group(1)
     finally:
@@ -880,10 +882,22 @@ class TestServeCommand:
 
     def test_base_url_names_the_bound_port(self, root):
         with serving(root) as (_, base):
+            assert re.fullmatch(r"http://127\.0\.0\.1:\d+", base)
             body = fetch(f"{base}/?verb=Identify")
         identify = ET.fromstring(body).find(f"{{{OAI_NS}}}Identify")
         assert identify.findtext(f"{{{OAI_NS}}}baseURL") == f"{base}/oai"
         assert ET.fromstring(body).findtext(f"{{{OAI_NS}}}request") == f"{base}/oai"
+
+    def test_ipv6_literal_binds_and_is_bracketed_in_urls(self, root):
+        try:
+            socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+        except OSError:
+            pytest.skip("::1 cannot be bound on this host")
+        with serving(root, "--host", "::1") as (_, base):
+            assert re.fullmatch(r"http://\[::1\]:\d+", base)
+            body = fetch(f"{base}/?verb=Identify")
+        identify = ET.fromstring(body).find(f"{{{OAI_NS}}}Identify")
+        assert identify.findtext(f"{{{OAI_NS}}}baseURL") == f"{base}/oai"
 
     def test_idle_connections_hold_up_no_request(self, root):
         with serving(root) as (_, base), contextlib.ExitStack() as idle:

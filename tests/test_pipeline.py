@@ -265,6 +265,51 @@ class TestComputeStore:
         compute_store(store, k=1)
         assert not stray.exists()
 
+    def test_readers_find_every_top_file_whole_during_a_recompute(
+        self, store, monkeypatch
+    ):
+        populate(store, 8, seed=73)
+        index_store(store)
+        compute_store(store, k=3)
+        identifiers = store.list_identifiers()
+        expected = {identifier: load_top_matches(store, identifier) for identifier in identifiers}
+        assert {len(matches) for matches in expected.values()} == {3}
+        checks = []
+
+        def every_top_file_whole():
+            checks.append(None)
+            for identifier in identifiers:
+                assert load_top_matches(store, identifier) == expected[identifier]
+
+        on_each_top_write(monkeypatch, store, every_top_file_whole)
+        compute_store(store, k=3, jobs=1)
+        assert len(checks) >= 2 * len(identifiers)
+
+    def test_a_top_file_write_touches_no_other_top_file(self, store, monkeypatch):
+        # oai:x:a.tmp's top-file name is oai:x:a's with ".tmp" appended
+        texts = {"a": "alpha beta", "a.tmp": "alpha gamma", "b": "beta", "c": "gamma"}
+        for name, text in texts.items():
+            store.put_record(
+                MetadataRecord(
+                    f"oai:x:{name}", "2001-01-01T00:00:00Z", dc_fields=(("title", text),)
+                )
+            )
+        index_store(store)
+        compute_store(store, k=3)
+        expected = {path.name: path.read_bytes() for path in store.top_dir.iterdir()}
+        assert len(set(expected.values())) == len(texts)
+
+        def no_top_file_changed():
+            assert {
+                path.name: path.read_bytes()
+                for path in store.top_dir.iterdir()
+                if path.name in expected
+            } == expected
+
+        on_each_top_write(monkeypatch, store, no_top_file_changed)
+        compute_store(store, k=3, jobs=1)
+        no_top_file_changed()
+
     def test_top_files_tie_break(self, store):
         texts = {"subject": "alpha beta", "b": "alpha", "c": "alpha", "d": "gamma"}
         for name, text in texts.items():
@@ -297,7 +342,7 @@ class TestComputeStore:
             assert len(expected.splitlines()) == min(k, 5)
         rows = store.similarities_path.read_text().splitlines()
         assert len(rows) == report.pairs_written == 15
-        assert list(store.root.glob("similarities.txt.tmp*")) == []
+        assert list(store.root.glob("%tmp.*")) == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_block_leaves_no_parts(self, store, monkeypatch, jobs):
@@ -317,7 +362,7 @@ class TestComputeStore:
         monkeypatch.setattr(similarity, "_score_block", failing)
         with pytest.raises(RuntimeError, match="injected"):
             compute_store(store, k=3, jobs=jobs)
-        assert list(store.root.glob("similarities.txt.tmp*")) == []
+        assert list(store.root.glob("%tmp.*")) == []
         # the recompute failed at an unchanged epoch: the old results go too
         with pytest.raises(StalenessError):
             check_results_fresh(store)
@@ -681,6 +726,66 @@ class TestStalenessLifecycle:
         index_store(store)
         compute_store(store, k=2)
         check_results_fresh(store)
+
+    def test_index_and_compute_interrupted_at_each_write(self, tmp_path, monkeypatch):
+        def outputs(store):
+            trees = (store.tf_dir, store.weights_dir, store.top_dir)
+            paths = [path for tree in trees for path in tree.rglob("*") if path.is_file()]
+            return {
+                path.relative_to(store.root): path.read_bytes()
+                for path in paths + [store.similarities_path]
+            }
+
+        failed_writes = 0
+        while True:
+            store = RecordStore(tmp_path / f"store{failed_writes}")
+            populate(store, 5, seed=99)
+            index_store(store)
+            compute_store(store, k=2)
+            expected = outputs(store)
+            names = {path.relative_to(store.root) for path in store.root.rglob("*")}
+            with monkeypatch.context() as patch:
+                failing = _FailNthWrite(patch, failed_writes + 1)
+                stage = "index"
+                try:
+                    index_store(store)
+                    stage = "compute"
+                    compute_store(store, k=2, jobs=1)
+                except OSError:
+                    pass
+            if not failing.failed:
+                break  # index and compute made fewer writes than the one failed here
+            failed_writes += 1
+            # a finished run holds every file left: no temporary remains
+            assert {path.relative_to(store.root) for path in store.root.rglob("*")} <= names
+            if stage == "index":
+                assert not store.indexed_epoch_path.exists()
+                with pytest.raises(StalenessError, match="run index"):
+                    compute_store(store, k=2)
+            else:
+                assert not store.compute_meta_path.exists()
+                with pytest.raises(StalenessError):
+                    check_results_fresh(store)
+            index_store(store)
+            compute_store(store, k=2, jobs=1)
+            check_results_fresh(store)
+            assert outputs(store) == expected
+        assert failed_writes == 3 * 5 + 2  # tf, weights and top files, two commit records
+
+
+def on_each_top_write(monkeypatch, store, check):
+    """Call check() before and after every pathlib write into top_matches/."""
+    for name in ("write_bytes", "write_text"):
+
+        def write(path, *args, _real=getattr(Path, name), **kwargs):
+            if path.parent == store.top_dir:
+                check()
+            result = _real(path, *args, **kwargs)
+            if path.parent == store.top_dir:
+                check()
+            return result
+
+        monkeypatch.setattr(Path, name, write)
 
 
 class _FailNthWrite:

@@ -231,6 +231,24 @@ class TestRecords:
             longest.identifier
         ]
 
+    def test_longest_storable_non_oai_identifier_goes_through_compute(self, store):
+        longest = make_record("urn:" + "b" * 245)  # 251 encoded bytes: record file 255
+        assert len(identifier_to_relpath(longest.identifier).name) == 251
+        store.put_record(longest)
+        store.put_record(make_record("oai:x:2"))
+        index_store(store)
+        compute_store(store, k=2)
+        assert [m.identifier for m in load_top_matches(store, "oai:x:2")] == [
+            longest.identifier
+        ]
+
+    @pytest.mark.parametrize("identifier", ["oai:x:" + "b" * 246, "urn:" + "b" * 246])
+    def test_one_byte_past_the_longest_storable_is_refused(self, store, identifier):
+        with pytest.raises(RecordValidationError, match="too long to store"):
+            store.put_record(make_record(identifier))
+        assert store.list_identifiers() == []
+        assert store.epoch() == 0
+
     def test_collision_detected(self, store):
         record = make_record(identifier="oai:a.example:1")
         path = store.record_path("oai:a.example:2")
