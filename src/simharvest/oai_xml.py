@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 from xml.parsers import expat
 from xml.sax.saxutils import escape
 
@@ -457,11 +457,12 @@ _DECLARED_PREFIXES = {
 _RECORD_INDENT = b"    "  # a page holds its records two levels deep
 
 
-def _fragment_body(identifier: str, data: bytes, prefixes: set[str]) -> bytes | None:
-    """A stored fragment as a ListRecords page carries it: minus its
-    declaration and its <record>'s namespace attributes, whose prefixes go
-    into prefixes. None unless data is well-formed, names identifier and has
-    the shape and the registered prefixes serialize_record_fragment writes."""
+def fragment_layout(identifier: str, data: bytes) -> tuple[int, frozenset[str]] | None:
+    """Where a stored fragment's body starts, and the prefixes its <record>
+    declares: a ListRecords page carries it as b"<record>" + data[offset:],
+    minus its declaration and its <record>'s namespace attributes. None
+    unless data is well-formed, names identifier and has the shape and the
+    registered prefixes serialize_record_fragment writes."""
     start = _FRAGMENT_START.match(data)
     if (
         start is None
@@ -471,6 +472,7 @@ def _fragment_body(identifier: str, data: bytes, prefixes: set[str]) -> bytes | 
         or _UNWRITTEN_MARKUP.search(data, start.end()) is not None
     ):
         return None
+    prefixes = set()
     for declaration in _FRAGMENT_DECLARATION.findall(start[1]):
         if declaration not in _DECLARED_PREFIXES:
             return None
@@ -479,7 +481,7 @@ def _fragment_body(identifier: str, data: bytes, prefixes: set[str]) -> bytes | 
         expat.ParserCreate(namespace_separator="}").Parse(data, True)
     except expat.ExpatError:
         return None
-    return b"<record>" + data[start.end(1) + 1 :]
+    return start.end(1) + 1, frozenset(prefixes)
 
 
 def splice_list_records(
@@ -488,20 +490,24 @@ def splice_list_records(
     base_url: str,
     request_args: Mapping[str, str],
     token: ResumptionToken | None,
+    layout: Callable[[str, bytes], tuple[int, frozenset[str]] | None],
 ) -> bytes | None:
     """The page serialize_list_records writes for the records stored as
     these (identifier, fragment bytes) pairs, one or more, built from the
     bytes without parsing a record into a tree. None when any fragment is
     not one serialize_record_fragment wrote for its identifier with
     registered prefixes alone, or is not well-formed: parse those the long
-    way."""
+    way. layout(identifier, data) gives fragment_layout's answer for a
+    fragment, worked out or remembered."""
     prefixes = {"", "xsi"}
     bodies = []
     for identifier, data in fragments:
-        body = _fragment_body(identifier, data, prefixes)
-        if body is None:
+        checked = layout(identifier, data)
+        if checked is None:
             return None
-        bodies.append(body)
+        offset, declared = checked
+        prefixes |= declared
+        bodies.append(b"<record>" + data[offset:])
     # an empty <record /> stands in for the records; ElementTree declares the
     # envelope's own two namespaces on the root, and escaping leaves no other
     # raw "<record />" in the envelope

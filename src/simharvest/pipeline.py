@@ -21,7 +21,7 @@ from .exceptions import ConfigError, NotFoundError, StalenessError
 from .oai_xml import format_score
 from .records import DC_ELEMENTS, SimilarityMatch, utc_now_string
 from .similarity import VectorSpaceModel, keep_best, pair_count
-from .store import RecordStore, replacing, storable, write_atomic
+from .store import RecordStore, remove_dead_temporaries, replacing, storable, write_atomic
 from .textpipe import DEFAULT_FIELDS, load_stopwords, record_to_tf
 
 
@@ -68,7 +68,8 @@ def index_store(
     stopwords_path: str | None = None,
 ) -> IndexReport:
     """Tokenize and count every stored record into the tf tree, each file
-    replaced whole, then record the store epoch the tree reflects. Raises
+    replaced whole, then record the store epoch the tree reflects; the
+    temporaries a killed run left in the tree go first. Raises
     ConfigError, before anything is written, when fields is empty or names
     anything but a Dublin Core element, or the stopword file cannot be read."""
     if not fields or not set(fields) <= set(DC_ELEMENTS):
@@ -79,6 +80,7 @@ def index_store(
     stopwords = load_stopwords(stopwords_path)
     epoch = store.epoch()
     store.indexed_epoch_path.unlink(missing_ok=True)
+    remove_dead_temporaries(store.tf_dir.glob("**/%tmp.*"))
     terms: set[str] = set()
     count = 0
     for identifier in store.list_identifiers():
@@ -102,10 +104,11 @@ def compute_store(
     scores), one ranked top-k file per document, and the compute metadata
     last, stamped with the epoch read at the start, each file replacing its
     old copy whole: the row blocks write their byte ranges of the pair file's
-    temporary. Top files of records no longer stored go last. jobs 1 scores in
-    this process. Raises ConfigError for k < 0 or jobs < 1 before it reads the
-    store, and StalenessError when records changed after the last index,
-    before anything is written.
+    temporary. The temporaries a killed run left in the store root and the
+    weights tree go first, top files of records no longer stored last. jobs 1
+    scores in this process. Raises ConfigError for k < 0 or jobs < 1 before
+    it reads the store, and StalenessError when records changed after the
+    last index, before anything is written.
     """
     if k < 0:
         raise ConfigError(f"k must be non-negative, got {k}")
@@ -134,6 +137,9 @@ def compute_store(
         model.fit(corpus)
     # withdraw the old results before any of them is overwritten
     store.compute_meta_path.unlink(missing_ok=True)
+    # a killed compute's pair file temporary may be as large as the pair file
+    remove_dead_temporaries(store.root.glob("%tmp.*"))
+    remove_dead_temporaries(store.weights_dir.glob("**/%tmp.*"))
     with _stage(stages, "weights_write"):
         for identifier in model.identifiers_:
             store.put_weights(model.vectors_[identifier])

@@ -260,7 +260,11 @@ class OaiProvider:
             for header in page
         ]
         return splice_list_records(
-            fragments, base_url=self.config.base_url, request_args=flat, token=token
+            fragments,
+            base_url=self.config.base_url,
+            request_args=flat,
+            token=token,
+            layout=self.store.fragment_layout,
         )
 
     _VERB_HANDLERS = {

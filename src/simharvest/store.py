@@ -17,9 +17,11 @@ bumps the corpus epoch in .epoch before the record file is written, holding
 an exclusive flock on records/ across both steps. The serving side reads
 headers from an in-memory catalog stamped with the epoch it was built at;
 its build holds the same lock shared, so it never pairs a new epoch with
-the records from before the change. A derived tree is
-current exactly when its commit record carries that epoch:
-tf_metadata/.indexed_epoch for the tf tree, compute_meta.txt for the
+the records from before the change. A build reads every record file but
+parses only those whose bytes changed since the last one, and ListRecords
+pages check each file's bytes for splicing once (RecordStore.fragment_layout).
+A derived tree is current exactly when its commit record carries that
+epoch: tf_metadata/.indexed_epoch for the tf tree, compute_meta.txt for the
 weights, pair and top-match outputs (see pipeline). Every store file is
 replaced whole through replacing. idf values are never written anywhere:
 they exist only in memory while computing.
@@ -35,6 +37,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
+from typing import Iterable
 from urllib.parse import quote, unquote
 
 from .exceptions import (
@@ -45,6 +48,7 @@ from .exceptions import (
     StorageError,
 )
 from .oai_xml import (
+    fragment_layout,
     parse_record_fragment,
     parse_record_header,
     serialize_record_fragment,
@@ -141,6 +145,27 @@ def replacing(path: Path):
         raise
 
 
+_TEMPORARY = re.compile(r"%tmp\.([1-9]\d*)\.\d+")
+
+
+def remove_dead_temporaries(paths: Iterable[Path]) -> None:
+    """Remove those of paths that are temporaries (see replacing) of a
+    process no longer running: a write killed before its rename leaves one
+    for good. A running process's may yet be renamed, so they stay, and so
+    does any file whose pid cannot be shown gone: one another user's
+    process holds (PermissionError) or one out of the range of pids."""
+    for path in paths:
+        match = _TEMPORARY.fullmatch(path.name)
+        if match is None:
+            continue
+        try:
+            os.kill(int(match[1]), 0)
+        except ProcessLookupError:
+            path.unlink(missing_ok=True)
+        except (OSError, OverflowError):
+            pass
+
+
 def write_atomic(path: Path, data: bytes) -> None:
     """Replace path's content with data through replacing, making path's
     directory if it is missing."""
@@ -178,15 +203,29 @@ class Catalog:
         high = _datestamp_key(until, end=True) if until else None
         kept = []
         for header in self.headers:
-            key = _datestamp_key(header.datestamp, end=False)
-            if low is not None and key < low:
-                continue
-            if high is not None and key > high:
-                continue
+            if low is not None or high is not None:
+                key = _datestamp_key(header.datestamp, end=False)
+                if low is not None and key < low:
+                    continue
+                if high is not None and key > high:
+                    continue
             if set_spec is not None and set_spec not in header.set_specs:
                 continue
             kept.append(header)
         return kept
+
+
+_UNCHECKED = object()
+
+
+@dataclass(slots=True)
+class _Memo:
+    """What one record file's bytes give: the header the catalog holds and,
+    once a ListRecords page has asked, the fragment_layout."""
+
+    data: bytes
+    header: Header
+    layout: object = _UNCHECKED
 
 
 class RecordStore:
@@ -206,6 +245,9 @@ class RecordStore:
         self.records_dir.mkdir(parents=True, exist_ok=True)
         self._catalog: Catalog | None = None
         self._catalog_lock = threading.Lock()
+        # identifier -> _Memo of the file the last catalog build read; never
+        # changed after it is swapped in, as pages look it up meanwhile
+        self._memo: dict[str, _Memo] = {}
 
     @classmethod
     def open(cls, root: str | Path) -> RecordStore:
@@ -338,13 +380,21 @@ class RecordStore:
             return self._catalog
 
     def _build_catalog(self) -> Catalog:
-        # headers only: parsing a record's metadata would more than double this
+        # headers only: parsing a record's metadata would more than double
+        # this. A file is parsed again only when its bytes changed: equal
+        # bytes give the same header, where an equal stat may hide a rewrite.
+        memo = {}
         with self._records_locked(fcntl.LOCK_SH):
             epoch = self.epoch()
-            headers = [
-                _checked(parse_record_header(path.read_bytes()), identifier, path)
-                for identifier, path in self._record_files()
-            ]
+            for identifier, path in self._record_files():
+                data = path.read_bytes()
+                entry = self._memo.get(identifier)
+                if entry is None or entry.data != data:
+                    header = _checked(parse_record_header(data), identifier, path)
+                    entry = _Memo(data, header)
+                memo[identifier] = entry
+        self._memo = memo
+        headers = [entry.header for entry in memo.values()]
         return Catalog(
             epoch,
             tuple(headers),
@@ -354,6 +404,18 @@ class RecordStore:
                 default=None,
             ),
         )
+
+    def fragment_layout(
+        self, identifier: str, data: bytes
+    ) -> tuple[int, frozenset[str]] | None:
+        """oai_xml.fragment_layout(identifier, data), worked out once for the
+        bytes the last catalog build read from identifier's file."""
+        entry = self._memo.get(identifier)
+        if entry is None or entry.data != data:
+            return fragment_layout(identifier, data)
+        if entry.layout is _UNCHECKED:
+            entry.layout = fragment_layout(identifier, data)
+        return entry.layout
 
     # -- term frequencies ---------------------------------------------------
 

@@ -1,7 +1,10 @@
 """Pipeline tests: indexing, computing, persistence, and staleness handling."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -343,6 +346,60 @@ class TestComputeStore:
         rows = store.similarities_path.read_text().splitlines()
         assert len(rows) == report.pairs_written == 15
         assert list(store.root.glob("%tmp.*")) == []
+
+    def test_temporaries_of_dead_processes_are_swept(self, store):
+        populate(store, 6, seed=73)
+        index_store(store)
+        compute_store(store, k=2)
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()
+        dead = f"%tmp.{child.pid}.0"
+        live = f"%tmp.{os.getpid()}.{2**40}"
+        identifier = store.list_identifiers()[0]
+        tf_bucket = store.tf_path(identifier).parent
+        weights_bucket = store.weights_path(identifier).parent
+        places = (
+            store.root, store.tf_dir, tf_bucket, store.weights_dir, weights_bucket
+        )
+        for place in places:
+            for name in (dead, live):
+                (place / name).write_bytes(b"left by a killed write")
+        # readers remove nothing
+        before = conftest.tree_bytes(store.root)
+        reader = RecordStore.open(store.root)
+        reader.catalog()
+        load_top_matches(reader, identifier)
+        duplicate_report(reader, 0.0)
+        assert conftest.tree_bytes(store.root) == before
+
+        def left(name):
+            return [place for place in places if (place / name).exists()]
+
+        index_store(store)
+        assert left(dead) == [store.root, store.weights_dir, weights_bucket]
+        compute_store(store, k=2)
+        assert left(dead) == []
+        assert left(live) == list(places)
+
+    def test_temporaries_not_shown_dead_stay(self, store, monkeypatch):
+        populate(store, 6, seed=74)
+        index_store(store)
+        kept = ["%tmp.0.0", f"%tmp.{2**64}.0", "%tmp.123.0"]
+        for name in kept:
+            (store.root / name).write_bytes(b"not shown to be dead")
+
+        def other_users(pid, signal):
+            # os.kill(0, 0) would signal this process group
+            assert pid > 0
+            if pid >= 2**31:
+                raise OverflowError("signed integer is greater than maximum")
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "kill", other_users)
+        report = compute_store(store, k=2)
+        assert read_compute_meta(store)["epoch"] == str(store.epoch())
+        assert report.pairs_written == 15
+        assert sorted(path.name for path in store.root.glob("%tmp.*")) == sorted(kept)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_block_leaves_no_parts(self, store, monkeypatch, jobs):

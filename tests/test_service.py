@@ -7,6 +7,7 @@ the served XML.
 
 import dataclasses
 import io
+import os
 import random
 import re
 import sys
@@ -1355,6 +1356,60 @@ class TestHeaderCatalogConsistency:
             else:
                 assert seen == listed
 
+    def test_record_walks_beside_record_changes_raise_nothing(self, tmp_path):
+        """ListRecords pages look record files up in the memo of the last
+        catalog build while other requests rebuild it and puts change the
+        files under both."""
+        store = RecordStore(tmp_path / "store")
+        records = [self.record(n, "2001-01-01T00:00:00Z", "s") for n in range(30)]
+        for record in records:
+            store.put_record(record)
+        provider = OaiProvider(store, ProviderConfig(base_url=BASE, page_size=4))
+        writing = threading.Event()
+        writing.set()
+        codes, failures = [], []
+
+        def reader():
+            try:
+                while writing.is_set():
+                    args = {"verb": ["ListRecords"], "metadataPrefix": ["oai_dc"]}
+                    while True:
+                        root = ET.fromstring(provider.handle_request(args))
+                        error = root.find(oai("error"))
+                        codes.append(None if error is None else error.get("code"))
+                        token = root.findtext(
+                            f"{oai('ListRecords')}/{oai('resumptionToken')}"
+                        )
+                        if not token:
+                            break
+                        args = {"verb": ["ListRecords"], "resumptionToken": [token]}
+            except Exception as error:  # reported by the main thread
+                failures.append(error)
+
+        def writer():
+            try:
+                for round_ in range(1, 6):
+                    for record in records:
+                        title = (("title", f"{record.identifier} revision {round_}"),)
+                        store.put_record(dataclasses.replace(record, dc_fields=title))
+            finally:
+                writing.clear()
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside requests too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert None in codes and set(codes) <= {None, "badResumptionToken"}
+
 
 RESPONSE_DATE = re.compile(rb"<responseDate>[^<]*</responseDate>")
 
@@ -1542,6 +1597,52 @@ class TestListRecordsSplice:
         store.record_path("oai:e.example:b").unlink()
         (page,) = list_records_pages(provider, {})
         assert error_codes(parse_response(page, "ListRecords")) == ["idDoesNotExist"]
+
+    def test_second_walk_at_one_epoch_creates_no_parser(self, served):
+        store, provider = served
+        real = oai_xml.expat.ParserCreate
+        created = []
+
+        def counting(*args, **kwargs):
+            created.append(args)
+            return real(*args, **kwargs)
+
+        with mock.patch.object(oai_xml.expat, "ParserCreate", counting):
+            first, outcomes = spliced_pages(provider, {})
+            assert [spliced for _, spliced in outcomes] == [True]
+            assert len(created) == 2
+            assert spliced_pages(provider, {}) == (first, outcomes)
+        assert len(created) == 2
+
+    @staticmethod
+    def rewrite_in_place(path, data):
+        """Overwrite path with data of its size, keeping its inode and its
+        modification time, as a rewrite within one timestamp tick does."""
+        before = path.stat()
+        assert len(data) == before.st_size
+        with open(path, "r+b") as handle:
+            handle.write(data)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_same_size_rewrite_naming_another_identifier_is_refused(self, served):
+        store, provider = served
+        list_records_pages(provider, {})
+        a_data = store.record_path("oai:e.example:a").read_bytes()
+        self.rewrite_in_place(store.record_path("oai:e.example:b"), a_data)
+        with pytest.raises(PathCollisionError):
+            list_records_pages(provider, {})
+
+    def test_same_size_truncation_is_an_xml_parse_error(self, served):
+        store, provider = served
+        list_records_pages(provider, {})
+        path = store.record_path("oai:e.example:b")
+        data = path.read_bytes()
+        half = len(data) // 2
+        self.rewrite_in_place(path, data[:half] + b" " * (len(data) - half))
+        with pytest.raises(XmlParseError):
+            list_records_pages(provider, {})
 
     def test_store_of_an_earlier_layout_is_served_then_migrated(self, tmp_path):
         """Record files an earlier version wrote, indented from depth 0, are

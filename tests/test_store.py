@@ -1,5 +1,6 @@
 """Record store: path mapping, the three mirrored trees, epoch and staleness."""
 
+import dataclasses
 import tempfile
 from pathlib import Path, PurePosixPath
 from urllib.parse import unquote
@@ -386,6 +387,48 @@ class TestCatalog:
         )
         assert store.set_specs() == ["z"]
         assert selected(store, set_spec="z") == ["oai:a.example:2"]
+
+    def test_refresh_parses_only_the_changed_files(self, store, monkeypatch):
+        records = [make_record(f"oai:a.example:{n}") for n in range(6)]
+        for record in records:
+            store.put_record(record)
+        store.catalog()
+        real = store_module.parse_record_header
+        parsed = []
+
+        def counting(data):
+            parsed.append(data)
+            return real(data)
+
+        monkeypatch.setattr(store_module, "parse_record_header", counting)
+        for record in records[:2]:
+            store.put_record(dataclasses.replace(record, datestamp="2002-02-02"))
+        catalog = store.catalog()
+        assert len(parsed) == 2
+        assert [header.datestamp for header in catalog.headers] == (
+            ["2002-02-02"] * 2 + ["2001-06-15T12:00:00Z"] * 4
+        )
+        assert catalog.earliest == "2001-06-15T12:00:00Z"
+
+    def test_refresh_drops_records_gone_from_disk(self, store):
+        for n in range(3):
+            store.put_record(make_record(f"oai:a.example:{n}", set_specs=(f"s{n}",)))
+        store.catalog()
+        store.record_path("oai:a.example:1").unlink()
+        store.put_record(make_record("oai:a.example:3"))
+        catalog = store.catalog()
+        assert [header.identifier for header in catalog.headers] == [
+            "oai:a.example:0",
+            "oai:a.example:2",
+            "oai:a.example:3",
+        ]
+        assert catalog.set_specs == ("s0", "s2")
+
+    def test_unfiltered_selection_is_every_header(self, store):
+        for n in range(3):
+            store.put_record(make_record(f"oai:a.example:{n}"))
+        catalog = store.catalog()
+        assert catalog.select(None, None, None) == list(catalog.headers)
 
 
 class TestTermFrequencies:
