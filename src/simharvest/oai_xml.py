@@ -28,7 +28,6 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
-from xml.parsers import expat
 from xml.sax.saxutils import escape
 
 from .exceptions import (
@@ -461,8 +460,9 @@ def fragment_layout(identifier: str, data: bytes) -> tuple[int, frozenset[str]] 
     """Where a stored fragment's body starts, and the prefixes its <record>
     declares: a ListRecords page carries it as b"<record>" + data[offset:],
     minus its declaration and its <record>'s namespace attributes. None
-    unless data is well-formed, names identifier and has the shape and the
-    registered prefixes serialize_record_fragment writes."""
+    unless data names identifier and has the shape and the registered
+    prefixes serialize_record_fragment writes. data must be known to be
+    well-formed: this reads its markup, it does not parse it."""
     start = _FRAGMENT_START.match(data)
     if (
         start is None
@@ -477,10 +477,6 @@ def fragment_layout(identifier: str, data: bytes) -> tuple[int, frozenset[str]] 
         if declaration not in _DECLARED_PREFIXES:
             return None
         prefixes.add(_DECLARED_PREFIXES[declaration])
-    try:
-        expat.ParserCreate(namespace_separator="}").Parse(data, True)
-    except expat.ExpatError:
-        return None
     return start.end(1) + 1, frozenset(prefixes)
 
 
@@ -496,9 +492,9 @@ def splice_list_records(
     these (identifier, fragment bytes) pairs, one or more, built from the
     bytes without parsing a record into a tree. None when any fragment is
     not one serialize_record_fragment wrote for its identifier with
-    registered prefixes alone, or is not well-formed: parse those the long
-    way. layout(identifier, data) gives fragment_layout's answer for a
-    fragment, worked out or remembered."""
+    registered prefixes alone: parse those the long way.
+    layout(identifier, data) gives fragment_layout's answer for a fragment
+    it has seen parse, remembered or worked out (see store.Catalog.layout)."""
     prefixes = {"", "xsi"}
     bodies = []
     for identifier, data in fragments:

@@ -235,7 +235,16 @@ class OaiProvider:
             )
         serialize = serialize_list_identifiers
         if flat["verb"] == "ListRecords":
-            body = self._spliced_records(page, flat, token)
+            # spliced from the stored bytes, which the page's own catalog
+            # judges, unless one must be parsed (see splice_list_records); a
+            # missing record raises NotFoundError, as it does on GetRecord
+            body = splice_list_records(
+                [(h.identifier, self.store.record_bytes(h.identifier)) for h in page],
+                base_url=self.config.base_url,
+                request_args=flat,
+                token=token,
+                layout=catalog.layout,
+            )
             if body is not None:
                 return body
             # the long way raises what a corrupt or misplaced file raises on
@@ -247,24 +256,6 @@ class OaiProvider:
             base_url=self.config.base_url,
             request_args=flat,
             token=token,
-        )
-
-    def _spliced_records(
-        self, page: list[Header], flat: dict, token: ResumptionToken | None
-    ) -> bytes | None:
-        """A ListRecords page cut from its records' stored bytes; None when
-        one of them must be parsed instead (see splice_list_records). A
-        missing record raises NotFoundError, as it does on GetRecord."""
-        fragments = [
-            (header.identifier, self.store.record_bytes(header.identifier))
-            for header in page
-        ]
-        return splice_list_records(
-            fragments,
-            base_url=self.config.base_url,
-            request_args=flat,
-            token=token,
-            layout=self.store.fragment_layout,
         )
 
     _VERB_HANDLERS = {

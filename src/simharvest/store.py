@@ -17,11 +17,12 @@ bumps the corpus epoch in .epoch before the record file is written, holding
 an exclusive flock on records/ across both steps. The serving side reads
 headers from an in-memory catalog stamped with the epoch it was built at;
 its build holds the same lock shared, so it never pairs a new epoch with
-the records from before the change. A build reads every record file but
-parses only those whose bytes changed since the last one, and ListRecords
-pages check each file's bytes for splicing once (RecordStore.fragment_layout).
-A derived tree is current exactly when its commit record carries that
-epoch: tf_metadata/.indexed_epoch for the tf tree, compute_meta.txt for the
+the records from before the change. The catalog is the store's one view
+of records/: a build lists it with os.scandir, reads every record file and
+judges (parses and checks for splicing) only bytes the previous build did
+not read; a ListRecords page asks the catalog it was cut from. A derived
+tree is current exactly when its commit record carries that epoch:
+tf_metadata/.indexed_epoch for the tf tree, compute_meta.txt for the
 weights, pair and top-match outputs (see pipeline). Every store file is
 replaced whole through replacing. idf values are never written anywhere:
 they exist only in memory while computing.
@@ -35,9 +36,9 @@ import os
 import re
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
-from pathlib import Path, PurePosixPath
-from typing import Iterable
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Iterable, Mapping
 from urllib.parse import quote, unquote
 
 from .exceptions import (
@@ -45,7 +46,6 @@ from .exceptions import (
     NotFoundError,
     PathCollisionError,
     RecordValidationError,
-    StorageError,
 )
 from .oai_xml import (
     fragment_layout,
@@ -77,12 +77,8 @@ def _encode_segment(text: str) -> str:
     return quote(text, safe="")
 
 
-def _decode_segment(text: str) -> str:
-    return unquote(text)
-
-
 def _relname(identifier: str) -> str:
-    """identifier_to_relpath as a string: "<bucket>/<name>"."""
+    """Deterministic two-level relative name (no suffix): "<bucket>/<name>"."""
     match = _OAI_ID_RE.match(identifier)
     if match:
         return f"{_encode_segment(match.group(1))}/{_encode_segment(match.group(2))}"
@@ -91,30 +87,16 @@ def _relname(identifier: str) -> str:
     return f"{_RAW_BUCKET}/{_encode_segment(identifier)}"
 
 
-def identifier_to_relpath(identifier: str) -> PurePosixPath:
-    """Deterministic two-level relative path (no suffix) for an identifier."""
-    return PurePosixPath(_relname(identifier))
+def _identifier(bucket: str, name: str) -> str:
+    """Inverse of _relname: the identifier stored as <bucket>/<name>."""
+    if bucket == _RAW_BUCKET:
+        return unquote(name)
+    return f"oai:{unquote(bucket)}:{unquote(name)}"
 
 
 def _tree_file(tree: Path, identifier: str, suffix: str) -> Path:
     """identifier's file in a two-level tree, built from one string."""
     return Path(f"{tree}/{_relname(identifier)}{suffix}")
-
-
-def relpath_to_identifier(relpath: PurePosixPath | str) -> str:
-    """Inverse of identifier_to_relpath (suffix already stripped)."""
-    parts = PurePosixPath(relpath).parts
-    if len(parts) != 2:
-        raise StorageError(f"store path {relpath!s} is not two levels deep")
-    bucket, name = parts
-    if bucket == _RAW_BUCKET:
-        return _decode_segment(name)
-    return f"oai:{_decode_segment(bucket)}:{_decode_segment(name)}"
-
-
-def encode_flat(identifier: str) -> str:
-    """Single-segment encoding used for top-match file names."""
-    return _encode_segment(identifier)
 
 
 def storable(identifier: str) -> bool:
@@ -123,8 +105,8 @@ def storable(identifier: str) -> bool:
     top-match file. Encoded names are ASCII."""
     if 3 * len(identifier.encode("utf-8")) + len(RECORD_SUFFIX) <= NAME_MAX:
         return True  # percent-encoding at most triples a name's bytes
-    name = identifier_to_relpath(identifier).name
-    return max(len(name + RECORD_SUFFIX), len(encode_flat(identifier))) <= NAME_MAX
+    name = _relname(identifier).partition("/")[2]
+    return max(len(name + RECORD_SUFFIX), len(_encode_segment(identifier))) <= NAME_MAX
 
 
 _WRITES = itertools.count()
@@ -184,15 +166,34 @@ class PutResult:
 
 
 @dataclass(frozen=True)
+class _Memo:
+    """What one record file's bytes give: its header and fragment_layout."""
+
+    data: bytes
+    header: Header
+    layout: tuple[int, frozenset[str]] | None
+
+
+def _judged(identifier: str, data: bytes) -> _Memo:
+    """Judge identifier's record file: XmlParseError unless well-formed,
+    PathCollisionError unless it names identifier. Parsing the header reads
+    the whole document, so fragment_layout meets well-formed bytes alone."""
+    header = _checked(parse_record_header(data), identifier)
+    return _Memo(data, header, fragment_layout(identifier, data))
+
+
+@dataclass(frozen=True)
 class Catalog:
     """Every stored record's header at one epoch, ascending by identifier,
     with the distinct setSpecs (ascending) and the earliest datestamp at
-    second granularity (None for an empty store)."""
+    second granularity (None for an empty store). files holds what the build
+    read: identifier -> _Memo, never changed once built."""
 
     epoch: int
     headers: tuple[Header, ...]
     set_specs: tuple[str, ...]
     earliest: str | None
+    files: Mapping[str, _Memo] = field(repr=False)
 
     def select(
         self, from_: str | None, until: str | None, set_spec: str | None
@@ -214,18 +215,16 @@ class Catalog:
             kept.append(header)
         return kept
 
-
-_UNCHECKED = object()
-
-
-@dataclass(slots=True)
-class _Memo:
-    """What one record file's bytes give: the header the catalog holds and,
-    once a ListRecords page has asked, the fragment_layout."""
-
-    data: bytes
-    header: Header
-    layout: object = _UNCHECKED
+    def layout(
+        self, identifier: str, data: bytes
+    ) -> tuple[int, frozenset[str]] | None:
+        """fragment_layout(identifier, data) for one of this catalog's
+        records, as the build judged the bytes it read; other bytes are
+        judged now, raising as a build would."""
+        memo = self.files[identifier]
+        if memo.data != data:
+            memo = _judged(identifier, data)
+        return memo.layout
 
 
 class RecordStore:
@@ -245,9 +244,6 @@ class RecordStore:
         self.records_dir.mkdir(parents=True, exist_ok=True)
         self._catalog: Catalog | None = None
         self._catalog_lock = threading.Lock()
-        # identifier -> _Memo of the file the last catalog build read; never
-        # changed after it is swapped in, as pages look it up meanwhile
-        self._memo: dict[str, _Memo] = {}
 
     @classmethod
     def open(cls, root: str | Path) -> RecordStore:
@@ -337,25 +333,26 @@ class RecordStore:
 
     def get_record(self, identifier: str) -> MetadataRecord:
         record = parse_record_fragment(self.record_bytes(identifier))
-        return _checked(record, identifier, self.record_path(identifier))
+        return _checked(record, identifier)
 
-    def _record_files(self) -> list[tuple[str, Path]]:
-        """(identifier, record file) for every stored record, ascending. A
-        file an older store wrote for an identifier that is not storable is
-        left out, as lookups treat that identifier as absent."""
-        files = (
-            (
-                relpath_to_identifier(
-                    PurePosixPath(path.parent.name, path.name[: -len(RECORD_SUFFIX)])
-                ),
-                path,
-            )
-            for path in self.records_dir.glob(f"*/*{RECORD_SUFFIX}")
-        )
+    def _record_files(self) -> list[tuple[str, str]]:
+        """(identifier, record file) for every *.xml file in a directory of
+        records/, ascending; nothing else there is listed, so a temporary a
+        killed write left is never read. A file an older store wrote for an
+        identifier that is not storable is left out, as lookups treat that
+        identifier as absent."""
+        files = []
+        with os.scandir(self.records_dir) as buckets:
+            for bucket in filter(os.DirEntry.is_dir, buckets):
+                with os.scandir(bucket.path) as entries:
+                    for entry in entries:
+                        if entry.name.endswith(RECORD_SUFFIX):
+                            name = entry.name[: -len(RECORD_SUFFIX)]
+                            files.append((_identifier(bucket.name, name), entry.path))
         return sorted(entry for entry in files if storable(entry[0]))
 
     def list_identifiers(self) -> list[str]:
-        """All stored identifiers, ascending. This globs records/ and parses
+        """All stored identifiers, ascending. This lists records/ and parses
         nothing; filtered listing is catalog().select(...)."""
         return [identifier for identifier, _ in self._record_files()]
 
@@ -381,20 +378,20 @@ class RecordStore:
 
     def _build_catalog(self) -> Catalog:
         # headers only: parsing a record's metadata would more than double
-        # this. A file is parsed again only when its bytes changed: equal
-        # bytes give the same header, where an equal stat may hide a rewrite.
-        memo = {}
+        # this. A file is judged again only when its bytes changed: equal
+        # bytes give the same verdicts, where an equal stat may hide a rewrite.
+        seen = self._catalog.files if self._catalog is not None else {}
+        files = {}
         with self._records_locked(fcntl.LOCK_SH):
             epoch = self.epoch()
             for identifier, path in self._record_files():
-                data = path.read_bytes()
-                entry = self._memo.get(identifier)
-                if entry is None or entry.data != data:
-                    header = _checked(parse_record_header(data), identifier, path)
-                    entry = _Memo(data, header)
-                memo[identifier] = entry
-        self._memo = memo
-        headers = [entry.header for entry in memo.values()]
+                with open(path, "rb") as handle:
+                    data = handle.read()
+                memo = seen.get(identifier)
+                if memo is None or memo.data != data:
+                    memo = _judged(identifier, data)
+                files[identifier] = memo
+        headers = [memo.header for memo in files.values()]
         return Catalog(
             epoch,
             tuple(headers),
@@ -403,19 +400,8 @@ class RecordStore:
                 (_datestamp_key(header.datestamp, end=False) for header in headers),
                 default=None,
             ),
+            files,
         )
-
-    def fragment_layout(
-        self, identifier: str, data: bytes
-    ) -> tuple[int, frozenset[str]] | None:
-        """oai_xml.fragment_layout(identifier, data), worked out once for the
-        bytes the last catalog build read from identifier's file."""
-        entry = self._memo.get(identifier)
-        if entry is None or entry.data != data:
-            return fragment_layout(identifier, data)
-        if entry.layout is _UNCHECKED:
-            entry.layout = fragment_layout(identifier, data)
-        return entry.layout
 
     # -- term frequencies ---------------------------------------------------
 
@@ -465,14 +451,16 @@ class RecordStore:
     # -- top matches and pair file ---------------------------------------------
 
     def top_path(self, identifier: str) -> Path:
-        return self.top_dir / encode_flat(identifier)
+        return self.top_dir / _encode_segment(identifier)
 
 
-def _checked(parsed, identifier: str, path: Path):
-    """A record or header read from path, refused unless it names identifier."""
+def _checked(parsed, identifier: str):
+    """A record or header read from identifier's record file, refused unless
+    it names identifier."""
     if parsed.identifier != identifier:
         raise PathCollisionError(
-            f"file {path} holds {parsed.identifier!r}, expected {identifier!r}"
+            f"records/{_relname(identifier)}{RECORD_SUFFIX} holds "
+            f"{parsed.identifier!r}, expected {identifier!r}"
         )
     return parsed
 

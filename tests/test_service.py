@@ -1599,20 +1599,27 @@ class TestListRecordsSplice:
         assert error_codes(parse_response(page, "ListRecords")) == ["idDoesNotExist"]
 
     def test_second_walk_at_one_epoch_creates_no_parser(self, served):
+        # the fixture's catalog build judged both files: neither walk parses
+        # a header or works out a splice verdict again
         store, provider = served
-        real = oai_xml.expat.ParserCreate
-        created = []
+        calls = []
 
-        def counting(*args, **kwargs):
-            created.append(args)
-            return real(*args, **kwargs)
+        def counting(real):
+            def call(*args):
+                calls.append(real.__name__)
+                return real(*args)
 
-        with mock.patch.object(oai_xml.expat, "ParserCreate", counting):
+            return call
+
+        with mock.patch.multiple(
+            store_module,
+            parse_record_header=counting(store_module.parse_record_header),
+            fragment_layout=counting(store_module.fragment_layout),
+        ):
             first, outcomes = spliced_pages(provider, {})
             assert [spliced for _, spliced in outcomes] == [True]
-            assert len(created) == 2
             assert spliced_pages(provider, {}) == (first, outcomes)
-        assert len(created) == 2
+        assert calls == []
 
     @staticmethod
     def rewrite_in_place(path, data):

@@ -2,7 +2,7 @@
 
 import dataclasses
 import tempfile
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from urllib.parse import unquote
 
 import pytest
@@ -16,7 +16,6 @@ from simharvest.exceptions import (
     PathCollisionError,
     RecordValidationError,
     StalenessError,
-    StorageError,
 )
 from simharvest.oai_xml import serialize_record_fragment
 from simharvest.pipeline import (
@@ -28,12 +27,7 @@ from simharvest.pipeline import (
 from simharvest import store as store_module
 from simharvest.records import Header, MetadataRecord
 from simharvest.similarity import collection_stats, weight_vector
-from simharvest.store import (
-    RecordStore,
-    encode_flat,
-    identifier_to_relpath,
-    relpath_to_identifier,
-)
+from simharvest.store import RecordStore
 from simharvest.textpipe import TermFrequencyVector
 
 # Identifiers short enough that their percent-encoded form fits in one
@@ -55,62 +49,63 @@ def make_record(identifier="oai:a.example:1", datestamp="2001-06-15T12:00:00Z", 
     return MetadataRecord(identifier=identifier, datestamp=datestamp, **kw)
 
 
+def relpath(store, identifier):
+    """identifier's record file, relative to records/."""
+    return store.record_path(identifier).relative_to(store.records_dir)
+
+
 class TestPathMapping:
-    def test_oai_identifier_maps_to_namespace_and_local_segments(self):
-        rel = identifier_to_relpath("oai:ltrs.larc.nasa.gov:rdp3195.tex")
-        assert rel == PurePosixPath("ltrs.larc.nasa.gov/rdp3195.tex")
+    def test_oai_identifier_maps_to_namespace_and_local_segments(self, store):
+        rel = relpath(store, "oai:ltrs.larc.nasa.gov:rdp3195.tex")
+        assert rel == Path("ltrs.larc.nasa.gov/rdp3195.tex.xml")
 
-    def test_unsafe_characters_are_percent_encoded(self):
-        rel = identifier_to_relpath("oai:ns:a/b:c d%e")
-        assert rel.parts[0] == "ns"
-        assert "/" not in rel.parts[1]
-        assert rel.parts[1] == "a%2Fb%3Ac%20d%25e"
+    def test_unsafe_characters_are_percent_encoded(self, store):
+        rel = relpath(store, "oai:ns:a/b:c d%e")
+        assert rel.parts == ("ns", "a%2Fb%3Ac%20d%25e.xml")
 
-    def test_non_oai_identifiers_use_the_raw_bucket(self):
-        rel = identifier_to_relpath("http://example.org/thing")
-        assert rel.parts[0] == "%raw"
-        assert relpath_to_identifier(rel) == "http://example.org/thing"
+    def test_non_oai_identifiers_use_the_raw_bucket(self, store):
+        record = make_record("http://example.org/thing")
+        assert relpath(store, record.identifier).parts[0] == "%raw"
+        store.put_record(record)
+        assert store.list_identifiers() == ["http://example.org/thing"]
 
-    def test_oai_prefix_without_two_colons_is_raw(self):
-        rel = identifier_to_relpath("oai:only-one-part")
-        assert rel.parts[0] == "%raw"
+    def test_oai_prefix_without_two_colons_is_raw(self, store):
+        assert relpath(store, "oai:only-one-part").parts[0] == "%raw"
 
-    def test_bad_relpath_depth_rejected(self):
-        with pytest.raises(StorageError):
-            relpath_to_identifier("single")
-        with pytest.raises(StorageError):
-            relpath_to_identifier("a/b/c")
-
-    @given(conftest.identifiers)
+    @settings(deadline=None)
+    @given(fs_identifiers)
     @example("oai:repo.example:.")
     @example("oai:repo.example:..")
     @example("oai:..:x")
     @example(".")
     @example("..")
     def test_mapping_is_reversible(self, identifier):
-        assert relpath_to_identifier(identifier_to_relpath(identifier)) == identifier
+        with tempfile.TemporaryDirectory() as root:
+            store = RecordStore(root)
+            store.put_record(make_record(identifier))
+            assert store.list_identifiers() == [identifier]
+            assert store.catalog().headers[0].identifier == identifier
 
     @given(conftest.identifiers)
     @example(".")
     @example("..")
     @example("oai:..:x")
     def test_flat_encoding_is_reversible(self, identifier):
-        flat = encode_flat(identifier)
+        with tempfile.TemporaryDirectory() as root:
+            flat = RecordStore(root).top_path(identifier).name
         assert "/" not in flat
         assert flat not in (".", "..")  # names a file, not a directory
         assert unquote(flat) == identifier
 
-    def test_dot_segments_are_encoded(self):
-        assert identifier_to_relpath("oai:..:x") == PurePosixPath("%2E%2E/x")
-        assert identifier_to_relpath("oai:repo.example:.") == PurePosixPath(
-            "repo.example/%2E"
-        )
-        assert encode_flat("...") == "%2E%2E%2E"
-        assert encode_flat("a.b") == "a.b"
+    def test_dot_segments_are_encoded(self, store):
+        assert relpath(store, "oai:..:x") == Path("%2E%2E/x.xml")
+        assert relpath(store, "oai:repo.example:.") == Path("repo.example/%2E.xml")
+        assert store.top_path("...").name == "%2E%2E%2E"
+        assert store.top_path("a.b").name == "a.b"
 
-    def test_raw_bucket_cannot_collide_with_a_namespace(self):
+    def test_raw_bucket_cannot_collide_with_a_namespace(self, store):
         # The encoder never emits a bare '%', so no oai namespace encodes to %raw.
-        assert identifier_to_relpath("oai:%raw:x").parts[0] == "%25raw"
+        assert relpath(store, "oai:%raw:x").parts[0] == "%25raw"
 
 
 class TestRecords:
@@ -200,7 +195,7 @@ class TestRecords:
         store.put_record(make_record("oai:x:1"))
         store.put_record(make_record("oai:x:2", dc_fields=(("title", "friction"),)))
         too_long = make_record("oai:x:" + "b" * 247)
-        assert len(encode_flat(too_long.identifier)) == 257
+        assert len(store.top_path(too_long.identifier).name) == 257
         epoch = store.epoch()
         with pytest.raises(RecordValidationError, match="too long to store"):
             store.put_record(too_long)
@@ -234,7 +229,7 @@ class TestRecords:
 
     def test_longest_storable_non_oai_identifier_goes_through_compute(self, store):
         longest = make_record("urn:" + "b" * 245)  # 251 encoded bytes: record file 255
-        assert len(identifier_to_relpath(longest.identifier).name) == 251
+        assert len(store.record_path(longest.identifier).name) == 255
         store.put_record(longest)
         store.put_record(make_record("oai:x:2"))
         index_store(store)
@@ -423,6 +418,21 @@ class TestCatalog:
             "oai:a.example:3",
         ]
         assert catalog.set_specs == ("s0", "s2")
+
+    def test_walk_passes_over_temporaries_and_stray_files(self, store):
+        records = [make_record(f"oai:a.example:{n}") for n in range(2)]
+        for record in records:
+            store.put_record(record)
+        data = store.record_path(records[0].identifier).read_bytes()
+        # a put_record killed before its rename, and a file beside the buckets
+        (store.records_dir / "a.example" / "%tmp.12345.0").write_bytes(data[:40])
+        (store.records_dir / "stray.xml").write_bytes(data[:40])
+        store.put_record(make_record("oai:a.example:2"))
+        identifiers = ["oai:a.example:0", "oai:a.example:1", "oai:a.example:2"]
+        assert store.list_identifiers() == identifiers
+        catalog = store.catalog()
+        assert [header.identifier for header in catalog.headers] == identifiers
+        assert list(catalog.files) == identifiers
 
     def test_unfiltered_selection_is_every_header(self, store):
         for n in range(3):
