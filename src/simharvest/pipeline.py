@@ -12,6 +12,7 @@ store, it reproduces similarities.txt byte for byte.
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Sequence
 from .exceptions import ConfigError, NotFoundError, StalenessError
 from .oai_xml import format_score
 from .records import DC_ELEMENTS, SimilarityMatch, utc_now_string
-from .similarity import VectorSpaceModel, keep_best, pair_count
+from .similarity import VectorSpaceModel, keep_best, pair_count, pair_file_offsets
 from .store import RecordStore, remove_dead_temporaries, replacing, storable, write_atomic
 from .textpipe import DEFAULT_FIELDS, load_stopwords, record_to_tf
 
@@ -251,13 +252,21 @@ def load_top_matches(
 
 
 def iter_similarity_lines(store: RecordStore):
-    """(id_a, id_b, score) rows of the persisted pair file, fresh-checked."""
+    """(id_a, id_b, score) rows of the persisted pair file, fresh-checked.
+    A file whose size is not the one pair_file_offsets gives the stored
+    identifiers, one cut short say, raises StalenessError before any row."""
     check_results_fresh(store)
     try:
         handle = store.similarities_path.open(encoding="utf-8")
     except FileNotFoundError:
         raise StalenessError("similarities.txt is missing; run compute") from None
     with handle:
+        size = os.fstat(handle.fileno()).st_size
+        expected = pair_file_offsets(store.list_identifiers())[-1]
+        if size != expected:
+            raise StalenessError(
+                f"similarities.txt holds {size} bytes, not {expected}; run compute"
+            )
         for line in handle:
             id_a, id_b, score = line.rstrip("\n").split("\t")
             yield id_a, id_b, float(score)

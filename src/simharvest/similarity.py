@@ -12,8 +12,8 @@ its pair lines, written in place at the row's byte offset in the one pair
 file, and every entry reaches a top-k ranking through keep_best, behind the
 floor of the row it is offered to.
 
-idf values are computed on the fly from collection statistics and are never
-persisted anywhere.
+fit() computes idf = ln(N / df) once per term of the corpus it weights;
+idf is never written anywhere.
 """
 
 from __future__ import annotations
@@ -21,40 +21,20 @@ from __future__ import annotations
 import heapq
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import gt
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exceptions import ConfigError, NotFoundError, RecordValidationError, StorageError
+from .exceptions import ConfigError, RecordValidationError, StorageError
 from .textpipe import TermFrequencyVector
 
 #: Measured per-pair cost (seconds) used for runtime projections.
 DEFAULT_PER_PAIR_SECONDS = 0.0036
 
 _SECONDS_PER_YEAR = 365 * 86400
-
-
-@dataclass(frozen=True)
-class CollectionStats:
-    """Corpus-level statistics: document count and per-term document frequency."""
-
-    n_docs: int
-    df: Mapping[str, int]
-
-    def __post_init__(self):
-        if self.n_docs < 1:
-            raise RecordValidationError("collection must contain at least one document")
-        frozen: dict[str, int] = {}
-        for term in sorted(self.df):
-            count = self.df[term]
-            if not 1 <= count <= self.n_docs:
-                raise RecordValidationError(
-                    f"df[{term!r}] = {count} outside 1..{self.n_docs}"
-                )
-            frozen[term] = count
-        object.__setattr__(self, "df", frozen)
 
 
 @dataclass(frozen=True)
@@ -78,33 +58,12 @@ class WeightedVector:
             raise RecordValidationError("empty vectors have norm 0 and vice versa")
 
 
-def collection_stats(corpus: Iterable[TermFrequencyVector]) -> CollectionStats:
-    """Count documents and per-term document frequencies over a corpus."""
-    df: dict[str, int] = {}
-    n_docs = 0
-    for tf in corpus:
-        n_docs += 1
-        for term in tf.counts:
-            df[term] = df.get(term, 0) + 1
-    if n_docs == 0:
-        raise RecordValidationError("cannot compute statistics for an empty corpus")
-    return CollectionStats(n_docs, df)
-
-
-def idf(term: str, stats: CollectionStats) -> float:
-    """Inverse document frequency ln(N / df). Computed on demand, never stored."""
-    try:
-        df = stats.df[term]
-    except KeyError:
-        raise NotFoundError(f"term {term!r} does not occur in the collection") from None
-    return math.log(stats.n_docs / df)
-
-
-def weight_vector(tf: TermFrequencyVector, stats: CollectionStats) -> WeightedVector:
-    """tf x idf weights, unit-normalized; terms with zero idf drop out."""
+def weight_vector(tf: TermFrequencyVector, idf: Mapping[str, float]) -> WeightedVector:
+    """tf x idf weights, unit-normalized; terms with zero idf drop out. idf
+    maps each of tf's terms to ln(N / df) in its collection."""
     raw: list[tuple[str, float]] = []
     for term, count in tf.counts.items():  # counts iterate in sorted term order
-        weight = count * idf(term, stats)
+        weight = count * idf[term]
         if weight > 0.0:
             raw.append((term, weight))
     norm = math.sqrt(math.fsum(weight * weight for _, weight in raw))
@@ -120,6 +79,22 @@ def pair_count(n_docs: int) -> int:
     if n_docs < 0:
         raise ConfigError(f"n must be non-negative, got {n_docs}")
     return n_docs * (n_docs - 1) // 2
+
+
+def pair_file_offsets(identifiers: Sequence[str]) -> list[int]:
+    """Where each row of the pair file of the ascending identifiers starts:
+    offsets[i] is row i's first byte, offsets[n] the file's size. Scores
+    render in six characters, so row i's n-1-i lines take
+    (n-1-i) * (len(id_i) + 9) bytes plus the later identifiers' UTF-8
+    lengths."""
+    n = len(identifiers)
+    lengths = [len(identifier.encode("utf-8")) for identifier in identifiers]
+    offsets = [0]
+    later = sum(lengths)  # bytes of the identifiers after row i
+    for i, length in enumerate(lengths):
+        later -= length
+        offsets.append(offsets[i] + (n - 1 - i) * (length + 9) + later)
+    return offsets
 
 
 # --- block scoring ----------------------------------------------------------
@@ -282,10 +257,10 @@ def check_tf_corpus(corpus: Iterable) -> list[TermFrequencyVector]:
 class VectorSpaceModel:
     """tf-idf vector space model of one corpus.
 
-    fit() learns the collection statistics and weights the corpus into
-    vectors_ (identifier -> unit-normalized WeightedVector), with
-    identifiers_ in ascending order; similarity_pairs() scores the fitted
-    corpus.
+    fit() counts each term's document frequency df once, takes
+    idf = ln(N / df) per term, and weights the corpus into vectors_
+    (identifier -> unit-normalized WeightedVector), with identifiers_ in
+    ascending order; similarity_pairs() scores the fitted corpus.
     """
 
     def fit(self, X: Iterable) -> "VectorSpaceModel":
@@ -293,8 +268,9 @@ class VectorSpaceModel:
         if not corpus:
             raise RecordValidationError("cannot fit on an empty corpus")
         corpus = sorted(corpus, key=lambda tf: tf.identifier)
-        stats = collection_stats(corpus)
-        self.vectors_ = {tf.identifier: weight_vector(tf, stats) for tf in corpus}
+        df = Counter(term for tf in corpus for term in tf.counts)
+        idf = {term: math.log(len(corpus) / count) for term, count in df.items()}
+        self.vectors_ = {tf.identifier: weight_vector(tf, idf) for tf in corpus}
         self.identifiers_ = list(self.vectors_)
         return self
 
@@ -304,26 +280,19 @@ class VectorSpaceModel:
         """Score all n(n-1)/2 pairs of the fitted corpus into the file at path,
         created or truncated first, one row block at a time.
 
-        Scores render in six characters, so row i's n-1-i lines take
-        (n-1-i) * (len(id_i) + 9) bytes plus the later identifiers' UTF-8
-        lengths: each block writes its rows in place, at a byte range known
-        before scoring starts, and yields its partial top-k lists by row index
-        of identifiers_, in row order. With jobs > 1 and at least 64 documents
-        at most jobs worker processes, and no more than the machine's CPUs,
-        score the blocks; the output is the same. Each process that scores
-        builds the inverted index once, before its first block: this one when
-        serial, each worker in its initializer.
+        Each block writes its rows in place, at the byte range
+        pair_file_offsets gives before scoring starts, and yields its partial
+        top-k lists by row index of identifiers_, in row order. With jobs > 1
+        and at least 64 documents at most jobs worker processes, and no more
+        than the machine's CPUs, score the blocks; the output is the same.
+        Each process that scores builds the inverted index once, before its
+        first block: this one when serial, each worker in its initializer.
         """
         if k < 0:
             raise ConfigError(f"k must be non-negative, got {k}")
         vectors = [self.vectors_[identifier] for identifier in self.identifiers_]
         n = len(vectors)
-        lengths = [len(identifier.encode("utf-8")) for identifier in self.identifiers_]
-        offsets = [0]  # offsets[i]: row i's first byte; offsets[n]: the file size
-        later = sum(lengths)  # bytes of the identifiers after row i
-        for i, length in enumerate(lengths):
-            later -= length
-            offsets.append(offsets[i] + (n - 1 - i) * (length + 9) + later)
+        offsets = pair_file_offsets(self.identifiers_)
         parallel = jobs > 1 and n >= 64
         tasks = [
             (start, stop, path, offsets[start], offsets[stop], k)

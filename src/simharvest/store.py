@@ -10,22 +10,22 @@ Layout under one root directory:
     compute_meta.txt                     bookkeeping for the last compute run
 
 Identifier-to-path mapping percent-encodes each segment, so it is reversible
-and two identifiers can never share a file. An identifier is storable only
-when every file name derived from it fits in NAME_MAX bytes; the store
-refuses any other and treats it as absent on lookup. Every record change
-bumps the corpus epoch in .epoch before the record file is written, holding
-an exclusive flock on records/ across both steps. The serving side reads
-headers from an in-memory catalog stamped with the epoch it was built at;
-its build holds the same lock shared, so it never pairs a new epoch with
-the records from before the change. The catalog is the store's one view
-of records/: a build lists it with os.scandir, reads every record file and
-judges (parses and checks for splicing) only bytes the previous build did
-not read; a ListRecords page asks the catalog it was cut from. A derived
-tree is current exactly when its commit record carries that epoch:
-tf_metadata/.indexed_epoch for the tf tree, compute_meta.txt for the
-weights, pair and top-match outputs (see pipeline). Every store file is
-replaced whole through replacing. idf values are never written anywhere:
-they exist only in memory while computing.
+and two identifiers can never share a file; a file under any name it does
+not give is no record. An identifier is storable only when every file name
+derived from it fits in NAME_MAX bytes; the store refuses any other and
+treats it as absent on lookup. Every record change bumps the corpus epoch in
+.epoch before the record file is written, holding an exclusive flock on
+records/ across both steps. The serving side reads headers from an in-memory
+catalog stamped with the epoch it was built at; its build holds the same
+lock shared, so it never pairs a new epoch with the records from before the
+change. The catalog is the store's one view of records/: a build lists it
+with os.scandir, reads every record file and judges (parses and checks for
+splicing) only bytes the previous build did not read; a ListRecords page
+asks the catalog it was cut from. A derived tree is current exactly when its
+commit record carries that epoch: tf_metadata/.indexed_epoch for the tf
+tree, compute_meta.txt for the weights, pair and top-match outputs (see
+pipeline). Every store file is replaced whole through replacing. idf values
+are never written anywhere: they exist only in memory while computing.
 """
 
 from __future__ import annotations
@@ -92,6 +92,21 @@ def _identifier(bucket: str, name: str) -> str:
     if bucket == _RAW_BUCKET:
         return unquote(name)
     return f"oai:{unquote(bucket)}:{unquote(name)}"
+
+
+def _stored_identifier(bucket: str, name: str) -> str | None:
+    """The identifier whose record file records/<bucket>/<name> is, judged
+    from the names alone: None unless name is the one record_path gives a
+    storable identifier. Any other spelling of a name (a hand-placed
+    %41.xml beside A.xml, say) is no record, as lookups never reach it, and
+    neither is a file an older store wrote for an identifier not storable."""
+    stem = name.removesuffix(RECORD_SUFFIX)
+    if stem == name:
+        return None
+    identifier = _identifier(bucket, stem)
+    if _relname(identifier) != f"{bucket}/{stem}" or not storable(identifier):
+        return None
+    return identifier
 
 
 def _tree_file(tree: Path, identifier: str, suffix: str) -> Path:
@@ -336,20 +351,18 @@ class RecordStore:
         return _checked(record, identifier)
 
     def _record_files(self) -> list[tuple[str, str]]:
-        """(identifier, record file) for every *.xml file in a directory of
-        records/, ascending; nothing else there is listed, so a temporary a
-        killed write left is never read. A file an older store wrote for an
-        identifier that is not storable is left out, as lookups treat that
-        identifier as absent."""
+        """(identifier, record file) for every record file in a directory of
+        records/ (see _stored_identifier), ascending; nothing else there is
+        listed, so a temporary a killed write left is never read."""
         files = []
         with os.scandir(self.records_dir) as buckets:
             for bucket in filter(os.DirEntry.is_dir, buckets):
                 with os.scandir(bucket.path) as entries:
                     for entry in entries:
-                        if entry.name.endswith(RECORD_SUFFIX):
-                            name = entry.name[: -len(RECORD_SUFFIX)]
-                            files.append((_identifier(bucket.name, name), entry.path))
-        return sorted(entry for entry in files if storable(entry[0]))
+                        identifier = _stored_identifier(bucket.name, entry.name)
+                        if identifier is not None:
+                            files.append((identifier, entry.path))
+        return sorted(files)
 
     def list_identifiers(self) -> list[str]:
         """All stored identifiers, ascending. This lists records/ and parses

@@ -650,6 +650,20 @@ class TestStalenessLifecycle:
         check_results_fresh(store)
         assert load_top_matches(store, "oai:p.example:late") != []
 
+    @pytest.mark.parametrize("cut", [1, -1], ids=["truncated", "grown"])
+    def test_pair_file_of_another_size_is_refused(self, tmp_path, capsys, cut):
+        store = RecordStore(tmp_path / "store")
+        populate(store, 12, seed=51)
+        index_store(store)
+        compute_store(store, k=0)  # no top file answers a report
+        data = store.similarities_path.read_bytes()
+        store.similarities_path.write_bytes(data[:-cut] if cut > 0 else data + b"\n")
+        with pytest.raises(StalenessError, match="run compute"):
+            next(iter_similarity_lines(store))
+        argv = ["dup-report", "--store", str(store.root), "--threshold", "0.1"]
+        assert cli.main(argv) == cli.EXIT_STALE
+        assert "run compute" in capsys.readouterr().err
+
     def test_identical_reput_does_not_invalidate(self, tmp_path):
         store = RecordStore(tmp_path / "store")
         populate(store, 5, seed=51)

@@ -12,26 +12,18 @@ from hypothesis import strategies as st
 import conftest
 import oracle
 from simharvest import similarity
-from simharvest.exceptions import (
-    ConfigError,
-    NotFoundError,
-    RecordValidationError,
-    StorageError,
-)
+from simharvest.exceptions import ConfigError, RecordValidationError, StorageError
 from simharvest.records import SimilarityMatch
 from oracle import cosine_similarity, parse_duration
 from simharvest.oai_xml import format_score
 from simharvest.similarity import (
     DEFAULT_PER_PAIR_SECONDS,
-    CollectionStats,
     VectorSpaceModel,
     WeightedVector,
     _row_blocks,
     check_tf_corpus,
-    collection_stats,
     estimate_runtime,
     format_duration,
-    idf,
     keep_best,
     pair_count,
     weight_vector,
@@ -117,45 +109,27 @@ def engine_top(model, identifier, k):
     ]
 
 
-class TestCollectionStats:
-    def test_document_frequencies(self):
-        stats = collection_stats(conftest.small_corpus())
-        assert stats.n_docs == 3
-        assert stats.df == {"friction": 1, "runway": 2, "tire": 3, "tunnel": 1, "wind": 1}
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(RecordValidationError):
-            collection_stats([])
-
-    def test_df_bounds_enforced(self):
-        with pytest.raises(RecordValidationError):
-            CollectionStats(2, {"x": 3})
-        with pytest.raises(RecordValidationError):
-            CollectionStats(2, {"x": 0})
+def fitted(corpus):
+    """The corpus's weighted vectors as fit() gives them, in corpus order."""
+    vectors = VectorSpaceModel().fit(corpus).vectors_
+    return [vectors[tf.identifier] for tf in corpus]
 
 
 class TestWeighting:
     def test_idf_is_natural_log_of_n_over_df(self):
-        stats = collection_stats(conftest.small_corpus())
-        assert idf("friction", stats) == math.log(3 / 1)
-        assert idf("runway", stats) == math.log(3 / 2)
-        assert idf("tire", stats) == 0.0
-
-    def test_unknown_term_raises(self):
-        stats = collection_stats(conftest.small_corpus())
-        with pytest.raises(NotFoundError):
-            idf("absent", stats)
+        corpus = conftest.small_corpus()
+        # df: friction, tunnel and wind 1, runway 2, tire 3 of N = 3
+        idf = {term: math.log(3 / 1) for term in ("friction", "tunnel", "wind")}
+        idf.update(runway=math.log(3 / 2), tire=math.log(3 / 3))
+        assert idf["tire"] == 0.0
+        assert fitted(corpus) == [weight_vector(tf, idf) for tf in corpus]
 
     def test_weight_vector_drops_zero_idf_terms(self):
-        corpus = conftest.small_corpus()
-        stats = collection_stats(corpus)
-        vector = weight_vector(corpus[0], stats)
+        vector = fitted(conftest.small_corpus())[0]
         assert set(vector.weights) == {"friction", "runway"}
 
     def test_weight_vector_hand_computed(self):
-        corpus = conftest.small_corpus()
-        stats = collection_stats(corpus)
-        vector = weight_vector(corpus[0], stats)
+        vector = fitted(conftest.small_corpus())[0]
         raw_friction = 3 * math.log(3.0)
         raw_runway = math.log(1.5)
         norm = math.sqrt(raw_friction**2 + raw_runway**2)
@@ -168,15 +142,12 @@ class TestWeighting:
             TermFrequencyVector("oai:x:1", {"tire": 4}),
             TermFrequencyVector("oai:x:2", {"tire": 1}),
         ]
-        stats = collection_stats(corpus)
-        vector = weight_vector(corpus[0], stats)
+        vector = fitted(corpus)[0]
         assert vector.weights == {} and vector.norm == 0.0
 
     @given(corpora)
     def test_nonempty_vectors_are_unit_length(self, corpus):
-        stats = collection_stats(corpus)
-        for tf in corpus:
-            vector = weight_vector(tf, stats)
+        for vector in fitted(corpus):
             if vector.weights:
                 squared = math.fsum(w * w for w in vector.weights.values())
                 assert squared == pytest.approx(1.0, abs=1e-9)
@@ -190,26 +161,17 @@ class TestWeighting:
 
 class TestCosine:
     def test_hand_computed_pair(self):
-        corpus = conftest.small_corpus()
-        stats = collection_stats(corpus)
-        a = weight_vector(corpus[0], stats)
-        b = weight_vector(corpus[1], stats)
+        a, b, _ = fitted(conftest.small_corpus())
         expected = math.log(1.5) / math.sqrt((3 * math.log(3.0)) ** 2 + math.log(1.5) ** 2)
         assert cosine_similarity(a, b) == pytest.approx(expected, rel=1e-12)
 
     def test_disjoint_vocabularies_score_zero(self):
-        corpus = conftest.small_corpus()
-        stats = collection_stats(corpus)
-        assert cosine_similarity(
-            weight_vector(corpus[0], stats), weight_vector(corpus[2], stats)
-        ) == 0.0
+        a, _, c = fitted(conftest.small_corpus())
+        assert cosine_similarity(a, c) == 0.0
 
     def test_only_zero_idf_overlap_scores_zero(self):
-        corpus = conftest.small_corpus()
-        stats = collection_stats(corpus)
-        assert cosine_similarity(
-            weight_vector(corpus[1], stats), weight_vector(corpus[2], stats)
-        ) == 0.0
+        _, b, c = fitted(conftest.small_corpus())
+        assert cosine_similarity(b, c) == 0.0
 
     def test_empty_vector_scores_zero(self):
         empty = WeightedVector("oai:x:1", {}, 0.0)
@@ -219,8 +181,7 @@ class TestCosine:
 
     @given(corpora)
     def test_symmetric_exactly(self, corpus):
-        stats = collection_stats(corpus)
-        vectors = [weight_vector(tf, stats) for tf in corpus]
+        vectors = fitted(corpus)
         for i in range(len(vectors)):
             for j in range(i + 1, len(vectors)):
                 assert cosine_similarity(vectors[i], vectors[j]) == cosine_similarity(
@@ -229,9 +190,7 @@ class TestCosine:
 
     @given(corpora)
     def test_bounded_and_self_similar(self, corpus):
-        stats = collection_stats(corpus)
-        for tf in corpus:
-            vector = weight_vector(tf, stats)
+        for vector in fitted(corpus):
             score = cosine_similarity(vector, vector)
             assert 0.0 <= score <= 1.0
             if vector.weights:
@@ -243,9 +202,7 @@ class TestCosine:
             TermFrequencyVector("oai:x:2", {"aa": 3, "bb": 7, "cc": 2}),
             TermFrequencyVector("oai:x:3", {"dd": 1}),
         ]
-        stats = collection_stats(corpus)
-        a = weight_vector(corpus[0], stats)
-        b = weight_vector(corpus[1], stats)
+        a, b, _ = fitted(corpus)
         assert cosine_similarity(a, b) == pytest.approx(1.0, abs=1e-9)
         assert cosine_similarity(a, b) <= 1.0
 
@@ -492,12 +449,21 @@ class TestVectorSpaceModel:
             check_tf_corpus([("oai:x:1", {"aa": 1})])
 
     def test_weights_against_fitted_statistics(self):
-        corpus = conftest.small_corpus()
+        # fitted without oai:b.example:3, runway and tire are in every document
+        corpus = conftest.small_corpus()[:2]
         model = VectorSpaceModel().fit(corpus)
-        stats = collection_stats(corpus)
-        assert weight_vector(corpus[0], stats) == model.vectors_["oai:a.example:1"]
-        with pytest.raises(NotFoundError):
-            weight_vector(TermFrequencyVector("oai:x:9", {"nonterm": 1}), stats)
+        idf = {"friction": math.log(2 / 1), "runway": 0.0, "tire": 0.0}
+        assert model.vectors_["oai:a.example:1"] == weight_vector(corpus[0], idf)
+        assert model.vectors_["oai:a.example:1"].weights == {"friction": 1.0}
+
+    def test_negative_k_is_refused_before_the_file_is_touched(self, tmp_path):
+        model = VectorSpaceModel().fit(conftest.small_corpus())
+        path = tmp_path / "pairs"
+        path.write_bytes(b"earlier results")
+        blocks = model.similarity_pairs(str(path), k=-1)
+        with pytest.raises(ConfigError, match="k must be non-negative"):
+            next(blocks)
+        assert path.read_bytes() == b"earlier results"
 
     def test_fit_sorts_by_identifier(self):
         model = VectorSpaceModel().fit(reversed(conftest.small_corpus()))

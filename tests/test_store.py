@@ -17,7 +17,7 @@ from simharvest.exceptions import (
     RecordValidationError,
     StalenessError,
 )
-from simharvest.oai_xml import serialize_record_fragment
+from simharvest.oai_xml import parse_response, serialize_record_fragment
 from simharvest.pipeline import (
     check_results_fresh,
     compute_store,
@@ -26,7 +26,8 @@ from simharvest.pipeline import (
 )
 from simharvest import store as store_module
 from simharvest.records import Header, MetadataRecord
-from simharvest.similarity import collection_stats, weight_vector
+from simharvest.service import OaiProvider
+from simharvest.similarity import VectorSpaceModel
 from simharvest.store import RecordStore
 from simharvest.textpipe import TermFrequencyVector
 
@@ -434,6 +435,25 @@ class TestCatalog:
         assert [header.identifier for header in catalog.headers] == identifiers
         assert list(catalog.files) == identifiers
 
+    def test_other_spellings_of_a_record_file_name_are_no_records(self, store):
+        store.put_record(make_record("oai:a:B"))
+        # a/%41.xml decodes to oai:a:A, whose file is a/A.xml; the %raw file
+        # decodes to oai:a:C, whose file is a/C.xml
+        planted = {"a/%41.xml": "oai:a:A", "%raw/oai%3Aa%3AC.xml": "oai:a:C"}
+        (store.records_dir / "%raw").mkdir()
+        for name, identifier in planted.items():
+            data = serialize_record_fragment(make_record(identifier))
+            (store.records_dir / name).write_bytes(data)
+            assert not store.has_record(identifier)
+        assert store.list_identifiers() == ["oai:a:B"]
+        assert [header.identifier for header in store.catalog().headers] == ["oai:a:B"]
+        body = OaiProvider(store).handle_request(
+            {"verb": ["ListRecords"], "metadataPrefix": ["oai_dc"]}
+        )
+        page = parse_response(body, "ListRecords")
+        assert page.errors == [] and page.token is None
+        assert [record.identifier for record in page.records] == ["oai:a:B"]
+
     def test_unfiltered_selection_is_every_header(self, store):
         for n in range(3):
             store.put_record(make_record(f"oai:a.example:{n}"))
@@ -480,11 +500,11 @@ class TestTermFrequencies:
 class TestWeights:
     def fill(self, store):
         corpus = conftest.small_corpus()
-        stats = collection_stats(corpus)
         for tf in corpus:
             store.put_record(make_record(tf.identifier))
             store.put_tf(tf)
-        return [weight_vector(tf, stats) for tf in corpus]
+        vectors = VectorSpaceModel().fit(corpus).vectors_
+        return [vectors[tf.identifier] for tf in corpus]
 
     def test_round_trip_is_exact(self, store):
         vectors = self.fill(store)
@@ -498,10 +518,7 @@ class TestWeights:
         store.put_record(make_record())
         with pytest.raises(NotFoundError):
             store.put_weights(
-                weight_vector(
-                    TermFrequencyVector("oai:a.example:1", {"tire": 1}),
-                    collection_stats(conftest.small_corpus()),
-                )
+                VectorSpaceModel().fit(conftest.small_corpus()).vectors_["oai:a.example:1"]
             )
 
     def test_weights_file_holds_norm_then_sorted_terms(self, store):
