@@ -272,10 +272,12 @@ def _cmd_dup_report(args: argparse.Namespace, settings: dict) -> int:
 class _AcceptingWSGIServer(WSGIServer):
     """Serves each connection on the thread that accepted it.
 
-    Every thread loops accept -> serve. A thread that takes a connection
+    Daemon threads loop accept -> serve. A thread that takes a connection
     while no other thread waits in accept first starts one more acceptor, so
     a stalled client never holds up the next one, and a client that connects
-    once at a time is served with no thread start and no hand-off.
+    once at a time is served with no thread start and no hand-off. The main
+    thread, where Python raises KeyboardInterrupt, only waits: wsgiref's
+    handler would log and swallow one that landed inside a request.
     """
 
     def __init__(self, server_address, *args, **kwargs):
@@ -286,6 +288,10 @@ class _AcceptingWSGIServer(WSGIServer):
         self._accepting = 0  # threads waiting in accept
 
     def serve_forever(self, poll_interval=None):
+        threading.Thread(target=self._accept_and_serve, daemon=True).start()
+        threading.Event().wait()
+
+    def _accept_and_serve(self):
         while self.socket.fileno() != -1:  # -1 once server_close ran
             with self._lock:
                 self._accepting += 1
@@ -299,14 +305,11 @@ class _AcceptingWSGIServer(WSGIServer):
                     spare = self._accepting
             try:
                 if not spare:
-                    threading.Thread(target=self.serve_forever, daemon=True).start()
+                    threading.Thread(target=self._accept_and_serve, daemon=True).start()
                 self.process_request(request, client_address)
             except Exception:
                 self.handle_error(request, client_address)
                 self.shutdown_request(request)
-            except BaseException:
-                self.shutdown_request(request)
-                raise
 
 
 _COMMANDS = {

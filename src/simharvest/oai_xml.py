@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 from .exceptions import (
@@ -481,27 +481,23 @@ def fragment_layout(identifier: str, data: bytes) -> tuple[int, frozenset[str]] 
 
 
 def splice_list_records(
-    fragments: Sequence[tuple[str, bytes]],
+    fragments: Sequence[tuple[bytes, tuple[int, frozenset[str]] | None]],
     *,
     base_url: str,
     request_args: Mapping[str, str],
     token: ResumptionToken | None,
-    layout: Callable[[str, bytes], tuple[int, frozenset[str]] | None],
 ) -> bytes | None:
     """The page serialize_list_records writes for the records stored as
-    these (identifier, fragment bytes) pairs, one or more, built from the
-    bytes without parsing a record into a tree. None when any fragment is
-    not one serialize_record_fragment wrote for its identifier with
-    registered prefixes alone: parse those the long way.
-    layout(identifier, data) gives fragment_layout's answer for a fragment
-    it has seen parse, remembered or worked out (see store.Catalog.layout)."""
+    these fragments, one or more, built from the bytes without parsing a
+    record into a tree. Each comes as (data, layout), layout being
+    fragment_layout's answer for data, which parsed. None when any layout
+    is None: parse those records the long way."""
     prefixes = {"", "xsi"}
     bodies = []
-    for identifier, data in fragments:
-        checked = layout(identifier, data)
-        if checked is None:
+    for data, layout in fragments:
+        if layout is None:
             return None
-        offset, declared = checked
+        offset, declared = layout
         prefixes |= declared
         bodies.append(b"<record>" + data[offset:])
     # an empty <record /> stands in for the records; ElementTree declares the

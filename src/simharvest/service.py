@@ -26,6 +26,7 @@ from .oai_xml import (
     ResumptionToken,
     argument_problems,
     build_similarity_about,
+    parse_record_fragment,
     serialize_error,
     serialize_get_record,
     serialize_identify,
@@ -235,21 +236,18 @@ class OaiProvider:
             )
         serialize = serialize_list_identifiers
         if flat["verb"] == "ListRecords":
-            # spliced from the stored bytes, which the page's own catalog
-            # judges, unless one must be parsed (see splice_list_records); a
-            # missing record raises NotFoundError, as it does on GetRecord
+            # the bytes the catalog read and judged, spliced in unless one
+            # must be parsed (see splice_list_records)
+            memos = [catalog.files[header.identifier] for header in page]
             body = splice_list_records(
-                [(h.identifier, self.store.record_bytes(h.identifier)) for h in page],
+                [(memo.data, memo.layout) for memo in memos],
                 base_url=self.config.base_url,
                 request_args=flat,
                 token=token,
-                layout=catalog.layout,
             )
             if body is not None:
                 return body
-            # the long way raises what a corrupt or misplaced file raises on
-            # GetRecord
-            page = [self.store.get_record(header.identifier) for header in page]
+            page = [parse_record_fragment(memo.data) for memo in memos]
             serialize = serialize_list_records
         return serialize(
             page,

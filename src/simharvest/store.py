@@ -11,21 +11,23 @@ Layout under one root directory:
 
 Identifier-to-path mapping percent-encodes each segment, so it is reversible
 and two identifiers can never share a file; a file under any name it does
-not give is no record. An identifier is storable only when every file name
-derived from it fits in NAME_MAX bytes; the store refuses any other and
-treats it as absent on lookup. Every record change bumps the corpus epoch in
-.epoch before the record file is written, holding an exclusive flock on
-records/ across both steps. The serving side reads headers from an in-memory
-catalog stamped with the epoch it was built at; its build holds the same
-lock shared, so it never pairs a new epoch with the records from before the
-change. The catalog is the store's one view of records/: a build lists it
-with os.scandir, reads every record file and judges (parses and checks for
-splicing) only bytes the previous build did not read; a ListRecords page
-asks the catalog it was cut from. A derived tree is current exactly when its
-commit record carries that epoch: tf_metadata/.indexed_epoch for the tf
-tree, compute_meta.txt for the weights, pair and top-match outputs (see
-pipeline). Every store file is replaced whole through replacing. idf values
-are never written anywhere: they exist only in memory while computing.
+not give is no record. An identifier is storable only when it is not empty
+and every file name derived from it fits in NAME_MAX bytes; the store
+refuses any other and treats it as absent on lookup. Every record change
+bumps the corpus epoch in .epoch before the record file is written, holding
+an exclusive flock on records/ across both steps. The serving side reads
+headers from an in-memory catalog stamped with the epoch it was built at;
+its build holds the same lock shared, so it never pairs a new epoch with the
+records from before the change. The catalog is the store's one view of
+records/: a build lists it with os.scandir, reads every record file and
+judges (parses and checks for splicing) only bytes the previous build did
+not read. A ListRecords page serves the bytes its catalog read, so a file
+changed behind the store's back is seen at the next epoch; GetRecord reads
+its file. A derived tree is current exactly when its commit record carries
+that epoch: tf_metadata/.indexed_epoch for the tf tree, compute_meta.txt for
+the weights, pair and top-match outputs (see pipeline). Every store file is
+replaced whole through replacing. idf values are never written anywhere:
+they exist only in memory while computing.
 """
 
 from __future__ import annotations
@@ -115,9 +117,12 @@ def _tree_file(tree: Path, identifier: str, suffix: str) -> Path:
 
 
 def storable(identifier: str) -> bool:
-    """Whether every file name derived from identifier fits in NAME_MAX
-    bytes: the record file (longer than the .tf and .w names) and the flat
-    top-match file. Encoded names are ASCII."""
+    """Whether identifier is not empty (no record's is, and its top file
+    would be top_matches/ itself) and every file name derived from it fits
+    in NAME_MAX bytes: the record file (longer than the .tf and .w names)
+    and the flat top-match file. Encoded names are ASCII."""
+    if not identifier:
+        return False
     if 3 * len(identifier.encode("utf-8")) + len(RECORD_SUFFIX) <= NAME_MAX:
         return True  # percent-encoding at most triples a name's bytes
     name = _relname(identifier).partition("/")[2]
@@ -182,19 +187,12 @@ class PutResult:
 
 @dataclass(frozen=True)
 class _Memo:
-    """What one record file's bytes give: its header and fragment_layout."""
+    """One record file as a catalog build read it: the bytes a ListRecords
+    page serves, their header and their fragment_layout."""
 
     data: bytes
     header: Header
     layout: tuple[int, frozenset[str]] | None
-
-
-def _judged(identifier: str, data: bytes) -> _Memo:
-    """Judge identifier's record file: XmlParseError unless well-formed,
-    PathCollisionError unless it names identifier. Parsing the header reads
-    the whole document, so fragment_layout meets well-formed bytes alone."""
-    header = _checked(parse_record_header(data), identifier)
-    return _Memo(data, header, fragment_layout(identifier, data))
 
 
 @dataclass(frozen=True)
@@ -202,7 +200,8 @@ class Catalog:
     """Every stored record's header at one epoch, ascending by identifier,
     with the distinct setSpecs (ascending) and the earliest datestamp at
     second granularity (None for an empty store). files holds what the build
-    read: identifier -> _Memo, never changed once built."""
+    read: identifier -> _Memo, never changed once built, whose bytes are
+    all a ListRecords page cut from this catalog serves."""
 
     epoch: int
     headers: tuple[Header, ...]
@@ -229,17 +228,6 @@ class Catalog:
                 continue
             kept.append(header)
         return kept
-
-    def layout(
-        self, identifier: str, data: bytes
-    ) -> tuple[int, frozenset[str]] | None:
-        """fragment_layout(identifier, data) for one of this catalog's
-        records, as the build judged the bytes it read; other bytes are
-        judged now, raising as a build would."""
-        memo = self.files[identifier]
-        if memo.data != data:
-            memo = _judged(identifier, data)
-        return memo.layout
 
 
 class RecordStore:
@@ -336,19 +324,15 @@ class RecordStore:
             write_atomic(path, payload)
         return PutResult(status, previous)
 
-    def record_bytes(self, identifier: str) -> bytes:
-        """identifier's record file as stored, unparsed; NotFoundError when
-        there is none."""
+    def get_record(self, identifier: str) -> MetadataRecord:
         if storable(identifier):
             try:
-                return self.record_path(identifier).read_bytes()
+                data = self.record_path(identifier).read_bytes()
             except FileNotFoundError:
                 pass
+            else:
+                return _checked(parse_record_fragment(data), identifier)
         raise NotFoundError(f"no record stored for {identifier!r}")
-
-    def get_record(self, identifier: str) -> MetadataRecord:
-        record = parse_record_fragment(self.record_bytes(identifier))
-        return _checked(record, identifier)
 
     def _record_files(self) -> list[tuple[str, str]]:
         """(identifier, record file) for every record file in a directory of
@@ -402,7 +386,10 @@ class RecordStore:
                     data = handle.read()
                 memo = seen.get(identifier)
                 if memo is None or memo.data != data:
-                    memo = _judged(identifier, data)
+                    # parsing the header reads the whole document, so
+                    # fragment_layout meets well-formed bytes alone
+                    header = _checked(parse_record_header(data), identifier)
+                    memo = _Memo(data, header, fragment_layout(identifier, data))
                 files[identifier] = memo
         headers = [memo.header for memo in files.values()]
         return Catalog(

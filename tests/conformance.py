@@ -6,6 +6,8 @@ error-code vocabulary, the similarity container's score/order rules) and
 report every violation found. The test suite uses them to vet every
 response the package emits, and reads the similarity containers it serves
 through similarity_containers, since the package's own parser drops them.
+provider_problems adds the one rule a provider's answer keeps beyond the
+wire format: each verb draws only its own error codes (OAI-PMH 2.0 section 4).
 """
 
 from __future__ import annotations
@@ -47,6 +49,28 @@ _REQUEST_ATTRS = frozenset(
 )
 _TOKEN_ATTRS = frozenset({"completeListSize", "cursor", "expirationDate"})
 
+_LIST_ERRORS = frozenset(
+    {
+        "badArgument",
+        "badResumptionToken",
+        "cannotDisseminateFormat",
+        "noRecordsMatch",
+        "noSetHierarchy",
+    }
+)
+#: OAI-PMH 2.0 section 4: the error codes each verb's request may draw,
+#: besides badVerb, which any request may
+_VERB_ERRORS = {
+    "GetRecord": frozenset({"badArgument", "cannotDisseminateFormat", "idDoesNotExist"}),
+    "Identify": frozenset({"badArgument"}),
+    "ListIdentifiers": _LIST_ERRORS,
+    "ListMetadataFormats": frozenset(
+        {"badArgument", "idDoesNotExist", "noMetadataFormats"}
+    ),
+    "ListRecords": _LIST_ERRORS,
+    "ListSets": frozenset({"badArgument", "badResumptionToken", "noSetHierarchy"}),
+}
+
 _IDENTIFY_ORDER = (
     "repositoryName",
     "baseURL",
@@ -84,6 +108,23 @@ def conformance_problems(data: bytes | str) -> list[str]:
         return list(problems)
     _check_root(root, problems)
     return list(problems)
+
+
+def provider_problems(data: bytes | str) -> list[str]:
+    """conformance_problems, and each error code that the echoed verb's
+    request cannot draw (OAI-PMH 2.0 section 4). The wire format allows any
+    code under any verb, and a serializer writes what it is given; a
+    provider answers a verb with its own codes alone, or badVerb."""
+    problems = conformance_problems(data)
+    if problems:
+        return problems
+    root = ET.fromstring(data.encode("utf-8") if isinstance(data, str) else data)
+    verb = root.find(_q("request")).get("verb")
+    for error in root.iterfind(_q("error")):
+        code = error.get("code")
+        if code != "badVerb" and code not in _VERB_ERRORS.get(verb, {code}):
+            problems.append(f"error: {verb} cannot answer with {code!r}")
+    return problems
 
 
 def validate_response(data: bytes | str) -> None:

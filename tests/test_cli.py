@@ -259,6 +259,18 @@ class TestIndexComputeTop:
         assert (code, out) == (2, "")
         assert "record oai:c.example:gone is deleted" in err
 
+    def test_top_empty_identifier(self, tmp_path, capsys):
+        """No record has the empty identifier, whose top file would be
+        top_matches/ itself."""
+        root = str(tmp_path / "store")
+        populate(root, 3)
+        cli.main(["index", "--store", root])
+        cli.main(["compute", "--store", root])
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "top", "--identifier", "", "--store", root)
+        assert (code, out) == (2, "")
+        assert "no top matches stored" in err
+
     @pytest.mark.parametrize("length", [300, 5000])
     def test_top_identifier_too_long_to_store(self, tmp_path, capsys, length):
         root = str(tmp_path / "store")
@@ -939,6 +951,33 @@ class TestServeCommand:
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=10) == 2
             assert "interrupted" in proc.stdout.read()
+
+    def test_interrupt_inside_a_request_stops_the_server(self):
+        # wsgiref's handler logs and swallows whatever a request raises, a
+        # KeyboardInterrupt too, so none may be raised on a serving thread
+        script = """
+import os, signal, socket
+from wsgiref.simple_server import make_server
+from simharvest import cli
+
+def interrupting(environ, start_response):
+    os.kill(os.getpid(), signal.SIGINT)
+    start_response("200 OK", [("Content-Type", "text/plain")])
+    return [b"ok"]
+
+with make_server(
+    "127.0.0.1", 0, interrupting, server_class=cli._AcceptingWSGIServer
+) as server:
+    client = socket.create_connection(("127.0.0.1", server.server_port))
+    client.sendall(b"GET / HTTP/1.0\\r\\n\\r\\n")
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        print("interrupted")
+    client.close()
+"""
+        result = fresh_python("-c", script)
+        assert (result.returncode, result.stdout) == (0, "interrupted\n")
 
 
 def test_keyboard_interrupt_exits_runtime(monkeypatch, capsys):

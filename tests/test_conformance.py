@@ -11,6 +11,7 @@ import conftest
 from conformance import (
     ConformanceError,
     conformance_problems,
+    provider_problems,
     validate_response,
     validate_similarity_container,
 )
@@ -157,6 +158,18 @@ class TestViolationsAreCaught:
         )
         problems = conformance_problems(body)
         assert any("must not echo" in p for p in problems)
+
+    def test_error_code_its_verb_cannot_return(self):
+        body = serialize_error(
+            [OaiError("idDoesNotExist", "no such record")],
+            base_url=BASE,
+            request_args={"verb": "ListRecords", "metadataPrefix": "oai_dc"},
+        )
+        assert conformance_problems(body) == []  # the wire format allows it
+        problems = provider_problems(body)
+        assert problems == ["error: ListRecords cannot answer with 'idDoesNotExist'"]
+        get_record = body.replace(b'verb="ListRecords"', b'verb="GetRecord"', 1)
+        assert provider_problems(get_record) == []
 
     def test_error_mixed_with_payload(self):
         body = CLEAN_GET_RECORD.decode("utf-8").replace(

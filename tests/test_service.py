@@ -25,6 +25,7 @@ import conftest
 import oracle
 from conformance import (
     conformance_problems,
+    provider_problems,
     similarity_containers,
     validate_similarity_container,
 )
@@ -113,7 +114,7 @@ def protocol_body(provider, args, method="GET"):
 def vetted(provider, args, method="GET"):
     """Request one protocol response and return its conformant body."""
     body = protocol_body(provider, args, method=method)
-    assert conformance_problems(body) == []
+    assert provider_problems(body) == []
     return body
 
 
@@ -1446,7 +1447,8 @@ def spliced_pages(provider, extra):
 
     def splice(fragments, **kwargs):
         body = real(fragments, **kwargs)
-        outcomes.append(([identifier for identifier, _ in fragments], body is not None))
+        headers = [oai_xml.parse_record_header(data) for data, _ in fragments]
+        outcomes.append(([h.identifier for h in headers], body is not None))
         return body
 
     with mock.patch.object(service_module, "splice_list_records", splice):
@@ -1562,7 +1564,7 @@ class TestListRecordsSplice:
     @pytest.fixture
     def served(self, tmp_path):
         """A provider over two records whose catalog is already built, so a
-        file changed behind the store's back is read only by ListRecords."""
+        file changed behind the store's back is read at the next epoch."""
         store = RecordStore(tmp_path / "store")
         for name in "ab":
             store.put_record(spliced_record(name, dc_fields=(("title", name),)))
@@ -1570,10 +1572,21 @@ class TestListRecordsSplice:
         payload(provider, "Identify")
         return store, provider
 
+    @staticmethod
+    def edited(store, provider, edit):
+        """Apply edit to records/ behind the store's back: the walk at that
+        epoch serves the pages from before it, byte for byte. Then move the
+        epoch by storing a third record."""
+        before = list_records_pages(provider, {})
+        edit()
+        assert list_records_pages(provider, {}) == before
+        store.put_record(spliced_record("c", dc_fields=(("title", "c"),)))
+
     def test_file_naming_another_identifier_is_refused(self, served):
         store, provider = served
-        a_path = store.record_path("oai:e.example:a")
-        store.record_path("oai:e.example:b").write_bytes(a_path.read_bytes())
+        a_data = store.record_path("oai:e.example:a").read_bytes()
+        b_path = store.record_path("oai:e.example:b")
+        self.edited(store, provider, lambda: b_path.write_bytes(a_data))
         with pytest.raises(PathCollisionError):
             list_records_pages(provider, {})
 
@@ -1588,15 +1601,29 @@ class TestListRecordsSplice:
     def test_corrupt_file_is_an_xml_parse_error(self, served, corrupt):
         store, provider = served
         path = store.record_path("oai:e.example:b")
-        path.write_bytes(corrupt(path.read_bytes()))
+        data = corrupt(path.read_bytes())
+        self.edited(store, provider, lambda: path.write_bytes(data))
         with pytest.raises(XmlParseError):
             list_records_pages(provider, {})
 
-    def test_missing_file_is_id_does_not_exist(self, served):
+    def test_missing_file_leaves_the_lists_at_the_next_epoch(self, served):
         store, provider = served
-        store.record_path("oai:e.example:b").unlink()
+        self.edited(store, provider, store.record_path("oai:e.example:b").unlink)
         (page,) = list_records_pages(provider, {})
-        assert error_codes(parse_response(page, "ListRecords")) == ["idDoesNotExist"]
+        parsed = parse_response(page, "ListRecords")
+        assert error_codes(parsed) == []
+        listed = ["oai:e.example:a", "oai:e.example:c"]
+        assert [record.identifier for record in parsed.records] == listed
+        identifiers = payload(provider, "ListIdentifiers", {"metadataPrefix": "oai_dc"})
+        assert [h.findtext(oai("identifier")) for h in identifiers] == listed
+
+    def test_walk_at_one_epoch_needs_no_record_file(self, served):
+        store, provider = served
+        first = list_records_pages(provider, {})
+        for path in list(store.records_dir.rglob("*")):
+            if path.is_file():
+                path.unlink()
+        assert list_records_pages(provider, {}) == first
 
     def test_second_walk_at_one_epoch_creates_no_parser(self, served):
         # the fixture's catalog build judged both files: neither walk parses
@@ -1635,26 +1662,27 @@ class TestListRecordsSplice:
 
     def test_same_size_rewrite_naming_another_identifier_is_refused(self, served):
         store, provider = served
-        list_records_pages(provider, {})
         a_data = store.record_path("oai:e.example:a").read_bytes()
-        self.rewrite_in_place(store.record_path("oai:e.example:b"), a_data)
+        b_path = store.record_path("oai:e.example:b")
+        self.edited(store, provider, lambda: self.rewrite_in_place(b_path, a_data))
         with pytest.raises(PathCollisionError):
             list_records_pages(provider, {})
 
     def test_same_size_truncation_is_an_xml_parse_error(self, served):
         store, provider = served
-        list_records_pages(provider, {})
         path = store.record_path("oai:e.example:b")
         data = path.read_bytes()
         half = len(data) // 2
-        self.rewrite_in_place(path, data[:half] + b" " * (len(data) - half))
+        cut = data[:half] + b" " * (len(data) - half)
+        self.edited(store, provider, lambda: self.rewrite_in_place(path, cut))
         with pytest.raises(XmlParseError):
             list_records_pages(provider, {})
 
     def test_store_of_an_earlier_layout_is_served_then_migrated(self, tmp_path):
         """Record files an earlier version wrote, indented from depth 0, are
         served the long way into the same pages. A re-harvest rewrites them
-        at page depth without moving the epoch, and the pages are spliced."""
+        at page depth without moving the epoch: the running provider serves
+        the bytes it read the long way, and a new store splices them."""
         batch = [
             spliced_record("a", dc_fields=TRICKY_DC, provenance=(TRICKY_PROVENANCE,)),
             spliced_record("b", deleted=True),
@@ -1676,7 +1704,9 @@ class TestListRecordsSplice:
             assert store.epoch() == epoch
             stored = store.record_path(record.identifier).read_bytes()
             assert stored == serialize_record_fragment(record)
-        migrated, outcomes = spliced_pages(provider, {})
+        assert spliced_pages(provider, {}) == (pages, outcomes)
+        fresh = OaiProvider(RecordStore(store.root), provider.config)
+        migrated, outcomes = spliced_pages(fresh, {})
         assert migrated == pages
         assert [spliced for _, spliced in outcomes] == [True, True]
 

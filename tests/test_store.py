@@ -454,6 +454,17 @@ class TestCatalog:
         assert page.errors == [] and page.token is None
         assert [record.identifier for record in page.records] == ["oai:a:B"]
 
+    def test_a_file_of_the_empty_identifier_is_no_record(self, store):
+        # %raw/.xml decodes to "", which no record can carry
+        store.put_record(make_record("oai:a:B"))
+        (store.records_dir / "%raw").mkdir()
+        stray = store.records_dir / "%raw" / ".xml"
+        stray.write_bytes(store.record_path("oai:a:B").read_bytes())
+        assert not store_module.storable("") and not store.has_record("")
+        assert store.list_identifiers() == ["oai:a:B"]
+        body = OaiProvider(store).handle_request({"verb": ["Identify"]})
+        assert parse_response(body, "Identify").errors == []
+
     def test_unfiltered_selection_is_every_header(self, store):
         for n in range(3):
             store.put_record(make_record(f"oai:a.example:{n}"))
