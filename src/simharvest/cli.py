@@ -26,7 +26,13 @@ from .exceptions import (
     StalenessError,
 )
 from .harvester import USER_AGENT, HarvestSession, harvest
-from .pipeline import check_results_fresh, compute_store, index_store, load_top_matches
+from .pipeline import (
+    check_results_fresh,
+    check_results_unchanged,
+    compute_store,
+    index_store,
+    load_top_matches,
+)
 from .records import MetadataRecord
 from .service import OaiProvider, ProviderConfig, duplicate_report
 from .similarity import (
@@ -210,8 +216,9 @@ def _cmd_top(args: argparse.Namespace, settings: dict) -> int:
     if k < 0:  # refused before the freshness check, which would refuse first
         raise ConfigError(f"k must be non-negative, got {k}")
     store = RecordStore.open(settings["store_root"])
-    check_results_fresh(store)
+    meta = check_results_fresh(store)
     matches = load_top_matches(store, args.identifier, k)
+    check_results_unchanged(store, meta)
     if store.get_record(args.identifier).deleted:
         raise NotFoundError(f"record {args.identifier} is deleted")
     for match in matches:

@@ -5,10 +5,13 @@ envelope builder writes what every response shares: the OAI-PMH root, a
 responseDate of the current time, the <request> echo and the verb's payload
 element; each serializer hands it only the payload's children. The store
 keeps each record fragment at the depth a response holds it, so a ListRecords
-page may instead splice the stored bytes in (splice_list_records). The
-similarity ranking travels inside a record's optional <about> container as a
-<similarity> element (own namespace) holding <match identifier score/>
-children, score rendered with exactly four decimals.
+page or a GetRecord answer may instead splice the stored bytes in
+(splice_list_records, splice_get_record). Those are written straight to
+bytes, envelope and similarity container included, equal byte for byte to
+what ElementTree writes. The similarity ranking travels inside a record's
+optional <about> container as a <similarity> element (own namespace, prefix
+sim) holding <match identifier score/> children, score rendered with exactly
+four decimals.
 
 parse_response reads the errors and the resumptionToken text of any
 response, but records only from a ListRecords page (what the harvester
@@ -431,7 +434,7 @@ def parse_record_header(data: bytes) -> Header:
     return _parse_header(_record_document(data))
 
 
-# --- ListRecords pages spliced from record fragments ------------------------
+# --- responses spliced from record fragments -------------------------------
 
 _FRAGMENT_START = re.compile(
     rb"<\?xml version='1\.0' encoding='utf-8'\?>\n"
@@ -454,6 +457,7 @@ _DECLARED_PREFIXES = {
     declaration: prefix for prefix, declaration in _DECLARATIONS.items()
 }
 _RECORD_INDENT = b"    "  # a page holds its records two levels deep
+_RECORD_END = b"\n" + _RECORD_INDENT + b"</record>"
 
 
 def fragment_layout(identifier: str, data: bytes) -> tuple[int, frozenset[str]] | None:
@@ -468,7 +472,7 @@ def fragment_layout(identifier: str, data: bytes) -> tuple[int, frozenset[str]] 
         start is None
         # escape() escapes &, < and > in text, as ElementTree does
         or start[2] != escape(identifier).encode("utf-8")
-        or not data.endswith(b"\n" + _RECORD_INDENT + b"</record>")
+        or not data.endswith(_RECORD_END)
         or _UNWRITTEN_MARKUP.search(data, start.end()) is not None
     ):
         return None
@@ -478,6 +482,102 @@ def fragment_layout(identifier: str, data: bytes) -> tuple[int, frozenset[str]] 
             return None
         prefixes.add(_DECLARED_PREFIXES[declaration])
     return start.end(1) + 1, frozenset(prefixes)
+
+
+# ElementTree's escaping: &, < and > in text, and in attribute values also
+# the quote and the three whitespace characters a parser would normalise.
+# Like ElementTree, the writers below encode a character UTF-8 cannot hold
+# (a lone surrogate) as a character reference.
+_ATTRIBUTE_ENTITIES = {'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+_ATTRIBUTE_ESCAPED = re.compile(r'[&<>"\r\n\t]')
+
+
+def _attribute_value(value: str) -> str:
+    if _ATTRIBUTE_ESCAPED.search(value) is None:  # nearly every value; faster
+        return value
+    return escape(value, _ATTRIBUTE_ENTITIES)
+
+
+def _start_tag(name: str, attributes: Iterable[tuple[str, str]]) -> str:
+    """A start tag's name and attributes, without its angle brackets."""
+    return name + "".join(
+        f' {key}="{_attribute_value(value)}"' for key, value in attributes
+    )
+
+
+def _leaf_text(name: str, attributes: Iterable[tuple[str, str]], text: str) -> str:
+    """An element without children as ElementTree writes it: empty text
+    closes the start tag with " />"."""
+    start = _start_tag(name, attributes)
+    return f"<{start}>{escape(text)}</{name}>" if text else f"<{start} />"
+
+
+def _similarity_about(about: SimilarityAbout, schema_url: str) -> bytes:
+    """The <about> _record_element adds for about, at record depth in a
+    response and led by its newline."""
+    start = _start_tag(
+        "sim:similarity",
+        (
+            ("xsi:schemaLocation", f"{SIMILARITY_NS} {schema_url}"),
+            ("subject", about.subject_identifier),
+            ("computedDate", about.computed_at),
+        ),
+    )
+    matches = "".join(
+        f'\n          <sim:match identifier="{_attribute_value(match.identifier)}"'
+        f' score="{format_score(match.score)}" />'
+        for match in about.matches
+    )
+    similarity = f"<{start}>{matches}\n        </sim:similarity>"
+    if not matches:
+        similarity = f"<{start} />"
+    text = f"\n      <about>\n        {similarity}\n      </about>"
+    return text.encode("utf-8", "xmlcharrefreplace")
+
+
+def _spliced_response(
+    verb: str,
+    records: Sequence[bytes],
+    prefixes: set[str],
+    base_url: str,
+    request_args: Mapping[str, str],
+    token: ResumptionToken | None = None,
+) -> bytes:
+    """The response _response writes around records, each a <record>
+    element's bytes at response depth, written as bytes: the root declares
+    the envelope's own prefixes and those the records use, in ElementTree's
+    order, and the request echoes its arguments in _ECHOED order."""
+    echo = [
+        (key, str(request_args[key]))
+        for key in _ECHOED
+        if request_args.get(key) is not None
+    ]
+    head = (
+        f' xsi:schemaLocation="{OAI_SCHEMA_LOCATION}">'
+        f"\n  <responseDate>{utc_now_string()}</responseDate>"
+        f"\n  {_leaf_text('request', echo, base_url)}"
+        f"\n  <{verb}>\n    "
+    )
+    tail = f"\n  </{verb}>\n</OAI-PMH>"
+    if token is not None:
+        counts = [
+            (name, str(value))
+            for name, value in (
+                ("completeListSize", token.complete_list_size),
+                ("cursor", token.cursor),
+            )
+            if value is not None
+        ]
+        tail = f"\n    {_leaf_text('resumptionToken', counts, token.text)}{tail}"
+    return b"".join(
+        (
+            b"<?xml version='1.0' encoding='utf-8'?>\n<OAI-PMH",
+            *(_DECLARATIONS[prefix] for prefix in sorted({"", "xsi"} | prefixes)),
+            head.encode("utf-8", "xmlcharrefreplace"),
+            (b"\n" + _RECORD_INDENT).join(records),
+            tail.encode("utf-8", "xmlcharrefreplace"),
+        )
+    )
 
 
 def splice_list_records(
@@ -492,7 +592,7 @@ def splice_list_records(
     record into a tree. Each comes as (data, layout), layout being
     fragment_layout's answer for data, which parsed. None when any layout
     is None: parse those records the long way."""
-    prefixes = {"", "xsi"}
+    prefixes = set()
     bodies = []
     for data, layout in fragments:
         if layout is None:
@@ -500,20 +600,34 @@ def splice_list_records(
         offset, declared = layout
         prefixes |= declared
         bodies.append(b"<record>" + data[offset:])
-    # an empty <record /> stands in for the records; ElementTree declares the
-    # envelope's own two namespaces on the root, and escaping leaves no other
-    # raw "<record />" in the envelope
-    placeholder = [ET.Element(_q("record"))]
-    envelope = _response("ListRecords", placeholder, base_url, request_args, token)
-    return (
-        envelope
-        .replace(
-            _DECLARATIONS[""] + _DECLARATIONS["xsi"],
-            b"".join(_DECLARATIONS[prefix] for prefix in sorted(prefixes)),
-            1,
-        )
-        .replace(b"<record />", (b"\n" + _RECORD_INDENT).join(bodies), 1)
+    return _spliced_response(
+        "ListRecords", bodies, prefixes, base_url, request_args, token
     )
+
+
+def splice_get_record(
+    data: bytes,
+    layout: tuple[int, frozenset[str]] | None,
+    about: SimilarityAbout | None,
+    *,
+    base_url: str,
+    request_args: Mapping[str, str],
+    schema_url: str,
+) -> bytes | None:
+    """The response serialize_get_record writes for the record stored as
+    data, whose fragment_layout is layout, and for about (None for a deleted
+    record), built from the bytes without parsing. None when layout is None:
+    parse that record the long way."""
+    if layout is None:
+        return None
+    offset, declared = layout
+    body = b"<record>" + data[offset:]
+    prefixes = set(declared)
+    if about is not None:
+        prefixes.add("sim")
+        container = _similarity_about(about, schema_url)
+        body = body[: -len(_RECORD_END)] + container + _RECORD_END
+    return _spliced_response("GetRecord", [body], prefixes, base_url, request_args)
 
 
 # --- parsing ----------------------------------------------------------------

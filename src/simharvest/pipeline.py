@@ -6,7 +6,8 @@ and write it last, stamped with the epoch read when they started, so a run
 that fails, dies or races a record change leaves its output stale.
 compute_store is the sole writer of the weights tree, the pair file, the
 top-match directory and the compute metadata; check_results_fresh is the one
-judge of their freshness. Output is deterministic: rerun on an unchanged
+judge of their freshness, and a reader that then reads a top file confirms
+with check_results_unchanged that no compute replaced them meanwhile. Output is deterministic: rerun on an unchanged
 store, it reproduces similarities.txt byte for byte.
 """
 
@@ -206,17 +207,29 @@ def _write_compute_meta(store: RecordStore, report: ComputeReport) -> None:
     write_atomic(store.compute_meta_path, "".join(lines).encode("utf-8"))
 
 
-def read_compute_meta(store: RecordStore) -> dict[str, str]:
+class ComputeMeta(dict):
+    """compute_meta.txt's keys and values; identity is the (st_ino,
+    st_mtime_ns) of the file they were read from."""
+
+    identity: tuple[int, int]
+
+
+def read_compute_meta(store: RecordStore) -> ComputeMeta:
     try:
-        text = store.compute_meta_path.read_text(encoding="utf-8")
+        handle = store.compute_meta_path.open(encoding="utf-8")
     except FileNotFoundError:
         raise StalenessError(
             "no similarity results have been computed yet; run compute"
         ) from None
-    return dict(line.partition(" = ")[::2] for line in text.splitlines())
+    with handle:
+        stat = os.fstat(handle.fileno())
+        lines = handle.read().splitlines()
+    meta = ComputeMeta(line.partition(" = ")[::2] for line in lines)
+    meta.identity = (stat.st_ino, stat.st_mtime_ns)
+    return meta
 
 
-def check_results_fresh(store: RecordStore) -> dict[str, str]:
+def check_results_fresh(store: RecordStore) -> ComputeMeta:
     """Meta of the last compute run, or StalenessError if it no longer covers
     the current corpus: results are fresh exactly when compute_meta.txt
     exists and its epoch is the store's."""
@@ -226,6 +239,21 @@ def check_results_fresh(store: RecordStore) -> dict[str, str]:
             "similarity results are stale: the collection changed; run compute"
         )
     return meta
+
+
+def check_results_unchanged(store: RecordStore, meta: ComputeMeta) -> None:
+    """StalenessError unless compute_meta.txt is still the file meta was read
+    from. A reader that checked freshness calls this after reading a top
+    file: a put, index and compute in between replace compute_meta.txt, and
+    the file read may hold the new ranking, not the one meta dates."""
+    try:
+        stat = os.stat(store.compute_meta_path)
+    except FileNotFoundError:
+        stat = None
+    if stat is None or (stat.st_ino, stat.st_mtime_ns) != meta.identity:
+        raise StalenessError(
+            "similarity results changed while they were read; run compute"
+        )
 
 
 def load_top_matches(
@@ -280,6 +308,7 @@ __all__ = [
     "compute_store",
     "read_compute_meta",
     "check_results_fresh",
+    "check_results_unchanged",
     "load_top_matches",
     "iter_similarity_lines",
 ]

@@ -4,7 +4,10 @@ A WSGI application handling GET and POST on any path, plus two auxiliary
 routes: the similarity schema at a stable URL and a non-protocol
 /similar?identifier=...&k=... endpoint answering with a bare similarity
 container. GetRecord responses carry the subject's ranked matches in an
-<about> container whenever fresh similarity results exist; list verbs
+<about> container whenever fresh similarity results exist. GetRecord,
+/similar and the list verbs answer from the store's header catalog at the
+current epoch, and GetRecord and ListRecords splice the bytes it read; list
+verbs
 paginate with resumption tokens that pin the filter set and the corpus
 epoch, so tokens from before a collection change are rejected.
 
@@ -35,9 +38,15 @@ from .oai_xml import (
     serialize_list_records,
     serialize_list_sets,
     serialize_similarity,
+    splice_get_record,
     splice_list_records,
 )
-from .pipeline import check_results_fresh, iter_similarity_lines, load_top_matches
+from .pipeline import (
+    check_results_fresh,
+    check_results_unchanged,
+    iter_similarity_lines,
+    load_top_matches,
+)
 from .records import Header, OaiError, SimilarityAbout
 from .store import RecordStore
 
@@ -183,20 +192,28 @@ class OaiProvider:
         )
 
     def _verb_get_record(self, flat: dict) -> bytes:
-        record = self.store.get_record(flat["identifier"])
+        # the bytes the catalog read and judged, as a ListRecords page at
+        # this epoch serves them, spliced in unless they must be parsed
+        identifier = flat["identifier"]
+        memo = self.store.catalog().files.get(identifier)
+        if memo is None:
+            raise NotFoundError(f"no record stored for {identifier!r}")
         about = None
-        if not record.deleted:
+        if not memo.header.deleted:
             try:
-                about = self._similarity(record.identifier, self.config.k)
+                about = self._similarity(identifier, self.config.k)
             except (StalenessError, NotFoundError):
                 pass  # no fresh results: the record stands alone
-        return serialize_get_record(
-            record,
-            about,
+        arguments = dict(
             base_url=self.config.base_url,
             request_args=flat,
             schema_url=self.config.schema_url,
         )
+        body = splice_get_record(memo.data, memo.layout, about, **arguments)
+        if body is None:
+            record = parse_record_fragment(memo.data)
+            body = serialize_get_record(record, about, **arguments)
+        return body
 
     def _list_response(self, flat: dict) -> bytes:
         """One page of ListRecords or ListIdentifiers, as flat["verb"] asks."""
@@ -322,9 +339,10 @@ class OaiProvider:
                 return _plain("400 Bad Request", "k must be a non-negative integer")
             k = int(params["k"][0])
         identifier = identifiers[0]
-        if not self.store.has_record(identifier):
+        memo = self.store.catalog().files.get(identifier)
+        if memo is None:
             return _plain("404 Not Found", f"unknown identifier {identifier}")
-        if self.store.get_record(identifier).deleted:
+        if memo.header.deleted:
             # GetRecord serves a deleted record's header alone, with no matches
             return _plain("404 Not Found", f"record {identifier} is deleted")
         try:
@@ -340,9 +358,9 @@ class OaiProvider:
         """The subject's top-k container for GetRecord and /similar; raises
         StalenessError or NotFoundError when there are no fresh results."""
         meta = check_results_fresh(self.store)
-        return build_similarity_about(
-            identifier, load_top_matches(self.store, identifier, k), meta["computed_at"]
-        )
+        matches = load_top_matches(self.store, identifier, k)
+        check_results_unchanged(self.store, meta)
+        return build_similarity_about(identifier, matches, meta["computed_at"])
 
 
 def _is_decimal(text: str) -> bool:

@@ -21,9 +21,9 @@ its build holds the same lock shared, so it never pairs a new epoch with the
 records from before the change. The catalog is the store's one view of
 records/: a build lists it with os.scandir, reads every record file and
 judges (parses and checks for splicing) only bytes the previous build did
-not read. A ListRecords page serves the bytes its catalog read, so a file
-changed behind the store's back is seen at the next epoch; GetRecord reads
-its file. A derived tree is current exactly when its commit record carries
+not read. ListRecords pages and GetRecord answers serve the bytes their
+catalog read, so a file changed behind the store's back is seen at the next
+epoch. A derived tree is current exactly when its commit record carries
 that epoch: tf_metadata/.indexed_epoch for the tf tree, compute_meta.txt for
 the weights, pair and top-match outputs (see pipeline). Every store file is
 replaced whole through replacing. idf values are never written anywhere:
@@ -188,7 +188,8 @@ class PutResult:
 @dataclass(frozen=True)
 class _Memo:
     """One record file as a catalog build read it: the bytes a ListRecords
-    page serves, their header and their fragment_layout."""
+    page or a GetRecord answer serves, their header and their
+    fragment_layout."""
 
     data: bytes
     header: Header
@@ -201,7 +202,7 @@ class Catalog:
     with the distinct setSpecs (ascending) and the earliest datestamp at
     second granularity (None for an empty store). files holds what the build
     read: identifier -> _Memo, never changed once built, whose bytes are
-    all a ListRecords page cut from this catalog serves."""
+    all a ListRecords page or a GetRecord answer from this catalog serves."""
 
     epoch: int
     headers: tuple[Header, ...]

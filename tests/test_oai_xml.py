@@ -563,3 +563,115 @@ class TestRecordFragments:
             b"</provenance:provenance>", b"</provenance:provenance> stray text"
         )
         assert parse_record_fragment(data) == record
+
+
+# text ElementTree escapes, in text and in attribute values, and text it
+# writes as it is: markup characters, the whitespace a parser would
+# normalise, and characters beyond ASCII
+_ESCAPED = st.sampled_from('&<>"\'\t\r\n é€𝄞')
+tricky_text = st.text(
+    alphabet=st.one_of(_ESCAPED, st.characters(blacklist_categories=("Cs",))),
+    max_size=12,
+)
+tricky_identifiers = st.one_of(
+    conftest.identifiers,
+    st.text(alphabet=st.sampled_from('&<>"\'aé€𝄞:'), min_size=1, max_size=12),
+)
+
+
+@st.composite
+def similarity_abouts(draw, subject):
+    """A container for subject with 0 to 4 matches ranked best first."""
+    others = draw(
+        st.lists(tricky_identifiers.filter(lambda i: i != subject), max_size=4, unique=True)
+    )
+    scores = sorted(
+        draw(st.lists(st.integers(0, 10**4), min_size=len(others), max_size=len(others))),
+        reverse=True,
+    )
+    matches = [SimilarityMatch(i, s / 10**4) for i, s in zip(others, scores)]
+    return build_similarity_about(subject, matches, draw(conftest.datetimes_utc))
+
+
+class TestSplicedResponses:
+    """GetRecord answers and ListRecords pages written as bytes from a stored
+    fragment are the ones ElementTree writes from the parsed record, byte
+    for byte, whatever the values it escapes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        record=st.one_of(
+            conftest.records(),
+            tricky_identifiers.map(lambda i: sample_record(identifier=i)),
+        ),
+        data=st.data(),
+        base_url=st.one_of(st.just(""), tricky_text),
+        schema_url=tricky_text,
+        request_args=st.dictionaries(
+            st.sampled_from([*oai_xml._ECHOED, "other"]), tricky_text
+        ),
+        stale=st.booleans(),
+        token=st.none()
+        | st.builds(
+            ResumptionToken,
+            tricky_text,
+            st.none() | st.integers(0, 10**6),
+            st.none() | st.integers(0, 10**6),
+        ),
+    )
+    def test_splices_equal_element_tree(
+        self, record, data, base_url, schema_url, request_args, stale, token
+    ):
+        about = None
+        if not (record.deleted or stale):
+            about = data.draw(similarity_abouts(record.identifier))
+        fragment = serialize_record_fragment(record)
+        layout = oai_xml.fragment_layout(record.identifier, fragment)
+        parsed = parse_record_fragment(fragment)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oai_xml, "utc_now_string", lambda: DATE)
+            get_record = oai_xml.splice_get_record(
+                fragment,
+                layout,
+                about,
+                base_url=base_url,
+                request_args=request_args,
+                schema_url=schema_url,
+            )
+            list_records = oai_xml.splice_list_records(
+                [(fragment, layout)],
+                base_url=base_url,
+                request_args=request_args,
+                token=token,
+            )
+            if layout is None:  # a foreign namespace: parsed the long way
+                assert get_record is None and list_records is None
+                return
+            assert get_record == serialize_get_record(
+                parsed,
+                about,
+                base_url=base_url,
+                request_args=request_args,
+                schema_url=schema_url,
+            )
+            assert list_records == serialize_list_records(
+                [parsed], base_url=base_url, request_args=request_args, token=token
+            )
+
+    def test_empty_container_closes_itself(self, pinned_date):
+        record = sample_record()
+        fragment = serialize_record_fragment(record)
+        about = build_similarity_about(record.identifier, [], DATE)
+        body = oai_xml.splice_get_record(
+            fragment,
+            oai_xml.fragment_layout(record.identifier, fragment),
+            about,
+            base_url="",
+            request_args={"verb": "GetRecord"},
+            schema_url="/s.xsd",
+        )
+        assert b'computedDate="2006-04-19T12:00:00Z" />\n      </about>' in body
+        assert b'<request verb="GetRecord" />' in body
+        assert body == serialize_get_record(
+            record, about, base_url="", request_args={"verb": "GetRecord"}, schema_url="/s.xsd"
+        )

@@ -1489,6 +1489,18 @@ def spliced_record(name, **fields):
     )
 
 
+@pytest.fixture
+def served(tmp_path):
+    """A provider over two records whose catalog is already built, so a file
+    changed behind the store's back is read at the next epoch."""
+    store = RecordStore(tmp_path / "store")
+    for name in "ab":
+        store.put_record(spliced_record(name, dc_fields=(("title", name),)))
+    provider = OaiProvider(store, ProviderConfig(base_url=BASE))
+    payload(provider, "Identify")
+    return store, provider
+
+
 class TestListRecordsSplice:
     """ListRecords pages cut from the stored bytes are the pages ElementTree
     builds from the parsed records, byte for byte."""
@@ -1560,17 +1572,6 @@ class TestListRecordsSplice:
                 root_tag = page.split(b">", 2)[1]
                 assert b"xmlns:dc=" not in root_tag
                 assert b"xmlns:oai_dc=" not in root_tag
-
-    @pytest.fixture
-    def served(self, tmp_path):
-        """A provider over two records whose catalog is already built, so a
-        file changed behind the store's back is read at the next epoch."""
-        store = RecordStore(tmp_path / "store")
-        for name in "ab":
-            store.put_record(spliced_record(name, dc_fields=(("title", name),)))
-        provider = OaiProvider(store, ProviderConfig(base_url=BASE))
-        payload(provider, "Identify")
-        return store, provider
 
     @staticmethod
     def edited(store, provider, edit):
@@ -1709,6 +1710,266 @@ class TestListRecordsSplice:
         migrated, outcomes = spliced_pages(fresh, {})
         assert migrated == pages
         assert [spliced for _, spliced in outcomes] == [True, True]
+
+
+def get_record_body(provider, identifier):
+    """One GetRecord answer, responseDate blanked."""
+    args = {"verb": ["GetRecord"], "identifier": [identifier], "metadataPrefix": ["oai_dc"]}
+    return RESPONSE_DATE.sub(b"<responseDate />", provider.handle_request(args))
+
+
+def answer(call):
+    """What call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as error:
+        return type(error), str(error)
+
+
+class TestGetRecordSnapshot:
+    """GetRecord serves the bytes its catalog read at the current epoch, as
+    a ListRecords page does, and /similar asks the same snapshot."""
+
+    B = "oai:e.example:b"
+
+    @staticmethod
+    def move_epoch(store):
+        store.put_record(spliced_record("c", dc_fields=(("title", "c"),)))
+
+    def similar(self, provider):
+        status, _, body = wsgi_call(
+            provider, path="/similar", query=urlencode({"identifier": self.B})
+        )
+        return status, body
+
+    def test_rewritten_file_is_served_once_the_epoch_moves(self, served):
+        store, provider = served
+        before = get_record_body(provider, self.B)
+        edited = spliced_record("b", dc_fields=(("title", "edited"),))
+        store.record_path(self.B).write_bytes(serialize_record_fragment(edited))
+        assert get_record_body(provider, self.B) == before
+        (page,) = list_records_pages(provider, {})
+        start = before.index(b"<record>")
+        record = before[start : before.index(b"</record>", start) + len(b"</record>")]
+        assert b"<identifier>oai:e.example:b</identifier>" in record
+        assert record in page
+        self.move_epoch(store)
+        after = get_record_body(provider, self.B)
+        assert parse_response(after, "GetRecord").records == [edited]
+        assert after.replace(b">edited<", b">b<") == before
+
+    def test_malformed_file_answers_as_identify_does(self, served):
+        store, provider = served
+        path = store.record_path(self.B)
+        before = get_record_body(provider, self.B)
+        path.write_bytes(path.read_bytes()[:-20])
+        assert get_record_body(provider, self.B) == before
+        self.move_epoch(store)
+        identify = answer(lambda: provider.handle_request({"verb": ["Identify"]}))
+        assert identify[0] is XmlParseError
+        assert answer(lambda: get_record_body(provider, self.B)) == identify
+        assert answer(lambda: get_record_body(provider, "oai:e.example:a")) == identify
+
+    def test_removed_file_is_unknown_once_the_epoch_moves(self, served):
+        store, provider = served
+        before = get_record_body(provider, self.B)
+        store.record_path(self.B).unlink()
+        # the snapshot still holds the record: GetRecord serves it and
+        # /similar finds it, with no results computed
+        assert get_record_body(provider, self.B) == before
+        assert self.similar(provider)[0] == "409 Conflict"
+        self.move_epoch(store)
+        parsed = parse_response(get_record_body(provider, self.B), "GetRecord")
+        assert error_codes(parsed) == ["idDoesNotExist"]
+        assert self.similar(provider) == ("404 Not Found", f"unknown identifier {self.B}\n".encode())
+
+    def test_similar_reads_no_record_file(self, tmp_path, monkeypatch):
+        store = RecordStore(tmp_path / "store")
+        for record in oracle.synthetic_records(random.Random(8), 4):
+            store.put_record(record)
+        gone = MetadataRecord("oai:repo.example:zz-gone", "2003-03-03", deleted=True)
+        store.put_record(gone)
+        index_store(store)
+        compute_store(store, k=2)
+        provider = OaiProvider(store, ProviderConfig(base_url=BASE))
+        payload(provider, "Identify")
+        calls = []
+        for method in ("has_record", "get_record"):
+            monkeypatch.setattr(
+                RecordStore, method, lambda self, identifier: calls.append(identifier)
+            )
+        live = store.catalog().headers[0].identifier
+        for identifier, status in (
+            (live, "200 OK"),
+            (gone.identifier, "404 Not Found"),
+            ("oai:repo.example:nope", "404 Not Found"),
+        ):
+            query = urlencode({"identifier": identifier})
+            assert wsgi_call(provider, path="/similar", query=query)[0] == status
+        assert calls == []
+
+
+class TestGetRecordSplice:
+    """A GetRecord answer is written from the stored bytes: no record is
+    parsed and no tree is serialized, unless its bytes cannot be spliced."""
+
+    FOREIGN = "oai:e.example:foreign"
+
+    @pytest.fixture
+    def computed(self, tmp_path):
+        store = RecordStore(tmp_path / "store")
+        for name in "ab":
+            store.put_record(
+                spliced_record(name, dc_fields=TRICKY_DC, provenance=(TRICKY_PROVENANCE,))
+            )
+        store.put_record(spliced_record("foreign", provenance=(FOREIGN_BLOCK,)))
+        store.put_record(spliced_record("gone", deleted=True))
+        index_store(store)
+        compute_store(store, k=2)
+        provider = OaiProvider(store, ProviderConfig(base_url=BASE, k=2))
+        payload(provider, "Identify")
+        return provider
+
+    @staticmethod
+    def args(identifier):
+        return {"verb": ["GetRecord"], "identifier": [identifier], "metadataPrefix": ["oai_dc"]}
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        counting(ET, "tostring")
+        counting(ET, "fromstring")
+        counting(service_module, "parse_record_fragment")
+        counting(service_module, "serialize_get_record")
+        return calls
+
+    @pytest.mark.parametrize("name", ["a", "gone"])
+    def test_spliced_answer_parses_and_serializes_nothing(self, computed, name, monkeypatch):
+        identifier = f"oai:e.example:{name}"
+        calls = self.counted(monkeypatch)
+        body = computed.handle_request(self.args(identifier))
+        assert calls == []
+        monkeypatch.undo()
+        assert provider_problems(body) == []
+        assert (identifier in similarity_containers(body)) == (name == "a")
+
+    def test_foreign_block_takes_the_long_way(self, computed, monkeypatch):
+        calls = self.counted(monkeypatch)
+        body = computed.handle_request(self.args(self.FOREIGN))
+        assert calls.count("parse_record_fragment") == 1
+        assert calls.count("serialize_get_record") == 1
+        monkeypatch.undo()
+        assert provider_problems(body) == []
+        assert self.FOREIGN in similarity_containers(body)
+
+
+class TestReadersRecheckFreshness:
+    """A put, index and compute that land inside a reader's request leave its
+    answer stale (no <about>, 409, exit 3), or exactly the ranking of the
+    results its freshness check saw, never a ranking paired with another
+    compute's date."""
+
+    MOMENTS = ("before the check", "between the check and the read", "after the read")
+
+    @staticmethod
+    def read(reader, provider, identifier, capsys):
+        """(computedDate or None, ranking) of one answer, or None when stale."""
+        if reader == "GetRecord":
+            about = similarity_containers(get_record_body(provider, identifier)).get(
+                identifier
+            )
+            if about is None:
+                return None
+            ranking = [(m.identifier, oai_xml.format_score(m.score)) for m in about.matches]
+            return about.computed_at, ranking
+        if reader == "/similar":
+            status, _, body = wsgi_call(
+                provider, path="/similar", query=urlencode({"identifier": identifier})
+            )
+            if status == "409 Conflict":
+                return None
+            assert status == "200 OK"
+            element = ET.fromstring(body)
+            ranking = [(m.get("identifier"), m.get("score")) for m in element]
+            return element.get("computedDate"), ranking
+        root = str(provider.store.root)
+        capsys.readouterr()
+        code = cli.main(["top", "--identifier", identifier, "--store", root])
+        out = capsys.readouterr().out
+        if code == cli.EXIT_STALE:
+            return None
+        assert code == cli.EXIT_OK
+        return None, [tuple(line.split("\t")) for line in out.splitlines()]
+
+    @pytest.mark.parametrize("moment", MOMENTS)
+    @pytest.mark.parametrize("reader", ["GetRecord", "/similar", "top"])
+    def test_answer_is_stale_or_the_ranking_it_dates(
+        self, tmp_path, monkeypatch, capsys, reader, moment
+    ):
+        stamps = (f"2001-01-01T00:00:{second:02d}Z" for second in range(60))
+        monkeypatch.setattr(pipeline_module, "utc_now_string", lambda: next(stamps))
+        store = RecordStore(tmp_path / "store")
+        records = oracle.synthetic_records(random.Random(41), 6)
+        for record in records:
+            store.put_record(record)
+        subject = records[0].identifier
+        rankings = {}
+
+        def refresh():
+            index_store(store)
+            computed_at = compute_store(store, k=3).computed_at
+            rankings[computed_at] = [
+                (m.identifier, oai_xml.format_score(m.score))
+                for m in load_top_matches(store, subject)
+            ]
+
+        def inject(now):
+            if now == moment:
+                # a near-copy of the subject outranks its other matches
+                twin = dataclasses.replace(records[0], identifier="oai:repo.example:twin")
+                store.put_record(twin)
+                refresh()
+
+        refresh()
+        provider = OaiProvider(store, ProviderConfig(base_url=BASE, k=3))
+        module = cli if reader == "top" else service_module
+        real_check, real_load = module.check_results_fresh, module.load_top_matches
+        seen = []
+
+        def check(store):
+            inject(self.MOMENTS[0])
+            meta = real_check(store)
+            seen.append(meta["computed_at"])
+            return meta
+
+        def load(*args):
+            inject(self.MOMENTS[1])
+            matches = real_load(*args)
+            inject(self.MOMENTS[2])
+            return matches
+
+        monkeypatch.setattr(module, "check_results_fresh", check)
+        monkeypatch.setattr(module, "load_top_matches", load)
+        result = self.read(reader, provider, subject, capsys)
+        first, second = rankings.values()
+        assert first != second
+        if moment == self.MOMENTS[0]:
+            assert result is not None
+        if result is not None:
+            computed_at, ranking = result
+            (checked_at,) = seen
+            assert computed_at in (None, checked_at)
+            assert ranking == rankings[checked_at]
 
 
 class TestAggregatorChain:
